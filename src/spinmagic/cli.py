@@ -11,6 +11,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError
 
 from . import closed_forms, entanglement, pauli, wstates, xyz
 from .clifford import apply_circuit, build_circuit_s
@@ -83,7 +84,7 @@ def state_for(kind, L, ell, theta, jy, jz, h):
     if kind == "phi":
         return wstates.build_phi(L, ell, theta), ell
     if kind == "ground":
-        man = lowest_eigs(ChainParams(L=L, jy=jy, jz=jz, h=h), 6, dense_cutoff=9)
+        man = lowest_eigs(ChainParams(L=L, jy=jy, jz=jz, h=h), 6)
         ell0, state = pick_ground_state(man)
         return state, ell0
     raise ValueError(f"unknown state kind {kind!r}")
@@ -166,8 +167,7 @@ def cmd_jump_scaling(args):
             eps = args.eps * max(1.0, r.hstar)
             row = {"L": L, "hstar": r.hstar}
             for side, h in (("below", r.hstar - eps), ("above", r.hstar + eps)):
-                man = lowest_eigs(ChainParams(L=L, jy=args.jy, jz=args.jz, h=h),
-                                  6, dense_cutoff=9)
+                man = lowest_eigs(ChainParams(L=L, jy=args.jy, jz=args.jz, h=h), 6)
                 ell, state = pick_ground_state(man)
                 row[f"ell_{side}"] = ell
                 row[f"m2_{side}"] = pauli.sre_brute(state, workers=args.workers).value
@@ -204,13 +204,13 @@ def cmd_ratio(args):
     for L in parse_ints(args.L):
         try:
             tf = ChainParams(L=L, jy=args.jy, jz=args.jz, h=args.h)
-            ms, man = ground_momenta(tf, dense_cutoff=9)
+            ms, man = ground_momenta(tf)
             ell0, gtf = pick_ground_state(man)
-            if ell0 in (0, None):
+            if ell0 == 0:
                 rows.append({"L": L, "note": "zero-momentum ground state (h >= h*?)"})
                 failed = True
                 continue
-            nf_man = lowest_eigs(xyz.nonfrustrated_counterpart(tf), 4, dense_cutoff=9)
+            nf_man = lowest_eigs(xyz.nonfrustrated_counterpart(tf), 4)
             m2_tf = pauli.sre_brute(gtf, workers=args.workers).value
             m2_nf = pauli.sre_brute(nf_man.states[0], workers=args.workers).value
             m2_w = closed_forms.m2_w_closed(L, ell0)
@@ -417,7 +417,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, ArpackError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -51,24 +51,24 @@ def fwht(rows):
         rows = rows.reshape(rows.shape[:-1] + (n // (2 * h), 2, h))
         u = rows[..., 0, :].copy()
         v = rows[..., 1, :]
-        rows[..., 0, :] = u + v
-        rows[..., 1, :] = u - v
+        # in place: fresh block-sized temporaries cost page faults per block
+        np.add(u, v, out=rows[..., 0, :])
+        np.subtract(u, v, out=v)
         rows = rows.reshape(rows.shape[:-3] + (n,))
         h *= 2
     return rows
 
 
-def _moment_partials(psi, power, block):
-    """Per-x-mask partial sums of |<P>|^power, in ascending mask order."""
-    N = psi.size
-    idx = np.arange(N, dtype=np.int64)
-    half = power // 2
-    for start in range(0, N, block):
-        a = np.arange(start, min(start + block, N), dtype=np.int64)
-        g = np.conj(psi[idx[None, :] ^ a[:, None]]) * psi[None, :]
-        fwht(g)
-        mag2 = g.real**2 + g.imag**2
-        yield np.sum(mag2**half, axis=1)
+def _transformed_block(psi, start, stop):
+    """g_a(s) = conj(psi(s ^ a)) * psi(s) for the x-masks a in [start, stop),
+    Walsh-Hadamard transformed: entry [a - start, b] is <X_a Z_b> up to phase."""
+    idx = np.arange(psi.size, dtype=np.int64)
+    a = np.arange(start, stop, dtype=np.int64)
+    g = psi[idx[None, :] ^ a[:, None]]
+    np.conj(g, out=g)
+    g *= psi
+    fwht(g)
+    return g
 
 
 def pauli_moment(state, power=4, *, max_sites=DEFAULT_SITE_CAP, block=64, workers=1):
@@ -83,28 +83,20 @@ def pauli_moment(state, power=4, *, max_sites=DEFAULT_SITE_CAP, block=64, worker
     if power % 2:
         raise ValueError("power must be even")
     psi = state.amps
-    if workers <= 1:
-        partials = list(_moment_partials(psi, power, block))
-    else:
-        N = psi.size
-        starts = list(range(0, N, block))
-
-        def one(start):
-            return next(_moment_partials_range(psi, power, start, min(start + block, N)))
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one, starts))
-    return math.fsum(np.concatenate(partials).tolist())
-
-
-def _moment_partials_range(psi, power, start, stop):
     N = psi.size
-    idx = np.arange(N, dtype=np.int64)
-    a = np.arange(start, stop, dtype=np.int64)
-    g = np.conj(psi[idx[None, :] ^ a[:, None]]) * psi[None, :]
-    fwht(g)
-    mag2 = g.real**2 + g.imag**2
-    yield np.sum(mag2 ** (power // 2), axis=1)
+
+    def block_partials(start):
+        g = _transformed_block(psi, start, min(start + block, N))
+        mag2 = g.real**2 + g.imag**2
+        return np.sum(mag2 ** (power // 2), axis=1)
+
+    starts = range(0, N, block)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(block_partials, starts))
+    else:
+        partials = list(map(block_partials, starts))
+    return math.fsum(np.concatenate(partials).tolist())
 
 
 def sre_brute(state, *, max_sites=DEFAULT_SITE_CAP, block=64, workers=1):
@@ -142,13 +134,10 @@ def pauli_abs_table(state, *, max_sites=10, block=64):
         raise ValueError(f"L={L} exceeds the enumeration cap {max_sites}")
     psi = state.amps
     N = psi.size
-    idx = np.arange(N, dtype=np.int64)
     out = np.empty((N, N))
     for start in range(0, N, block):
-        a = np.arange(start, min(start + block, N), dtype=np.int64)
-        g = np.conj(psi[idx[None, :] ^ a[:, None]]) * psi[None, :]
-        fwht(g)
-        out[start : start + len(a)] = np.abs(g)
+        stop = min(start + block, N)
+        out[start:stop] = np.abs(_transformed_block(psi, start, stop))
     return out
 
 

@@ -1,23 +1,28 @@
 """The XYZ ring with an odd number of sites (frustrated boundary conditions):
-Hamiltonian action, low-energy spectrum with momentum-resolved degenerate
-manifolds, and the critical field h* separating zero- from finite-momentum
+Hamiltonian action, low-energy spectrum solved per (momentum, Z-parity)
+sector, and the critical field h* separating zero- from finite-momentum
 ground states.
 
 H = sum_n [ Jx sx_n sx_{n+1} + Jy sy_n sy_{n+1} + Jz sz_n sz_{n+1} ]
     + h sum_n sz_n,      site L+1 = site 1.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import schur
+from scipy.linalg import eigh
 
-from .states import NotTranslationEigenstate, StateVector, measure_momentum, translate
+# translate stays reachable as xyz.translate, where perfbench traces it
+from .states import StateVector, _rotate_bits, translate  # noqa: F401
 
 DEGENERACY_RTOL = 1e-9
 EIGSH_SEED = 20240917
+# sector blocks up to this dimension use dense eigh: for 1-6 levels on one core
+# it beats eigsh on complex blocks of dimension 165 (L = 12), not 315 (L = 13)
+DENSE_BLOCK_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -38,9 +43,9 @@ class ChainParams:
 @dataclass(frozen=True)
 class GroundManifold:
     energies: np.ndarray  # ascending, all requested levels
-    states: list  # StateVector, momentum-resolved inside degenerate clusters
-    momenta: list  # momentum index per state, None if unresolved
-    degeneracy: int  # size of the lowest cluster
+    states: list  # StateVector per level, a momentum and Z-parity eigenstate
+    momenta: list  # momentum index of the sector each state came from
+    degeneracy: int  # levels within DEGENERACY_RTOL of the lowest
 
 
 @dataclass(frozen=True)
@@ -102,103 +107,108 @@ def hamiltonian_sparse(params):
     return sum(mats).tocsr()
 
 
-def _resolve_momentum_cluster(vectors, L):
-    """Diagonalize the translation inside a degenerate cluster.
+@functools.lru_cache(maxsize=None)
+def _momentum_basis(L, ell, parity):
+    """Sparse isometry V (2^L, n) onto the (ell, Z-parity) sector, with the
+    orbit representatives r (smallest index of each translation orbit) and
+    the periods R of its columns.
 
-    ``vectors`` is (N, c) orthonormal.  Returns (states, momenta)."""
-    c = vectors.shape[1]
-    t_cols = np.column_stack(
-        [translate(StateVector(L, vectors[:, i] / np.linalg.norm(vectors[:, i])), 1).amps
-         for i in range(c)]
-    )
-    m = vectors.conj().T @ t_cols
-    # unitary (hence normal) up to cluster truncation error: Schur gives an
-    # orthonormal eigenbasis even when T eigenvalues repeat in the cluster
-    tri, z = schur(m, output="complex")
-    new = vectors @ z
-    states, momenta = [], []
-    for i in range(c):
-        v = new[:, i]
-        psi = StateVector(L, v / np.linalg.norm(v))
-        try:
-            ell = measure_momentum(psi, tol=1e-8)
-        except NotTranslationEigenstate:
-            ell = None
-        states.append(psi)
-        momenta.append(ell)
-    return states, momenta
+    Column r is the momentum state sum_{j<R} e^{2 pi i ell j / L} T^j |r> / sqrt(R),
+    with T|psi> = e^{-ip}|psi>.  An orbit of period R admits ell only if
+    ell R = 0 (mod L); otherwise its state vanishes and has no column.
+    """
+    idx = np.arange(2**L, dtype=np.int64)
+    rep = idx
+    for k in range(1, L):
+        rep = np.minimum(rep, _rotate_bits(idx, k, L))
+    reps = idx[(rep == idx) & (np.where(np.bitwise_count(idx) & 1, -1, 1) == parity)]
+    period = np.full(reps.size, L)
+    for k in range(L - 1, 0, -1):
+        period[_rotate_bits(reps, k, L) == reps] = k
+    keep = (ell * period) % L == 0
+    reps, period = reps[keep], period[keep]
+    cols = np.arange(reps.size)
+    rows, col_idx, data = [], [], []
+    for j in range(L):
+        live = j < period
+        rows.append(_rotate_bits(reps[live], j, L))
+        col_idx.append(cols[live])
+        data.append(np.exp(2j * np.pi * ell * j / L) / np.sqrt(period[live]))
+    data = np.concatenate(data)
+    if ell == 0:  # a real isometry keeps the zero-momentum block real symmetric
+        data = data.real
+    V = sp.csc_matrix((data, (np.concatenate(rows), np.concatenate(col_idx))),
+                      shape=(2**L, reps.size))
+    return V, reps, period
 
 
-def lowest_eigs(params, count, *, degeneracy_rtol=DEGENERACY_RTOL, dense_cutoff=11):
-    """Lowest ``count`` eigenpairs of H with momentum-resolved degeneracies.
+def _sector_eigs(H, L, ell, parity, count):
+    """Lowest min(count, n) eigenpairs, in any order, of H in the n-dimensional
+    (ell, Z-parity) sector, with the eigenvectors embedded in the full space."""
+    V, reps, period = _momentum_basis(L, ell, parity)
+    n = V.shape[1]
+    k = min(count, n)
+    # V^H H V without forming H V: [T, H] = 0 gives <r', ell|H|r, ell> =
+    # sqrt(R_r) <r', ell|H|r>, and H is symmetric, so H[reps].T holds the H|r>
+    block = V.conj().T @ H[reps].T @ sp.diags(np.sqrt(period))
+    if n <= DENSE_BLOCK_MAX or k >= n - 1:
+        vals, vecs = eigh(block.toarray(), subset_by_index=[0, k - 1])
+    else:
+        v0 = np.random.default_rng(EIGSH_SEED).standard_normal(n)
+        ncv = min(n - 1, max(2 * k + 10, 20))
+        vals, vecs = spla.eigsh(block, k=k, which="SA", v0=v0, ncv=ncv, maxiter=20000)
+    return vals, V @ vecs
 
-    Dense solver for L <= dense_cutoff (robust to the heavy degeneracies of
-    the classical point), implicitly restarted Lanczos on the sparse matrix
-    above, with a fixed seed for reproducibility.
+
+def lowest_eigs(params, count):
+    """Lowest ``count`` eigenpairs of H, each labelled by its momentum sector.
+
+    H commutes with the translation T and the Z-parity, so it is solved in
+    each (ell, parity) block for ell >= 0; the ell < 0 levels are the complex
+    conjugates, since H is real.  Blocks up to DENSE_BLOCK_MAX are solved
+    densely, larger ones by ARPACK from a fixed start vector.
     """
     L = params.L
     N = 2**L
     if count < 1 or count >= N:
         raise ValueError(f"count must be in [1, {N - 1}]")
     H = hamiltonian_sparse(params)
-    if L <= dense_cutoff:
-        vals, vecs = np.linalg.eigh(H.toarray())
-        vals, vecs = vals[:count], vecs[:, :count]
-    else:
-        rng = np.random.default_rng(EIGSH_SEED)
-        v0 = rng.standard_normal(N)
-        ncv = min(N - 1, max(4 * count + 20, 40))
-        vals, vecs = spla.eigsh(H, k=count, which="SA", v0=v0, ncv=ncv, maxiter=20000)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-    # orthonormalize (degenerate eigh/eigsh blocks can drift)
-    vecs, _ = np.linalg.qr(vecs)
-    tol = degeneracy_rtol * max(1.0, abs(vals[0]))
-    states, momenta = [], []
-    start = 0
-    while start < count:
-        stop = start + 1
-        while stop < count and vals[stop] - vals[stop - 1] < tol:
-            stop += 1
-        cl_states, cl_momenta = _resolve_momentum_cluster(
-            vecs[:, start:stop].astype(np.complex128), L
-        )
-        states.extend(cl_states)
-        momenta.extend(cl_momenta)
-        if start == 0:
-            degeneracy = stop
-        start = stop
+    levels = []  # (energy, ell, amplitudes)
+    for ell in range((L - 1) // 2 + 1):
+        for parity in (1, -1):
+            vals, vecs = _sector_eigs(H, L, ell, parity, count)
+            for e, v in zip(vals, vecs.T):
+                levels.append((e, ell, v))
+                if ell:
+                    levels.append((e, -ell, v.conj()))
+    levels.sort(key=lambda level: level[0])
+    levels = levels[:count]
+    energies = np.array([e for e, _, _ in levels])
+    tol = DEGENERACY_RTOL * max(1.0, abs(energies[0]))
     return GroundManifold(
-        energies=vals.copy(), states=states, momenta=momenta, degeneracy=degeneracy
+        energies=energies,
+        states=[StateVector(L, v) for _, _, v in levels],
+        momenta=[ell for _, ell, _ in levels],
+        degeneracy=int(np.count_nonzero(energies - energies[0] < tol)),
     )
 
 
-def ground_momenta(params, *, count=6, **kw):
+def ground_momenta(params, *, count=6):
     """Momentum indices spanning the ground cluster."""
-    man = lowest_eigs(params, count, **kw)
+    man = lowest_eigs(params, count)
     return [man.momenta[i] for i in range(man.degeneracy)], man
 
 
 def pick_ground_state(manifold):
-    """A momentum-definite representative of the ground cluster.
-
-    Prefers the largest nonnegative momentum index (the +p member of a
-    degenerate pair); falls back to the first state."""
-    best = None
-    for i in range(manifold.degeneracy):
-        ell = manifold.momenta[i]
-        if ell is None:
-            continue
-        if best is None or ell > manifold.momenta[best]:
-            best = i
-    if best is None:
-        return manifold.momenta[0], manifold.states[0]
+    """The ground-cluster state with the largest momentum index (the +p
+    member of a degenerate pair), and that index."""
+    best = max(range(manifold.degeneracy), key=lambda i: manifold.momenta[i])
     return manifold.momenta[best], manifold.states[best]
 
 
-def find_hstar(jy, jz, L, tol=1e-4, h_max=1.0, count=6, dense_cutoff=9):
+def find_hstar(jy, jz, L, tol=1e-4, h_max=1.0):
     """Bisect on h for the boundary between finite-momentum (h < h*) and
-    zero-momentum (h > h*) ground manifolds.
+    zero-momentum (h > h*) ground states.
 
     For jz < -jy the finite-momentum phase is absent and h* = 0 is returned
     with a note; same if the predicate is already false at h = 0.
@@ -207,9 +217,7 @@ def find_hstar(jy, jz, L, tol=1e-4, h_max=1.0, count=6, dense_cutoff=9):
         return HstarResult(jy, jz, L, 0.0, 0.0, note="no finite-momentum phase")
 
     def finite_momentum(h):
-        params = ChainParams(L=L, jy=jy, jz=jz, h=h)
-        ms, _ = ground_momenta(params, count=count, dense_cutoff=dense_cutoff)
-        return any(m not in (0, None) for m in ms)
+        return lowest_eigs(ChainParams(L=L, jy=jy, jz=jz, h=h), 1).momenta[0] != 0
 
     if not finite_momentum(0.0):
         return HstarResult(jy, jz, L, 0.0, 0.0, note="zero-momentum ground state at h=0")

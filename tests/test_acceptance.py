@@ -47,7 +47,7 @@ def ground_jump_row(L):
     eps = 1e-3
     vals = {}
     for side, h in (("below", hs - eps), ("above", hs + eps)):
-        man = sm.lowest_eigs(sm.ChainParams(L=L, jy=JY, jz=JZ, h=h), 6, dense_cutoff=9)
+        man = sm.lowest_eigs(sm.ChainParams(L=L, jy=JY, jz=JZ, h=h), 6)
         ell, state = pick_ground_state(man)
         vals[side] = (
             ell,
@@ -175,9 +175,9 @@ def test_criterion_07_transition_phenomenology():
     for L in ODD_7_15:
         hs = hstar(L)
         ms_below, man_b = sm.ground_momenta(
-            sm.ChainParams(L=L, jy=JY, jz=JZ, h=max(hs - 1e-3, 0.0)), dense_cutoff=9)
+            sm.ChainParams(L=L, jy=JY, jz=JZ, h=max(hs - 1e-3, 0.0)))
         ms_above, man_a = sm.ground_momenta(
-            sm.ChainParams(L=L, jy=JY, jz=JZ, h=hs + 1e-3), dense_cutoff=9)
+            sm.ChainParams(L=L, jy=JY, jz=JZ, h=hs + 1e-3))
         pair = (
             man_b.degeneracy == 2
             and sorted(ms_below) == [-max(ms_below), max(ms_below)]
@@ -217,9 +217,9 @@ def test_criterion_08_decomposition_ratio():
     away = []
     for L in (7, 9, 11, 13):
         tf = sm.ChainParams(L=L, jy=JY, jz=JZ, h=0.5)
-        man = sm.lowest_eigs(tf, 6, dense_cutoff=9)
+        man = sm.lowest_eigs(tf, 6)
         ell0, gtf = pick_ground_state(man)
-        nf = sm.lowest_eigs(sm.nonfrustrated_counterpart(tf), 4, dense_cutoff=9)
+        nf = sm.lowest_eigs(sm.nonfrustrated_counterpart(tf), 4)
         R = sm.sre_brute(gtf, workers=4).value / (
             sm.sre_brute(nf.states[0], workers=4).value + sm.m2_w_closed(L, ell0)
         )

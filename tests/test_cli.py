@@ -1,8 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from spinmagic import cli
 from spinmagic.cli import (
     EXIT_OK,
     EXIT_SOLVER,
@@ -141,3 +144,18 @@ def test_ratio_small_size(capsys):
 def test_invalid_state_parameters_exit_solver(capsys):
     code, _ = run(["sre", "--kind", "w", "--L", "4"], capsys)
     assert code == EXIT_SOLVER
+
+
+@pytest.mark.parametrize("failure", [
+    ArpackNoConvergence("ARPACK error -1: No convergence", [], []),
+    np.linalg.LinAlgError("eigenvalue algorithm did not converge"),
+])
+def test_solver_failure_exit_code(monkeypatch, capsys, failure):
+    def failing_solver(params, count):
+        raise failure
+
+    monkeypatch.setattr(cli, "lowest_eigs", failing_solver)
+    code = main(["sre", "--kind", "ground", "--L", "5"])
+    err = capsys.readouterr().err
+    assert code == EXIT_SOLVER
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinmagic as sm
-from spinmagic.states import StateVector, random_state, translate
+from spinmagic import xyz
+from spinmagic.states import (
+    StateVector,
+    measure_momentum,
+    parity_expectation,
+    random_state,
+    translate,
+)
 from spinmagic.xyz import pick_ground_state
 
 RNG = np.random.default_rng(41)
@@ -69,13 +78,31 @@ def test_classical_point_ground_manifold(L):
     assert counts == {ell: 2 for ell in range(-(L - 1) // 2, (L - 1) // 2 + 1)}
 
 
-def test_dense_and_iterative_solvers_agree():
+def test_dense_and_iterative_solvers_agree(monkeypatch):
     params = sm.ChainParams(L=7, jy=0.33, jz=0.0, h=0.5)
-    dense = sm.lowest_eigs(params, 4, dense_cutoff=11)
-    sparse = sm.lowest_eigs(params, 4, dense_cutoff=3)
+    dense = sm.lowest_eigs(params, 4)
+    monkeypatch.setattr(xyz, "DENSE_BLOCK_MAX", 0)  # every sector through eigsh
+    sparse = sm.lowest_eigs(params, 4)
     assert np.allclose(dense.energies, sparse.energies, atol=1e-9)
     for a, b in zip(dense.momenta, sparse.momenta):
         assert a == b
+
+
+couplings = st.floats(-0.95, 0.95, allow_nan=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(L=st.sampled_from([5, 7]), jy=couplings, jz=couplings, h=st.floats(0.0, 1.5))
+def test_sector_states_are_labelled_eigenstates(L, jy, jz, h):
+    params = sm.ChainParams(L=L, jy=jy, jz=jz, h=h)
+    man = sm.lowest_eigs(params, 6)
+    H = sm.hamiltonian_sparse(params)
+    full = np.linalg.eigvalsh(H.toarray())[:6]
+    assert np.allclose(man.energies, full, rtol=0, atol=1e-10)
+    for e, ell, state in zip(man.energies, man.momenta, man.states):
+        assert np.linalg.norm(H @ state.amps - e * state.amps) <= 1e-9
+        assert measure_momentum(state) == ell
+        assert abs(abs(parity_expectation(state, "z")) - 1.0) <= 1e-9
 
 
 def test_ground_state_is_eigenvector():
