@@ -42,7 +42,6 @@ from .clifford import (
     build_circuit_s,
     circuit_from_text,
     circuit_to_text,
-    clifford_offenders,
     conjugation_offenders,
     verify_clifford,
 )

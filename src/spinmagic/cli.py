@@ -117,7 +117,7 @@ def cmd_sre(args):
         })
     write_rows(rows, ["kind", "L", "ell", "method", "m2", "delta"], args.out, args.format)
     worst = max(abs(r["delta"]) for r in rows)
-    return EXIT_TOLERANCE if worst > args.tol else EXIT_OK
+    return EXIT_OK if worst <= args.tol else EXIT_TOLERANCE  # a NaN tol breaches too
 
 
 # ---------------------------------------------------------------- hstar-map
@@ -327,11 +327,12 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     subparsers = {}
 
-    def common(sp):
+    def common(sp, workers=False):
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--config", default=None, help="key = value config file")
-        sp.add_argument("--workers", type=int, default=1)
+        if workers:
+            sp.add_argument("--workers", type=int, default=1)
 
     sp = sub.add_parser("sre", help="stabilizer Renyi entropy of a named state")
     sp.add_argument("--kind", choices=("w", "omega", "phi", "ground"), default="w")
@@ -345,7 +346,7 @@ def build_parser():
                     help="comma list from {brute, structured, closed}; "
                          "default depends on --kind")
     sp.add_argument("--tol", type=float, default=AGREEMENT_TOL)
-    common(sp)
+    common(sp, workers=True)
     sp.set_defaults(func=cmd_sre)
 
     sp = sub.add_parser("hstar-map", help="critical field over a (Jy, Jz) grid")
@@ -353,7 +354,7 @@ def build_parser():
     sp.add_argument("--jz", required=True, help="comma-separated Jz values")
     sp.add_argument("--L", type=int, default=15)
     sp.add_argument("--tol", type=float, default=1e-3)
-    common(sp)
+    common(sp, workers=True)
     sp.set_defaults(func=cmd_hstar_map)
 
     sp = sub.add_parser("jump-scaling", help="SRE / entanglement jump across h*")
@@ -362,7 +363,7 @@ def build_parser():
     sp.add_argument("--L", required=True, help="comma-separated odd sizes")
     sp.add_argument("--eps", type=float, default=1e-3)
     sp.add_argument("--tol", type=float, default=1e-4)
-    common(sp)
+    common(sp, workers=True)
     sp.set_defaults(func=cmd_jump_scaling)
 
     sp = sub.add_parser("ratio", help="magic decomposition ratio R(p, L)")
@@ -370,7 +371,7 @@ def build_parser():
     sp.add_argument("--jz", type=float, default=0.0)
     sp.add_argument("--h", type=float, default=0.5)
     sp.add_argument("--L", required=True, help="comma-separated odd sizes")
-    common(sp)
+    common(sp, workers=True)
     sp.set_defaults(func=cmd_ratio)
 
     sp = sub.add_parser("ent-profile", help="positional entanglement profile")

@@ -1,5 +1,5 @@
 """The Clifford circuit mapping phased W-states onto kink superpositions,
-generic gate application, and a conjugation-based Clifford check.
+generic gate application, and a gate-level Clifford check.
 
 The two-site gate C(j, l) = exp[i pi/4 (1 - sigma^x_j)(1 - sigma^z_l)] is
 built literally from its exponential (control in the x basis on j, phase on
@@ -11,13 +11,26 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .states import StateVector, apply_pauli
+from .states import StateVector
 
 # 4x4 unitary of C(j, l) in the (bit_j, bit_l) product basis, row = 2*bj + bl
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _ID = np.eye(2, dtype=complex)
 CXZ_MATRIX = expm(1j * np.pi / 4 * np.kron(_ID - _SX, _ID - _SZ))
+
+# The unitary of each gate kind on its sites, row index = sum_i 2**(k-1-i) b_i
+# for sites (s_1, ..., s_k).  PARITYZ is the product of Z on every site, so
+# its entry is that single-site factor.
+GATE_MATRICES = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "Z": _SZ,
+    "CXZ": CXZ_MATRIX,
+    "PARITYZ": _SZ,
+}
+
+# entrywise tolerance of the signed-Pauli test on a conjugated generator
+PAULI_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,38 +51,18 @@ class Gate:
 
 
 def apply_gate(state, gate):
+    """Apply one gate.  Site j is bit j-1 of the basis index, which is axis
+    L - j of the C-order (2,)*L reshape of the amplitudes."""
     L = state.n_sites
-    psi = state.amps
-    idx = np.arange(psi.size, dtype=np.int64)
-    if gate.kind == "H":
-        b = 1 << (gate.sites[0] - 1)
-        _check_sites(gate, L)
-        lo = psi[idx & ~b]
-        hi = psi[idx | b]
-        out = np.where((idx & b) == 0, lo + hi, lo - hi) / np.sqrt(2)
-        return StateVector(L, out)
-    if gate.kind == "Z":
-        _check_sites(gate, L)
-        b = 1 << (gate.sites[0] - 1)
-        out = np.where((idx & b) != 0, -psi, psi)
-        return StateVector(L, out)
+    _check_sites(gate, L)
     if gate.kind == "PARITYZ":
-        sign = 1.0 - 2.0 * (np.bitwise_count(idx) & 1)
-        return StateVector(L, sign * psi)
-    if gate.kind == "CXZ":
-        _check_sites(gate, L)
-        bj = 1 << (gate.sites[0] - 1)
-        bl = 1 << (gate.sites[1] - 1)
-        base = idx[((idx & bj) == 0) & ((idx & bl) == 0)]
-        cols = np.stack([psi[base], psi[base | bl], psi[base | bj], psi[base | bj | bl]])
-        new = CXZ_MATRIX @ cols
-        out = np.empty_like(psi)
-        out[base] = new[0]
-        out[base | bl] = new[1]
-        out[base | bj] = new[2]
-        out[base | bj | bl] = new[3]
-        return StateVector(L, out)
-    raise ValueError(f"unknown gate kind {gate.kind!r}")
+        sign = 1.0 - 2.0 * (np.bitwise_count(np.arange(state.dim)) & 1)
+        return StateVector(L, sign * state.amps)
+    k = len(gate.sites)
+    u = GATE_MATRICES[gate.kind].reshape((2,) * (2 * k))
+    axes = [L - s for s in gate.sites]
+    out = np.tensordot(u, state.amps.reshape((2,) * L), axes=(range(k, 2 * k), axes))
+    return StateVector(L, np.moveaxis(out, range(k), axes).reshape(-1))
 
 
 def _check_sites(gate, L):
@@ -132,55 +125,48 @@ def circuit_from_text(text):
     return gates
 
 
-def clifford_offenders(circuit, L, tol=1e-12):
-    """Single-site Pauli generators whose conjugate U P U^dag is not a single
-    signed Pauli string.  Empty list <=> the circuit is Clifford."""
-    forward = lambda s: apply_circuit(s, circuit)
-    inverse = lambda s: apply_circuit_inverse(s, circuit)
-    return conjugation_offenders(forward, inverse, L, tol)
-
-
-def conjugation_offenders(forward, inverse, L, tol=1e-12):
-    """Like clifford_offenders but for an arbitrary unitary given as a pair of
-    callables on StateVector (used to witness non-Clifford gates)."""
-    N = 2**L
+def conjugation_offenders(u):
+    """Generators P = X_j or Z_j of a 2^k x 2^k unitary ``u`` (site j on bit
+    j-1 of the index) for which u P u^dag is not a phase times one Pauli
+    string, as (site, axis) pairs.  Empty list <=> ``u`` is Clifford."""
+    N = u.shape[0]
+    idx = np.arange(N)
     bad = []
-    for site in range(1, L + 1):
-        for which in ("x", "z"):
-            cols = np.empty((N, N), dtype=np.complex128)
-            for s in range(N):
-                e = np.zeros(N, dtype=np.complex128)
-                e[s] = 1.0
-                col = forward(apply_pauli(inverse(StateVector(L, e)), site, which))
-                cols[:, s] = col.amps
-            if not _is_signed_pauli(cols, tol):
+    for site in range(1, N.bit_length()):
+        bit = 1 << (site - 1)
+        u_x = u[:, idx ^ bit]  # u X_site
+        u_z = u * np.where(idx & bit, -1.0, 1.0)  # u Z_site
+        for which, up in (("x", u_x), ("z", u_z)):
+            if not _is_signed_pauli(up @ u.conj().T):
                 bad.append((site, which))
     return bad
 
 
-def _is_signed_pauli(m, tol):
+def _is_signed_pauli(m):
     """True iff the matrix is (global phase) x X_a Z_b for some masks a, b."""
-    from .pauli import fwht
-
     N = m.shape[0]
-    rows = np.argmax(np.abs(m), axis=0)
-    a = rows[0] ^ 0
-    if np.any(rows != (np.arange(N) ^ a)):
-        return False
-    phases = m[np.arange(N) ^ a, np.arange(N)]
-    if np.any(np.abs(np.abs(phases) - 1.0) > 1e-9):
-        return False
-    # all other entries must vanish
-    total = np.sum(np.abs(m) ** 2)
-    if abs(total - N) > 1e-8:
-        return False
-    # the normalized phase pattern must be a parity character (-1)^{s.b}
-    f = (phases / phases[0]).astype(np.complex128).copy()
-    fwht(f)
-    spikes = np.flatnonzero(np.abs(f) > N * 1e-6)
-    return len(spikes) == 1 and abs(abs(f[spikes[0]]) - N) < N * tol * 1e3 + 1e-6
+    idx = np.arange(N)
+    a = int(np.argmax(np.abs(m[:, 0])))
+    phases = m[idx ^ a, idx]
+    # (X_a Z_b)[s ^ a, s] = (-1)^{popcount(s & b)}: bit i of b flips the phase
+    bits = 1 << np.arange(N.bit_length() - 1)
+    b = int(np.sum(bits[(phases[bits] * np.conj(phases[0])).real < 0]))
+    expected = np.zeros_like(m)
+    expected[idx ^ a, idx] = phases[0] * (1.0 - 2.0 * (np.bitwise_count(idx & b) & 1))
+    return np.max(np.abs(m - expected)) <= PAULI_TOL
 
 
-def verify_clifford(circuit, L, tol=1e-12):
-    """True iff every single-site Pauli maps to a single signed Pauli string."""
-    return not clifford_offenders(circuit, L, tol)
+def verify_clifford(circuit, L):
+    """True iff the matrix of every gate kind in the circuit is Clifford.
+
+    A gate on sites s acts as u (x) identity, which maps each Pauli string
+    to a phase times a Pauli string whenever u does on s; the Clifford group
+    is closed under products, and PARITYZ is a product of Z gates.  So one
+    check of each kind's 1- or 2-site matrix proves the whole circuit
+    Clifford, at any L.  (The converse need not hold: non-Clifford gates can
+    multiply to a Clifford.)  Raises ValueError for a gate outside [1, L].
+    """
+    for gate in circuit:
+        _check_sites(gate, L)
+    return not any(conjugation_offenders(GATE_MATRICES[kind])
+                   for kind in {gate.kind for gate in circuit})

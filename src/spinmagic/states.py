@@ -36,7 +36,7 @@ class StateVector:
                 f"amplitude array has shape {amps.shape}, expected (2**{self.n_sites},)"
             )
         nrm2 = np.vdot(amps, amps).real
-        if abs(nrm2 - 1.0) > 1e-10:
+        if not abs(nrm2 - 1.0) <= 1e-10:  # also rejects NaN
             raise ValueError(f"state not normalized: |psi|^2 = {nrm2!r}")
         amps = amps.copy()
         amps.flags.writeable = False

@@ -36,7 +36,7 @@ class ChainParams:
     def __post_init__(self):
         if self.L < 3 or self.L % 2 == 0:
             raise ValueError(f"L must be odd and >= 3, got {self.L}")
-        if abs(self.jy) >= 1.0 or abs(self.jz) >= 1.0:
+        if not (abs(self.jy) < 1.0 and abs(self.jz) < 1.0):  # also rejects NaN
             raise ValueError("|Jy| and |Jz| must be < 1 (Jx sets the scale)")
 
 

@@ -159,3 +159,17 @@ def test_solver_failure_exit_code(monkeypatch, capsys, failure):
     err = capsys.readouterr().err
     assert code == EXIT_SOLVER
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_nan_inputs_are_rejected(capsys):
+    code = main(["sre", "--kind", "phi", "--L", "5", "--ell", "1", "--theta", "nan",
+                 "--format", "json"])
+    assert code == EXIT_SOLVER
+    assert "error:" in capsys.readouterr().err
+    code, _ = run(["sre", "--kind", "w", "--L", "3", "--tol", "nan"], capsys)
+    assert code == EXIT_TOLERANCE
+
+
+def test_workers_only_on_parallel_commands():
+    with pytest.raises(SystemExit):
+        main(["ent-profile", "--L", "5", "--workers", "2"])

@@ -1,11 +1,40 @@
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import spinmagic as sm
-from spinmagic.clifford import CXZ_MATRIX, Gate, conjugation_offenders
+from spinmagic.clifford import CXZ_MATRIX, GATE_MATRICES, Gate, conjugation_offenders
 from spinmagic.states import StateVector, random_state
 
 RNG = np.random.default_rng(31)
+
+
+def circuit_matrix(circuit, L):
+    """Dense 2^L x 2^L matrix of a circuit, column s = image of basis state s."""
+    eye = np.eye(2**L, dtype=complex)
+    return np.column_stack([sm.apply_circuit(StateVector(L, e), circuit).amps for e in eye])
+
+
+def embedded_matrix(gate, L):
+    """The gate's matrix kron-embedded in L sites (site j on bit j-1, so the
+    leftmost kron factor is site L)."""
+    u = GATE_MATRICES[gate.kind]
+    if gate.kind == "PARITYZ":
+        return reduce(np.kron, [u] * L)
+    k = len(gate.sites)
+    full = np.zeros((2**L, 2**L), dtype=complex)
+    for r, c in itertools.product(range(2**k), repeat=2):
+        factors = [np.eye(2)] * L
+        for i, site in enumerate(gate.sites):
+            unit = np.zeros((2, 2))
+            unit[(r >> (k - 1 - i)) & 1, (c >> (k - 1 - i)) & 1] = 1.0
+            factors[L - site] = unit
+        full += u[r, c] * reduce(np.kron, factors)
+    return full
 
 
 def test_cxz_matrix_is_unitary_involution():
@@ -93,24 +122,57 @@ def test_serialization_roundtrip():
     ]
 
 
-@pytest.mark.parametrize("L", [3, 5])
+@pytest.mark.parametrize("L", [3, 5, 7, 101])
 def test_verify_clifford_accepts_circuit_s(L):
     assert sm.verify_clifford(sm.build_circuit_s(L), L)
-    assert sm.clifford_offenders(sm.build_circuit_s(L), L) == []
+
+
+@pytest.mark.parametrize("L", [3, 5])
+def test_dense_oracle_accepts_circuit_s(L):
+    assert conjugation_offenders(circuit_matrix(sm.build_circuit_s(L), L)) == []
+
+
+def test_verify_clifford_rejects_sites_outside_chain():
+    with pytest.raises(ValueError):
+        sm.verify_clifford([Gate("H", (4,))], 3)
+    with pytest.raises(ValueError):
+        sm.verify_clifford([Gate("CXZ", (0, 1))], 3)
 
 
 def test_conjugation_detects_non_clifford():
     # the pi/8 phase gate sends X outside the Pauli group
-    phase = np.exp(1j * np.pi / 4)
+    assert conjugation_offenders(np.diag([1, np.exp(1j * np.pi / 4)])) == [(1, "x")]
 
-    def forward(s):
-        amps = s.amps.copy()
-        amps[1::2] *= phase
-        return StateVector(s.n_sites, amps)
 
-    def inverse(s):
-        amps = s.amps.copy()
-        amps[1::2] *= np.conj(phase)
-        return StateVector(s.n_sites, amps)
+def test_apply_gate_matches_kron_embedding():
+    L = 3
+    gates = [Gate("PARITYZ")]
+    gates += [Gate(kind, (j,)) for kind in ("H", "Z") for j in range(1, L + 1)]
+    gates += [Gate("CXZ", pair) for pair in itertools.permutations(range(1, L + 1), 2)]
+    s = random_state(L, RNG)
+    for g in gates:
+        assert np.allclose(sm.apply_gate(s, g).amps, embedded_matrix(g, L) @ s.amps,
+                           atol=1e-12), g
 
-    assert conjugation_offenders(forward, inverse, 1) == [(1, "x")]
+
+@st.composite
+def circuits(draw):
+    L = draw(st.sampled_from([2, 3, 4, 5]))
+    site = st.integers(1, L)
+    gate = st.one_of(
+        st.just(Gate("PARITYZ")),
+        st.builds(lambda kind, j: Gate(kind, (j,)), st.sampled_from(["H", "Z"]), site),
+        st.lists(site, min_size=2, max_size=2, unique=True).map(
+            lambda pair: Gate("CXZ", tuple(pair))),
+    )
+    return L, draw(st.lists(gate, max_size=12))
+
+
+@given(circuits(), st.integers(0, 2**32 - 1))
+def test_random_circuits_are_clifford_and_keep_sre(drawn, seed):
+    L, circ = drawn
+    assert sm.verify_clifford(circ, L)
+    assert conjugation_offenders(circuit_matrix(circ, L)) == []
+    s = random_state(L, np.random.default_rng(seed))
+    after = sm.apply_circuit(s, circ)
+    assert sm.sre_brute(after).value == pytest.approx(sm.sre_brute(s).value, abs=1e-10)

@@ -22,6 +22,8 @@ def test_chain_params_validation():
         sm.ChainParams(L=4, jy=0.3, jz=0.0, h=0.0)
     with pytest.raises(ValueError):
         sm.ChainParams(L=5, jy=1.0, jz=0.0, h=0.0)
+    with pytest.raises(ValueError):
+        sm.ChainParams(L=5, jy=0.3, jz=float("nan"), h=0.0)
 
 
 def test_apply_hamiltonian_matches_sparse():
@@ -91,7 +93,7 @@ def test_dense_and_iterative_solvers_agree(monkeypatch):
 couplings = st.floats(-0.95, 0.95, allow_nan=False)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(L=st.sampled_from([5, 7]), jy=couplings, jz=couplings, h=st.floats(0.0, 1.5))
 def test_sector_states_are_labelled_eigenstates(L, jy, jz, h):
     params = sm.ChainParams(L=L, jy=jy, jz=jz, h=h)
