@@ -16,11 +16,14 @@ from scipy.sparse.linalg import ArpackError
 from . import closed_forms, entanglement, pauli, wstates, xyz
 from .clifford import apply_circuit, build_circuit_s
 from .states import fidelity
-from .xyz import ChainParams, find_hstar, ground_momenta, lowest_eigs, pick_ground_state
+from .xyz import ChainParams, find_hstar, lowest_eigs, pick_ground_state
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 2
 EXIT_SOLVER = 3
+
+# what a bad input or a failed solve raises; anything else is a bug and surfaces
+SOLVER_ERRORS = (ValueError, ArpackError, np.linalg.LinAlgError)
 
 AGREEMENT_TOL = 1e-8
 
@@ -34,11 +37,7 @@ def fmt(x):
 
 def write_rows(rows, columns, out, fmt_name):
     if fmt_name == "json":
-        text = json.dumps(
-            [{c: (r.get(c) if not isinstance(r.get(c), float) else float(fmt(r[c])))
-              for c in columns} for r in rows],
-            indent=1,
-        ) + "\n"
+        text = json.dumps([{c: r.get(c) for c in columns} for r in rows], indent=1) + "\n"
     else:
         lines = [",".join(columns)]
         lines += [",".join(fmt(r.get(c)) for c in columns) for r in rows]
@@ -76,18 +75,17 @@ def load_config(path):
 # ---------------------------------------------------------------- sre
 
 
-def state_for(kind, L, ell, theta, jy, jz, h):
-    if kind == "w":
-        return wstates.build_w(L, ell), ell
-    if kind == "omega":
-        return wstates.build_omega(L, ell), ell
-    if kind == "phi":
-        return wstates.build_phi(L, ell, theta), ell
-    if kind == "ground":
-        man = lowest_eigs(ChainParams(L=L, jy=jy, jz=jz, h=h), 6)
-        ell0, state = pick_ground_state(man)
-        return state, ell0
-    raise ValueError(f"unknown state kind {kind!r}")
+def state_for(args):
+    """The state named by args.kind, and its momentum index."""
+    if args.kind == "w":
+        return wstates.build_w(args.L, args.ell), args.ell
+    if args.kind == "omega":
+        return wstates.build_omega(args.L, args.ell), args.ell
+    if args.kind == "phi":
+        return wstates.build_phi(args.L, args.ell, args.theta), args.ell
+    man = lowest_eigs(ChainParams(L=args.L, jy=args.jy, jz=args.jz, h=args.h), 6)
+    ell0, state = pick_ground_state(man)
+    return state, ell0
 
 
 DEFAULT_METHODS = {"w": "brute,structured,closed", "omega": "brute,closed",
@@ -97,7 +95,7 @@ DEFAULT_METHODS = {"w": "brute,structured,closed", "omega": "brute,closed",
 def cmd_sre(args):
     method = args.method or DEFAULT_METHODS[args.kind]
     methods = [m.strip() for m in method.split(",")]
-    state, ell = state_for(args.kind, args.L, args.ell, args.theta, args.jy, args.jz, args.h)
+    state, ell = state_for(args)
     rows = []
     values = {}
     for m in methods:
@@ -129,7 +127,7 @@ def _hstar_point(task):
         r = find_hstar(jy, jz, L, tol=tol)
         return {"jy": jy, "jz": jz, "L": L, "hstar": r.hstar,
                 "bracket_width": r.bracket_width, "note": r.note}
-    except Exception as exc:  # annotate, keep sweeping
+    except SOLVER_ERRORS as exc:  # annotate, keep sweeping
         return {"jy": jy, "jz": jz, "L": L, "hstar": None,
                 "bracket_width": None, "note": f"solver failure: {exc}"}
 
@@ -137,8 +135,9 @@ def _hstar_point(task):
 def cmd_hstar_map(args):
     tasks = [(jy, jz, args.L, args.tol) for jy in parse_floats(args.jy)
              for jz in parse_floats(args.jz)]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(tasks))  # a pool forks all its workers up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_hstar_point, tasks))  # order preserved
     else:
         rows = [_hstar_point(t) for t in tasks]
@@ -175,7 +174,7 @@ def cmd_jump_scaling(args):
             row["dm2"] = row["m2_below"] - row["m2_above"]
             row["ds2"] = abs(row["s2_below"] - row["s2_above"])
             rows.append(row)
-        except Exception as exc:
+        except SOLVER_ERRORS as exc:
             failed = True
             rows.append({"L": L, "hstar": None, "note": f"solver failure: {exc}"})
     cols = ["L", "hstar", "ell_below", "ell_above", "m2_below", "m2_above",
@@ -204,8 +203,7 @@ def cmd_ratio(args):
     for L in parse_ints(args.L):
         try:
             tf = ChainParams(L=L, jy=args.jy, jz=args.jz, h=args.h)
-            ms, man = ground_momenta(tf)
-            ell0, gtf = pick_ground_state(man)
+            ell0, gtf = pick_ground_state(lowest_eigs(tf, 6))
             if ell0 == 0:
                 rows.append({"L": L, "note": "zero-momentum ground state (h >= h*?)"})
                 failed = True
@@ -217,7 +215,7 @@ def cmd_ratio(args):
             R = m2_tf / (m2_nf + m2_w)
             rows.append({"L": L, "ell0": ell0, "m2_tf": m2_tf, "m2_nf": m2_nf,
                          "m2_w_closed": m2_w, "R": R, "one_minus_R": 1.0 - R})
-        except Exception as exc:
+        except SOLVER_ERRORS as exc:
             failed = True
             rows.append({"L": L, "note": f"solver failure: {exc}"})
     write_rows(rows, ["L", "ell0", "m2_tf", "m2_nf", "m2_w_closed", "R",
@@ -229,8 +227,7 @@ def cmd_ratio(args):
 
 
 def cmd_ent_profile(args):
-    state, _ = state_for(args.kind, args.L, args.ell, args.theta,
-                         args.jy, args.jz, args.h)
+    state, _ = state_for(args)
     a = args.a if args.a else (args.L - 1) // 2
     profile = entanglement.ent_profile(state, a, measure=args.measure,
                                        base="e" if args.base == "e" else 2)
@@ -325,7 +322,6 @@ def build_parser():
                                 description="magic and entanglement experiments "
                                             "on phased W-states and the frustrated XYZ ring")
     sub = p.add_subparsers(dest="command", required=True)
-    subparsers = {}
 
     def common(sp, workers=False):
         sp.add_argument("--out", default=None, help="output file (default stdout)")
@@ -375,7 +371,7 @@ def build_parser():
     sp.set_defaults(func=cmd_ratio)
 
     sp = sub.add_parser("ent-profile", help="positional entanglement profile")
-    sp.add_argument("--kind", choices=("w", "omega", "phi"), default="phi")
+    sp.add_argument("--kind", choices=("w", "omega", "phi", "ground"), default="phi")
     sp.add_argument("--L", type=int, required=True)
     sp.add_argument("--ell", type=int, default=1)
     sp.add_argument("--theta", type=float, default=0.0)
@@ -391,34 +387,34 @@ def build_parser():
     sp = sub.add_parser("verify", help="oracle-agreement suite")
     common(sp)
     sp.set_defaults(func=cmd_verify)
+    return p
 
-    for name, action in sub.choices.items():
-        subparsers[name] = action
-    return p, subparsers
+
+def config_flags(argv):
+    """The flags that argv's --config file stands for, each mapped to its
+    key: the line `key = value` is the flag `--key=value`."""
+    pre = argparse.ArgumentParser(prog="spinmagic", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    return {} if path is None else {f"--{k}={v}": k for k, v in load_config(path).items()}
 
 
 def main(argv=None):
-    parser, subparsers = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        # config values become the subcommand's defaults; explicit CLI flags
-        # still win because they are reparsed on top
-        values = load_config(args.config)
-        sp = subparsers[args.command]
-        casted = {}
-        for action in sp._actions:
-            if action.dest in values:
-                raw = values[action.dest]
-                casted[action.dest] = action.type(raw) if action.type else raw
-        unknown = set(values) - set(casted)
-        if unknown:
-            print(f"error: unknown config keys {sorted(unknown)}", file=sys.stderr)
-            return EXIT_SOLVER
-        sp.set_defaults(**casted)
-        args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
+        flags = config_flags(argv)
+        # argv[0] names the subcommand; the file's flags go right after it, so
+        # argparse checks them like typed flags and the explicit ones win
+        args, extras = parser.parse_known_args(argv[:1] + list(flags) + argv[1:])
+        unknown = sorted(flags[e] for e in extras if e in flags)
+        if unknown:
+            print(f"error: unknown config keys {unknown}", file=sys.stderr)
+            return EXIT_SOLVER
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
         return args.func(args)
-    except (ValueError, ArpackError, np.linalg.LinAlgError) as exc:
+    except SOLVER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

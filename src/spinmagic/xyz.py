@@ -213,6 +213,8 @@ def find_hstar(jy, jz, L, tol=1e-4, h_max=1.0):
     For jz < -jy the finite-momentum phase is absent and h* = 0 is returned
     with a note; same if the predicate is already false at h = 0.
     """
+    if not tol > 0:  # NaN too; at tol <= 0 the bisection stalls on adjacent doubles
+        raise ValueError(f"find_hstar needs tol > 0, got {tol}")
     if jz < -jy:
         return HstarResult(jy, jz, L, 0.0, 0.0, note="no finite-momentum phase")
 

@@ -94,6 +94,31 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert code == EXIT_SOLVER
 
 
+@pytest.mark.parametrize("line", ["format = xml", "kind = bogus", "L = abc"])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["sre", "--L", "3", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, text, column, expected", [
+    # a required flag may come from the file
+    (["sre"], "L = 5\nkind = w\nell = 1\n", "L", [5, 5, 5]),
+    # `key = value` is `--key=value`, so a negative comma list needs no quoting
+    (["hstar-map", "--jy", "0.33", "--L", "5", "--tol", "1e-2"], "jz = -0.2,0.0\n",
+     "jz", [-0.2, 0.0]),
+], ids=["required-L", "negative-list"])
+def test_config_supplies_flags(tmp_path, capsys, argv, text, column, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out = run(argv + ["--config", str(cfg), "--format", "json"], capsys)
+    assert code == EXIT_OK
+    assert [r[column] for r in json.loads(out)] == expected
+
+
 def test_load_config_parsing(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("# header\nL = 7\njump-eps = 0.1\n")
@@ -120,6 +145,16 @@ def test_ent_profile_flat_for_w(capsys):
     assert json.loads(out)[-1]["amplitude"] < 1e-10
 
 
+def test_ent_profile_ground_state(capsys):
+    code, out = run(
+        ["ent-profile", "--kind", "ground", "--L", "7", "--h", "0.5", "--format", "json"],
+        capsys,
+    )
+    assert code == EXIT_OK
+    # a momentum eigenstate is translation invariant, so its profile is flat
+    assert json.loads(out)[-1]["amplitude"] < 1e-10
+
+
 def test_hstar_map_small_grid(capsys):
     code, out = run(
         ["hstar-map", "--jy", "0.33", "--jz", "0.0,-0.5", "--L", "5", "--tol", "1e-2"],
@@ -132,6 +167,30 @@ def test_hstar_map_small_grid(capsys):
     h2 = float(lines[2].split(",")[3])
     assert h1 > 0.0
     assert h2 == 0.0  # jz < -jy: no finite-momentum phase
+
+
+def test_hstar_map_pool_sized_by_grid(monkeypatch, capsys):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    code, out = run(["hstar-map", "--jy", "0.33", "--jz", "0.0,0.1", "--L", "5",
+                     "--tol", "1e-2", "--workers", "8"], capsys)
+    assert code == EXIT_OK
+    assert sizes == [2]
+    assert len(out.strip().splitlines()) == 3
 
 
 def test_ratio_small_size(capsys):
@@ -159,6 +218,16 @@ def test_solver_failure_exit_code(monkeypatch, capsys, failure):
     err = capsys.readouterr().err
     assert code == EXIT_SOLVER
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_programming_errors_are_not_solver_failures(monkeypatch, capsys):
+    def broken_search(*args, **kwargs):
+        raise TypeError("a bug, not a failed solve")
+
+    monkeypatch.setattr(cli, "find_hstar", broken_search)
+    with pytest.raises(TypeError):
+        main(["jump-scaling", "--L", "5"])
+    assert capsys.readouterr().out == ""
 
 
 def test_nan_inputs_are_rejected(capsys):

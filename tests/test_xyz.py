@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import spinmagic as sm
 from spinmagic import xyz
+from spinmagic.cli import EXIT_SOLVER, main
 from spinmagic.states import (
     StateVector,
     measure_momentum,
@@ -127,6 +130,26 @@ def test_momentum_pair_below_hstar_and_zero_above():
 def test_find_hstar_frozen_values():
     assert sm.find_hstar(0.33, 0.0, 7).hstar == pytest.approx(0.94272, abs=5e-4)
     assert sm.find_hstar(0.33, 0.0, 9).hstar == pytest.approx(0.97025, abs=5e-4)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
+def test_find_hstar_rejects_nonpositive_tol(monkeypatch, capsys, tol):
+    calls = []
+
+    def counting_solver(params, count):
+        # a stand-in with h* = 0.5 that stops a bisection which would never end
+        calls.append(params.h)
+        if len(calls) > 100:
+            pytest.fail(f"bisection still running after {len(calls)} solves")
+        return SimpleNamespace(momenta=[1 if params.h < 0.5 else 0])
+
+    monkeypatch.setattr(xyz, "lowest_eigs", counting_solver)
+    with pytest.raises(ValueError, match="tol"):
+        sm.find_hstar(0.33, 0.0, 5, tol=tol)
+    # the CLI writes the failure as a row and exits 3
+    code = main(["hstar-map", "--jy", "0.33", "--jz", "0.0", "--L", "5", "--tol", str(tol)])
+    assert code == EXIT_SOLVER
+    assert "solver failure" in capsys.readouterr().out
 
 
 def test_find_hstar_absent_phase():
