@@ -49,7 +49,6 @@ from .xyz import (
     ChainParams,
     GroundManifold,
     HstarResult,
-    apply_hamiltonian,
     find_hstar,
     ground_momenta,
     hamiltonian_sparse,

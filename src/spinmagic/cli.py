@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 tolerance breach in a cross-check, 3 solver failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -318,10 +319,13 @@ def cmd_verify(args):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="spinmagic",
+    p = argparse.ArgumentParser(prog="spinmagic", allow_abbrev=False,
                                 description="magic and entanglement experiments "
                                             "on phased W-states and the frustrated XYZ ring")
-    sub = p.add_subparsers(dest="command", required=True)
+    # no parser takes a prefix of a flag for the flag: in jump-scaling, `--h 0.5`
+    # would abbreviate --help and drop the value
+    sub = p.add_subparsers(dest="command", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
     def common(sp, workers=False):
         sp.add_argument("--out", default=None, help="output file (default stdout)")
@@ -393,7 +397,7 @@ def build_parser():
 def config_flags(argv):
     """The flags that argv's --config file stands for, each mapped to its
     key: the line `key = value` is the flag `--key=value`."""
-    pre = argparse.ArgumentParser(prog="spinmagic", add_help=False)
+    pre = argparse.ArgumentParser(prog="spinmagic", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     return {} if path is None else {f"--{k}={v}": k for k, v in load_config(path).items()}
@@ -414,7 +418,7 @@ def main(argv=None):
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
         return args.func(args)
-    except SOLVER_ERRORS as exc:
+    except (*SOLVER_ERRORS, OSError) as exc:  # OSError: a --config or --out path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

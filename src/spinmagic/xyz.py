@@ -1,5 +1,5 @@
 """The XYZ ring with an odd number of sites (frustrated boundary conditions):
-Hamiltonian action, low-energy spectrum solved per (momentum, Z-parity)
+Hamiltonian, low-energy spectrum solved per (momentum, Z-parity)
 sector, and the critical field h* separating zero- from finite-momentum
 ground states.
 
@@ -63,12 +63,11 @@ def nonfrustrated_counterpart(params):
     return ChainParams(L=params.L, jy=-params.jy, jz=params.jz, h=params.h, jx=-params.jx)
 
 
-def _bond_tables(params):
-    """Per-bond flip masks and off-diagonal coefficients plus the diagonal."""
+def _bond_tables(params, idx):
+    """H's diagonal at the basis states idx, and per bond its flip mask and
+    off-diagonal coefficients there: H|s> = diag |s> + sum coeff |s ^ mask>."""
     L = params.L
-    N = 2**L
-    idx = np.arange(N, dtype=np.int64)
-    diag = np.zeros(N)
+    diag = np.zeros(idx.shape)
     flips = []
     for n in range(L):
         b1, b2 = n, (n + 1) % L
@@ -82,82 +81,74 @@ def _bond_tables(params):
     return diag, flips
 
 
-def apply_hamiltonian(params, vec):
-    """H @ vec for a raw amplitude array of length 2^L (output unnormalized)."""
-    vec = np.asarray(vec)
-    N = 2 ** params.L
-    if vec.shape != (N,):
-        raise ValueError(f"vector has shape {vec.shape}, expected ({N},)")
-    diag, flips = _bond_tables(params)
-    idx = np.arange(N, dtype=np.int64)
-    out = diag * vec
-    for mask, coeff in flips:
-        out = out + coeff * vec[idx ^ mask]
-    return out
-
-
 def hamiltonian_sparse(params):
     """Sparse CSR matrix of H; (L+1) 2^L nonzeros, real symmetric."""
     N = 2 ** params.L
     idx = np.arange(N, dtype=np.int64)
-    diag, flips = _bond_tables(params)
-    mats = [sp.diags(diag)]
-    for mask, coeff in flips:
-        mats.append(sp.csr_matrix((coeff, (idx, idx ^ mask)), shape=(N, N)))
-    return sum(mats).tocsr()
+    diag, flips = _bond_tables(params, idx)
+    rows = np.tile(idx, len(flips) + 1)
+    cols = np.concatenate([idx] + [idx ^ mask for mask, _ in flips])
+    data = np.concatenate([diag] + [coeff for _, coeff in flips])
+    return sp.csr_matrix((data, (rows, cols)), shape=(N, N))
 
 
 @functools.lru_cache(maxsize=None)
 def _momentum_basis(L, ell, parity):
-    """Sparse isometry V (2^L, n) onto the (ell, Z-parity) sector, with the
-    orbit representatives r (smallest index of each translation orbit) and
-    the periods R of its columns.
+    """The isometry V (2^L, n) onto the (ell, Z-parity) sector, stored by rows:
+    V[s, col[s]] = amp[s] and amp = 0 off the sector, since each basis state
+    lies in one translation orbit.  Also the orbit representatives r (smallest
+    index of each orbit) and the periods R of the n columns.
 
     Column r is the momentum state sum_{j<R} e^{2 pi i ell j / L} T^j |r> / sqrt(R),
     with T|psi> = e^{-ip}|psi>.  An orbit of period R admits ell only if
     ell R = 0 (mod L); otherwise its state vanishes and has no column.
     """
     idx = np.arange(2**L, dtype=np.int64)
-    rep = idx
+    rep, shift = idx, np.zeros_like(idx)  # s = T^shift rep
+    period = np.full(idx.size, L)
     for k in range(1, L):
-        rep = np.minimum(rep, _rotate_bits(idx, k, L))
-    reps = idx[(rep == idx) & (np.where(np.bitwise_count(idx) & 1, -1, 1) == parity)]
-    period = np.full(reps.size, L)
+        rotated = _rotate_bits(idx, k, L)
+        lower = rotated < rep
+        rep = np.where(lower, rotated, rep)
+        shift[lower] = L - k
     for k in range(L - 1, 0, -1):
-        period[_rotate_bits(reps, k, L) == reps] = k
-    keep = (ell * period) % L == 0
-    reps, period = reps[keep], period[keep]
-    cols = np.arange(reps.size)
-    rows, col_idx, data = [], [], []
-    for j in range(L):
-        live = j < period
-        rows.append(_rotate_bits(reps[live], j, L))
-        col_idx.append(cols[live])
-        data.append(np.exp(2j * np.pi * ell * j / L) / np.sqrt(period[live]))
-    data = np.concatenate(data)
+        period[_rotate_bits(idx, k, L) == idx] = k
+    live = ((ell * period) % L == 0) & (np.where(np.bitwise_count(idx) & 1, -1, 1) == parity)
+    reps = idx[live & (rep == idx)]
+    col = np.zeros(idx.size, dtype=np.int32)
+    col[reps] = np.arange(reps.size)
+    col = col[rep]
+    # e^{2 pi i ell j / L} has period R in j when ell R = 0 (mod L)
+    amp = np.where(live, np.exp(2j * np.pi * ell * (shift % period) / L) / np.sqrt(period), 0)
     if ell == 0:  # a real isometry keeps the zero-momentum block real symmetric
-        data = data.real
-    V = sp.csc_matrix((data, (np.concatenate(rows), np.concatenate(col_idx))),
-                      shape=(2**L, reps.size))
-    return V, reps, period
+        amp = amp.real
+    return col, amp, reps, period[reps]
 
 
-def _sector_eigs(H, L, ell, parity, count):
+def _sector_eigs(params, ell, parity, count):
     """Lowest min(count, n) eigenpairs, in any order, of H in the n-dimensional
     (ell, Z-parity) sector, with the eigenvectors embedded in the full space."""
-    V, reps, period = _momentum_basis(L, ell, parity)
-    n = V.shape[1]
+    col, amp, reps, period = _momentum_basis(params.L, ell, parity)
+    n = reps.size
     k = min(count, n)
-    # V^H H V without forming H V: [T, H] = 0 gives <r', ell|H|r, ell> =
-    # sqrt(R_r) <r', ell|H|r>, and H is symmetric, so H[reps].T holds the H|r>
-    block = V.conj().T @ H[reps].T @ sp.diags(np.sqrt(period))
+    # [T, H] = 0 gives <r', ell|H|r, ell> = sqrt(R_r) <r', ell|H|r>, so each
+    # column needs H at its representative only
+    diag, flips = _bond_tables(params, reps)
+    weight = np.sqrt(period)
+    rows, data = [np.arange(n)], [diag]
+    for mask, coeff in flips:
+        flipped = reps ^ mask
+        rows.append(col[flipped])
+        data.append(weight * coeff * amp[flipped].conj())
+    cols = np.tile(np.arange(n), len(rows))
+    block = sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), cols)), shape=(n, n))
     if n <= DENSE_BLOCK_MAX or k >= n - 1:
         vals, vecs = eigh(block.toarray(), subset_by_index=[0, k - 1])
     else:
         v0 = np.random.default_rng(EIGSH_SEED).standard_normal(n)
         ncv = min(n - 1, max(2 * k + 10, 20))
         vals, vecs = spla.eigsh(block, k=k, which="SA", v0=v0, ncv=ncv, maxiter=20000)
-    return vals, V @ vecs
+    return vals, amp[:, None] * vecs[col]
 
 
 def lowest_eigs(params, count):
@@ -172,11 +163,10 @@ def lowest_eigs(params, count):
     N = 2**L
     if count < 1 or count >= N:
         raise ValueError(f"count must be in [1, {N - 1}]")
-    H = hamiltonian_sparse(params)
     levels = []  # (energy, ell, amplitudes)
     for ell in range((L - 1) // 2 + 1):
         for parity in (1, -1):
-            vals, vecs = _sector_eigs(H, L, ell, parity, count)
+            vals, vecs = _sector_eigs(params, ell, parity, count)
             for e, v in zip(vals, vecs.T):
                 levels.append((e, ell, v))
                 if ell:

@@ -88,10 +88,28 @@ def test_output_file_and_config(tmp_path, capsys):
 
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("banana = 1\n")
-    code = main(["sre", "--L", "3", "--config", str(cfg)])
-    capsys.readouterr()
+    # `me` names no flag, though it is a prefix of --method
+    for line in ("banana = 1", "me = brute"):
+        cfg.write_text(line + "\n")
+        code = main(["sre", "--L", "3", "--config", str(cfg)])
+        assert code == EXIT_SOLVER
+        assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_flag_prefixes_are_usage_errors(capsys):
+    # jump-scaling has no --h; a prefix match would read it as --help and exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(["jump-scaling", "--L", "5", "--h", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --h 0.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, path", [("--config", "missing.cfg"),
+                                        ("--out", "missing/rows.csv")])
+def test_missing_paths_exit_solver(tmp_path, capsys, flag, path):
+    code = main(["sre", "--L", "3", flag, str(tmp_path / path)])
     assert code == EXIT_SOLVER
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["format = xml", "kind = bogus", "L = abc"])

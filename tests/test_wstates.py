@@ -73,7 +73,7 @@ def test_kink_classical_energy():
     for k in (1, 4):
         for sector in (+1, -1):
             psi = sm.build_kink(L, k, sector).amps
-            hpsi = sm.apply_hamiltonian(params, psi)
+            hpsi = sm.hamiltonian_sparse(params) @ psi
             assert np.allclose(hpsi, (2.0 - L) * psi, atol=1e-12)
 
 
@@ -90,7 +90,7 @@ def test_omega_is_classical_ground_state():
     params = sm.ChainParams(L=L, jy=0.0, jz=0.0, h=0.0)
     for ell in range(0, 3):
         psi = sm.build_omega(L, ell).amps
-        hpsi = sm.apply_hamiltonian(params, psi)
+        hpsi = sm.hamiltonian_sparse(params) @ psi
         assert np.allclose(hpsi, (2.0 - L) * psi, atol=1e-12)
 
 

@@ -29,13 +29,6 @@ def test_chain_params_validation():
         sm.ChainParams(L=5, jy=0.3, jz=float("nan"), h=0.0)
 
 
-def test_apply_hamiltonian_matches_sparse():
-    params = sm.ChainParams(L=5, jy=0.33, jz=-0.2, h=0.4)
-    H = sm.hamiltonian_sparse(params)
-    v = random_state(5, RNG).amps
-    assert np.allclose(sm.apply_hamiltonian(params, v), H @ v, atol=1e-12)
-
-
 def test_hamiltonian_is_hermitian_and_real():
     H = sm.hamiltonian_sparse(sm.ChainParams(L=5, jy=0.5, jz=0.1, h=0.3)).toarray()
     assert np.allclose(H, H.T, atol=1e-12)
@@ -44,22 +37,21 @@ def test_hamiltonian_is_hermitian_and_real():
 
 def test_hamiltonian_commutes_with_translation():
     params = sm.ChainParams(L=5, jy=0.33, jz=-0.1, h=0.25)
+    H = sm.hamiltonian_sparse(params)
     v = random_state(5, RNG).amps
-    ht = sm.apply_hamiltonian(params, translate(StateVector(5, v), 1).amps)
-    hv = sm.apply_hamiltonian(params, v)
+    ht = H @ translate(StateVector(5, v), 1).amps
+    hv = H @ v
     th = translate(StateVector(5, hv / np.linalg.norm(hv)), 1).amps * np.linalg.norm(hv)
     assert np.allclose(ht, th, atol=1e-10)
 
 
 def test_hamiltonian_commutes_with_z_parity():
     params = sm.ChainParams(L=5, jy=0.33, jz=-0.1, h=0.25)
+    H = sm.hamiltonian_sparse(params)
     v = random_state(5, RNG).amps
     idx = np.arange(v.size)
     sign = 1.0 - 2.0 * (np.bitwise_count(idx) & 1)
-    assert np.allclose(
-        sm.apply_hamiltonian(params, sign * v), sign * sm.apply_hamiltonian(params, v),
-        atol=1e-12,
-    )
+    assert np.allclose(H @ (sign * v), sign * (H @ v), atol=1e-12)
 
 
 def test_single_site_field_limit():
@@ -97,13 +89,15 @@ couplings = st.floats(-0.95, 0.95, allow_nan=False)
 
 
 @settings(max_examples=30)
-@given(L=st.sampled_from([5, 7]), jy=couplings, jz=couplings, h=st.floats(0.0, 1.5))
+@given(L=st.sampled_from([5, 7, 9]), jy=couplings, jz=couplings, h=st.floats(0.0, 1.5))
 def test_sector_states_are_labelled_eigenstates(L, jy, jz, h):
+    # L = 9 has orbits of period 3, whose states lie in the ell = 0, +-3 sectors
     params = sm.ChainParams(L=L, jy=jy, jz=jz, h=h)
-    man = sm.lowest_eigs(params, 6)
     H = sm.hamiltonian_sparse(params)
-    full = np.linalg.eigvalsh(H.toarray())[:6]
-    assert np.allclose(man.energies, full, rtol=0, atol=1e-10)
+    full = np.linalg.eigvalsh(H.toarray())
+    assert np.allclose(sm.lowest_eigs(params, 6).energies, full[:6], rtol=0, atol=1e-10)
+    man = sm.lowest_eigs(params, 2**L - 1)
+    assert np.allclose(man.energies, full[:-1], rtol=0, atol=1e-10)
     for e, ell, state in zip(man.energies, man.momenta, man.states):
         assert np.linalg.norm(H @ state.amps - e * state.amps) <= 1e-9
         assert measure_momentum(state) == ell
@@ -114,7 +108,7 @@ def test_ground_state_is_eigenvector():
     params = sm.ChainParams(L=7, jy=0.33, jz=0.0, h=0.5)
     man = sm.lowest_eigs(params, 4)
     ell, state = pick_ground_state(man)
-    hpsi = sm.apply_hamiltonian(params, state.amps)
+    hpsi = sm.hamiltonian_sparse(params) @ state.amps
     assert np.allclose(hpsi, man.energies[0] * state.amps, atol=1e-9)
     assert ell == max(m for m in man.momenta[: man.degeneracy] if m is not None)
 
