@@ -1,11 +1,12 @@
 """Command-line experiments: every subcommand emits a deterministic CSV or
 JSON table (fixed float format, fixed row order, fixed eigensolver seed).
 
-Exit codes: 0 success, 2 tolerance breach in a cross-check, 3 solver failure.
+Exit codes: 0 success, 2 tolerance breach in a cross-check, 3 solver failure
+(including a non-finite value in a JSON table), 4 usage error (a bad flag or
+config value, as argparse reports it).
 """
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -22,6 +23,7 @@ from .xyz import ChainParams, find_hstar, lowest_eigs, pick_ground_state
 EXIT_OK = 0
 EXIT_TOLERANCE = 2
 EXIT_SOLVER = 3
+EXIT_USAGE = 4
 
 # what a bad input or a failed solve raises; anything else is a bug and surfaces
 SOLVER_ERRORS = (ValueError, ArpackError, np.linalg.LinAlgError)
@@ -38,7 +40,9 @@ def fmt(x):
 
 def write_rows(rows, columns, out, fmt_name):
     if fmt_name == "json":
-        text = json.dumps([{c: r.get(c) for c in columns} for r in rows], indent=1) + "\n"
+        # a NaN or infinity has no JSON spelling: refuse it as a failed solve
+        text = json.dumps([{c: r.get(c) for c in columns} for r in rows], indent=1,
+                          allow_nan=False) + "\n"
     else:
         lines = [",".join(columns)]
         lines += [",".join(fmt(r.get(c)) for c in columns) for r in rows]
@@ -264,6 +268,20 @@ def cmd_verify(args):
         check(f"sre triad agreement L={L}", worst, 1e-10)
 
     for L in (3, 5, 7):
+        ells = range(-(L - 1) // 2, (L - 1) // 2 + 1)
+        states = [wstates.build_w(L, ell) for ell in ells]
+        states += [wstates.build_omega(L, ell) for ell in ells]
+        states.append(pick_ground_state(lowest_eigs(ChainParams(L, 0.33, 0.0, 0.5), 6))[1])
+        worst = 0.0
+        for state in states:
+            reduced = pauli.sre_brute(state)
+            full = pauli.pauli_moment(state, 4)
+            # a state that falls back to full enumeration tests nothing here
+            worst = max(worst, math.inf if reduced.method == "brute"
+                        else abs(reduced.raw_moment - full) / full)
+        check(f"reduced vs full SRE kernel L={L}", worst, 1e-12)
+
+    for L in (3, 5, 7):
         circ = build_circuit_s(L)
         worst = 0.0
         for ell in range(-(L - 1) // 2, (L - 1) // 2 + 1):
@@ -318,14 +336,23 @@ def cmd_verify(args):
 # ---------------------------------------------------------------- main
 
 
+class Parser(argparse.ArgumentParser):
+    """argparse with two changes.  No prefix of a flag is taken for the flag:
+    in jump-scaling, `--h 0.5` would abbreviate --help and drop the value.
+    A usage error exits EXIT_USAGE, since argparse's own 2 is EXIT_TOLERANCE."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="spinmagic", allow_abbrev=False,
-                                description="magic and entanglement experiments "
-                                            "on phased W-states and the frustrated XYZ ring")
-    # no parser takes a prefix of a flag for the flag: in jump-scaling, `--h 0.5`
-    # would abbreviate --help and drop the value
-    sub = p.add_subparsers(dest="command", required=True, parser_class=functools.partial(
-        argparse.ArgumentParser, allow_abbrev=False))
+    p = Parser(prog="spinmagic", description="magic and entanglement experiments "
+                                             "on phased W-states and the frustrated XYZ ring")
+    sub = p.add_subparsers(dest="command", required=True, parser_class=Parser)
 
     def common(sp, workers=False):
         sp.add_argument("--out", default=None, help="output file (default stdout)")
@@ -397,7 +424,7 @@ def build_parser():
 def config_flags(argv):
     """The flags that argv's --config file stands for, each mapped to its
     key: the line `key = value` is the flag `--key=value`."""
-    pre = argparse.ArgumentParser(prog="spinmagic", add_help=False, allow_abbrev=False)
+    pre = Parser(prog="spinmagic", add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     return {} if path is None else {f"--{k}={v}": k for k, v in load_config(path).items()}

@@ -4,11 +4,23 @@ A Pauli string is encoded as a pair of L-bit masks (x_mask, z_mask); the
 string is evaluated as X_{x_mask} Z_{z_mask}, dropping the Hermitian phase
 i^{|x & z|} since only magnitudes enter the entropy.
 
-The brute-force kernel runs over the 2^L x-masks; for each mask a the
-length-2^L vector g_a(s) = conj(psi(s ^ a)) * psi(s) is Walsh-Hadamard
-transformed, which yields all 2^L z-mask expectations at once.  Total cost
-O(L 4^L) time, O(2^L) memory per block.  The reduction order is fixed, so
-the raw moment is bit-identical for any worker count.
+The brute-force kernel runs over x-masks; for each mask a the length-2^L
+vector g_a(s) = conj(psi(s ^ a)) * psi(s) is Walsh-Hadamard transformed,
+which yields all 2^L z-mask expectations at once: O(L 2^L) time per mask,
+O(2^L) memory per row.  Full enumeration takes all 2^L masks.  ``sre_brute``
+first looks for the symmetries that make masks redundant:
+
+- translation: sum_b |<X_a Z_b>|^4 is the same for every cyclic shift of a,
+  so one necklace representative per orbit stands for the orbit, weighted
+  by the orbit size;
+- Z-parity: <X_a Z_b> vanishes for every odd-weight a;
+- X-parity: H^{(x)L} is Clifford, leaves M2 and translation alone and maps
+  a Pi^x eigenstate to a Pi^z eigenstate, so one transform of the
+  amplitudes turns X-parity into Z-parity.
+
+Each symmetry is taken only when its residual norm is at most SYM_TOL.  The
+reduction order is fixed, so the raw moment is bit-identical for any worker
+count or block size.
 """
 
 import math
@@ -17,9 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import momentum_of
+from .states import _translation_orbits, momentum_of, translate
 
-DEFAULT_SITE_CAP = 15
+DEFAULT_SITE_CAP = 15  # enumeration of all 2^L x-masks, or of half of them
+REDUCED_SITE_CAP = 17  # enumeration of necklace representatives, about 2^L / L
+# a symmetry is used when ||T psi - <T> psi||, or the norm of the amplitudes
+# of the wrong Z-parity, is at most this
+SYM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,20 +75,45 @@ def fwht(rows):
     return rows
 
 
-def _transformed_block(psi, start, stop):
-    """g_a(s) = conj(psi(s ^ a)) * psi(s) for the x-masks a in [start, stop),
-    Walsh-Hadamard transformed: entry [a - start, b] is <X_a Z_b> up to phase."""
+def _transformed_block(psi, masks):
+    """g_a(s) = conj(psi(s ^ a)) * psi(s) for the x-masks a in ``masks``,
+    Walsh-Hadamard transformed: entry [i, b] is <X_{masks[i]} Z_b> up to phase."""
     idx = np.arange(psi.size, dtype=np.int64)
-    a = np.arange(start, stop, dtype=np.int64)
-    g = psi[idx[None, :] ^ a[:, None]]
+    g = psi[idx[None, :] ^ masks[:, None]]
     np.conj(g, out=g)
     g *= psi
     fwht(g)
     return g
 
 
+def _moment(psi, masks, power, block, workers, weights=None):
+    """sum over the x-masks a in ``masks`` of weights[a] sum_b |<X_a Z_b>|^power.
+
+    Partial sums are produced per mask and folded with math.fsum in the
+    order of ``masks``, so the result is the same for any ``block`` and
+    ``workers``.
+    """
+
+    def block_partials(start):
+        g = _transformed_block(psi, masks[start:start + block])
+        mag2 = g.real**2 + g.imag**2
+        return np.sum(mag2 ** (power // 2), axis=1)
+
+    starts = range(0, masks.size, block)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(block_partials, starts))
+    else:
+        partials = list(map(block_partials, starts))
+    sums = np.concatenate(partials)
+    if weights is not None:
+        sums *= weights
+    return math.fsum(sums.tolist())
+
+
 def pauli_moment(state, power=4, *, max_sites=DEFAULT_SITE_CAP, block=64, workers=1):
-    """sum over all 4^L Pauli strings of |<P>|^power (power even).
+    """sum over all 4^L Pauli strings of |<P>|^power (power even), by full
+    enumeration of the 2^L x-masks.
 
     Deterministic for any ``workers``: partial sums are produced per x-mask
     and folded with math.fsum in ascending mask order.
@@ -83,27 +124,78 @@ def pauli_moment(state, power=4, *, max_sites=DEFAULT_SITE_CAP, block=64, worker
     if power % 2:
         raise ValueError("power must be even")
     psi = state.amps
-    N = psi.size
+    return _moment(psi, np.arange(psi.size, dtype=np.int64), power, block, workers)
 
-    def block_partials(start):
-        g = _transformed_block(psi, start, min(start + block, N))
-        mag2 = g.real**2 + g.imag**2
-        return np.sum(mag2 ** (power // 2), axis=1)
 
-    starts = range(0, N, block)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(block_partials, starts))
+def _wrong_parity_norm(psi):
+    """Norm of the amplitudes outside the Z-parity sector that holds more weight."""
+    odd = (np.bitwise_count(np.arange(psi.size, dtype=np.int64)) & 1).astype(bool)
+    return min(np.linalg.norm(psi[odd]), np.linalg.norm(psi[~odd]))
+
+
+def _symmetries(state):
+    """The amplitudes to enumerate and the reductions they admit, in the
+    order applied: a subset of ("hadamard", "translation", "parity")."""
+    psi = state.amps
+    reductions = []
+    parity = _wrong_parity_norm(psi) <= SYM_TOL
+    if not parity:
+        image = fwht(psi.copy()) / math.sqrt(psi.size)  # H^{(x)L} psi
+        if _wrong_parity_norm(image) <= SYM_TOL:
+            psi, parity = image, True
+            reductions.append("hadamard")
+    shifted = translate(state).amps  # H^{(x)L} commutes with T
+    if np.linalg.norm(shifted - np.vdot(state.amps, shifted) * state.amps) <= SYM_TOL:
+        reductions.append("translation")
+    if parity:
+        reductions.append("parity")
+    return psi, reductions
+
+
+def _reduced_masks(L, translation, parity):
+    """The x-masks that stand for all 2^L, ascending, and their multiplicities
+    (None for 1): the even-weight masks under parity, and the necklace
+    representatives (the smallest rotation), weighted by orbit size, under
+    translation."""
+    idx = np.arange(2**L, dtype=np.int64)
+    keep = (np.bitwise_count(idx) & 1) == 0 if parity else np.ones(idx.size, dtype=bool)
+    if not translation:
+        return idx[keep], None
+    rep, _, period = _translation_orbits(L)
+    masks = idx[keep & (rep == idx)]
+    return masks, period[masks].astype(np.float64)
+
+
+def sre_brute(state, *, max_sites=None, block=64, workers=1):
+    """Exact alpha=2 stabilizer Renyi entropy by Pauli enumeration, over the
+    x-masks left independent by the symmetries the state is found to have.
+
+    ``method`` is "brute" for full enumeration and otherwise names the
+    reductions, e.g. "brute:hadamard+translation+parity".  ``max_sites``
+    caps L; by default it is REDUCED_SITE_CAP for a translation eigenstate
+    and DEFAULT_SITE_CAP otherwise, where at least half the masks remain.
+    The symmetry check costs O(L 2^L) and runs before any enumeration.
+    """
+    L = state.n_sites
+    if max_sites is None:
+        full_cap, reduced_cap = DEFAULT_SITE_CAP, REDUCED_SITE_CAP
     else:
-        partials = list(map(block_partials, starts))
-    return math.fsum(np.concatenate(partials).tolist())
-
-
-def sre_brute(state, *, max_sites=DEFAULT_SITE_CAP, block=64, workers=1):
-    """Exact alpha=2 stabilizer Renyi entropy by full Pauli enumeration."""
-    raw = pauli_moment(state, 4, max_sites=max_sites, block=block, workers=workers)
+        full_cap = reduced_cap = max_sites
+    if L > reduced_cap:
+        raise ValueError(f"L={L} exceeds the brute-force cap {reduced_cap}")
+    psi, reductions = _symmetries(state)
+    if "translation" not in reductions and L > full_cap:
+        raise ValueError(f"L={L} exceeds the brute-force cap {full_cap} "
+                         f"of a state without translation symmetry")
+    if reductions:
+        masks, weights = _reduced_masks(L, "translation" in reductions, "parity" in reductions)
+        raw = _moment(psi, masks, 4, block, workers, weights)
+        method = "brute:" + "+".join(reductions)
+    else:
+        raw = pauli_moment(state, 4, max_sites=full_cap, block=block, workers=workers)
+        method = "brute"
     value = -math.log2(raw / state.dim)
-    return SreResult(value=value, raw_moment=raw, method="brute")
+    return SreResult(value=value, raw_moment=raw, method=method)
 
 
 def sre_structured_w(L, ell):
@@ -137,7 +229,7 @@ def pauli_abs_table(state, *, max_sites=10, block=64):
     out = np.empty((N, N))
     for start in range(0, N, block):
         stop = min(start + block, N)
-        out[start:stop] = np.abs(_transformed_block(psi, start, stop))
+        out[start:stop] = np.abs(_transformed_block(psi, np.arange(start, stop, dtype=np.int64)))
     return out
 
 

@@ -72,6 +72,23 @@ def _rotate_bits(idx, k, L):
     return ((idx << k) | (idx >> (L - k))) & mask if k else idx
 
 
+def _translation_orbits(L):
+    """For every L-bit basis index s: the representative r of its orbit under
+    translation (the smallest index in it), the shift j with s = T^j r, and
+    the orbit's period (its size)."""
+    idx = np.arange(2**L, dtype=np.int64)
+    rep, shift = idx, np.zeros_like(idx)
+    period = np.full(idx.size, L)
+    for k in range(1, L):
+        rotated = _rotate_bits(idx, k, L)
+        lower = rotated < rep
+        rep = np.where(lower, rotated, rep)
+        shift[lower] = L - k
+    for k in range(L - 1, 0, -1):
+        period[_rotate_bits(idx, k, L) == idx] = k
+    return rep, shift, period
+
+
 def make_x_product(L, signs):
     """Product state over L sites, each in |+> or |-> per ``signs`` (+1 / -1).
 

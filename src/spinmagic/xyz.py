@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
 # translate stays reachable as xyz.translate, where perfbench traces it
-from .states import StateVector, _rotate_bits, translate  # noqa: F401
+from .states import StateVector, _translation_orbits, translate  # noqa: F401
 
 DEGENERACY_RTOL = 1e-9
 EIGSH_SEED = 20240917
@@ -104,15 +104,7 @@ def _momentum_basis(L, ell, parity):
     ell R = 0 (mod L); otherwise its state vanishes and has no column.
     """
     idx = np.arange(2**L, dtype=np.int64)
-    rep, shift = idx, np.zeros_like(idx)  # s = T^shift rep
-    period = np.full(idx.size, L)
-    for k in range(1, L):
-        rotated = _rotate_bits(idx, k, L)
-        lower = rotated < rep
-        rep = np.where(lower, rotated, rep)
-        shift[lower] = L - k
-    for k in range(L - 1, 0, -1):
-        period[_rotate_bits(idx, k, L) == idx] = k
+    rep, shift, period = _translation_orbits(L)  # s = T^shift rep
     live = ((ell * period) % L == 0) & (np.where(np.bitwise_count(idx) & 1, -1, 1) == parity)
     reps = idx[live & (rep == idx)]
     col = np.zeros(idx.size, dtype=np.int32)
@@ -127,7 +119,7 @@ def _momentum_basis(L, ell, parity):
 
 def _sector_eigs(params, ell, parity, count):
     """Lowest min(count, n) eigenpairs, in any order, of H in the n-dimensional
-    (ell, Z-parity) sector, with the eigenvectors embedded in the full space."""
+    (ell, Z-parity) sector, with the eigenvectors in the sector's basis."""
     col, amp, reps, period = _momentum_basis(params.L, ell, parity)
     n = reps.size
     k = min(count, n)
@@ -148,7 +140,7 @@ def _sector_eigs(params, ell, parity, count):
         v0 = np.random.default_rng(EIGSH_SEED).standard_normal(n)
         ncv = min(n - 1, max(2 * k + 10, 20))
         vals, vecs = spla.eigsh(block, k=k, which="SA", v0=v0, ncv=ncv, maxiter=20000)
-    return vals, amp[:, None] * vecs[col]
+    return vals, vecs
 
 
 def lowest_eigs(params, count):
@@ -163,22 +155,27 @@ def lowest_eigs(params, count):
     N = 2**L
     if count < 1 or count >= N:
         raise ValueError(f"count must be in [1, {N - 1}]")
-    levels = []  # (energy, ell, amplitudes)
+    levels = []  # (energy, ell, parity, eigenvector in the sector basis)
     for ell in range((L - 1) // 2 + 1):
         for parity in (1, -1):
             vals, vecs = _sector_eigs(params, ell, parity, count)
             for e, v in zip(vals, vecs.T):
-                levels.append((e, ell, v))
+                levels.append((e, ell, parity, v))
                 if ell:
-                    levels.append((e, -ell, v.conj()))
+                    levels.append((e, -ell, parity, v))
     levels.sort(key=lambda level: level[0])
     levels = levels[:count]
-    energies = np.array([e for e, _, _ in levels])
+    states = []
+    for _, ell, parity, v in levels:  # embed the kept levels only, by a gather
+        col, amp, _, _ = _momentum_basis(L, abs(ell), parity)
+        amps = amp * v[col]
+        states.append(StateVector(L, amps.conj() if ell < 0 else amps))
+    energies = np.array([e for e, _, _, _ in levels])
     tol = DEGENERACY_RTOL * max(1.0, abs(energies[0]))
     return GroundManifold(
         energies=energies,
-        states=[StateVector(L, v) for _, _, v in levels],
-        momenta=[ell for _, ell, _ in levels],
+        states=states,
+        momenta=[ell for _, ell, _, _ in levels],
         degeneracy=int(np.count_nonzero(energies - energies[0] < tol)),
     )
 

@@ -10,7 +10,9 @@ from spinmagic.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_TOLERANCE,
+    EXIT_USAGE,
     fmt,
+    write_rows,
     load_config,
     main,
     parse_floats,
@@ -100,7 +102,7 @@ def test_flag_prefixes_are_usage_errors(capsys):
     # jump-scaling has no --h; a prefix match would read it as --help and exit 0
     with pytest.raises(SystemExit) as exc:
         main(["jump-scaling", "--L", "5", "--h", "0.5"])
-    assert exc.value.code == 2
+    assert exc.value.code == EXIT_USAGE
     assert "unrecognized arguments: --h 0.5" in capsys.readouterr().err
 
 
@@ -118,7 +120,7 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, line):
     cfg.write_text(line + "\n")
     with pytest.raises(SystemExit) as exc:
         main(["sre", "--L", "3", "--config", str(cfg)])
-    assert exc.value.code == 2
+    assert exc.value.code == EXIT_USAGE
     assert "invalid" in capsys.readouterr().err
 
 
@@ -260,3 +262,21 @@ def test_nan_inputs_are_rejected(capsys):
 def test_workers_only_on_parallel_commands():
     with pytest.raises(SystemExit):
         main(["ent-profile", "--L", "5", "--workers", "2"])
+
+
+def test_json_refuses_non_finite_values(monkeypatch, capsys):
+    with pytest.raises(ValueError):
+        write_rows([{"x": math.nan}], ["x"], None, "json")
+    monkeypatch.setattr(cli.closed_forms, "m2_w_closed", lambda L, ell: math.inf)
+    code = main(["sre", "--kind", "w", "--L", "3", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_SOLVER
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_verify_passes(capsys):
+    code, out = run(["verify"], capsys)
+    checks = [line for line in out.splitlines() if not line.startswith("NOTE")]
+    assert code == EXIT_OK
+    assert any("reduced vs full SRE kernel" in line for line in checks)
+    assert checks and all(line.startswith("PASS") for line in checks)

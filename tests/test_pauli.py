@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spinmagic as sm
-from spinmagic.pauli import fwht
-from spinmagic.states import StateVector, random_state
+from spinmagic.pauli import DEFAULT_SITE_CAP, REDUCED_SITE_CAP, fwht
+from spinmagic.states import StateVector, random_state, translate
 
 RNG = np.random.default_rng(23)
 
@@ -113,3 +114,87 @@ def test_mesoscopic_string_property(L):
     t0 = sm.pauli_abs_table(sm.build_w(L, 0))
     t1 = sm.pauli_abs_table(sm.build_w(L, 1))
     assert float(np.max(np.abs(t1 - t0))) <= 4.0 / L + 1e-12
+
+
+ROUTES = [("translation",), ("translation", "parity"), ("hadamard", "translation", "parity"),
+          ("parity",), ("hadamard", "parity")]
+
+
+def symmetric_state(L, ell, route, rng):
+    """A random state with the symmetries ``route`` names: a momentum-ell
+    eigenstate under "translation", a Z-parity eigenstate under "parity",
+    and then under "hadamard" the H^{(x)L} image, an X-parity eigenstate."""
+    psi = random_state(L, rng)
+    amps = psi.amps
+    if "translation" in route:
+        amps = sum(np.exp(2j * np.pi * ell * j / L) * translate(psi, j).amps
+                   for j in range(L))
+    if "parity" in route:
+        odd = np.bitwise_count(np.arange(2**L)) & 1
+        amps = np.where(odd == rng.integers(2), 0, amps)
+    if "hadamard" in route:
+        amps = fwht(amps.copy())
+    return StateVector(L, amps / np.linalg.norm(amps))
+
+
+def relative_gap(state):
+    reduced = sm.sre_brute(state)
+    full = sm.pauli_moment(state, 4)
+    return reduced.method, abs(reduced.raw_moment - full) / full
+
+
+# L = 9 has orbits of period 3, whose weights differ from L
+@pytest.mark.parametrize("L", [3, 5, 7, 9])
+@pytest.mark.parametrize("route", ROUTES, ids="+".join)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reduced_kernel_matches_full_enumeration(L, route, seed):
+    rng = np.random.default_rng(seed)
+    for ell in range(-(L - 1) // 2, (L - 1) // 2 + 1) if "translation" in route else [0]:
+        method, gap = relative_gap(symmetric_state(L, ell, route, rng))
+        assert method == "brute:" + "+".join(route)
+        assert gap <= 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(L=st.sampled_from([3, 5, 7, 9]), route=st.sampled_from(ROUTES),
+       seed=st.integers(0, 2**32 - 1))
+def test_perturbed_states_fall_back(L, route, seed):
+    rng = np.random.default_rng(seed)
+    state = symmetric_state(L, 1, route, rng)
+    noise = random_state(L, rng).amps
+    perturbed = StateVector(L, (state.amps + 1e-6 * noise) / np.linalg.norm(
+        state.amps + 1e-6 * noise))
+    method, gap = relative_gap(perturbed)
+    assert method == "brute" and gap == 0.0
+
+
+@pytest.mark.parametrize("route", ROUTES, ids="+".join)
+def test_reduced_kernel_deterministic_across_workers_and_blocks(route):
+    state = symmetric_state(9, 2, route, np.random.default_rng(5))
+    ref = sm.sre_brute(state, block=64, workers=1)
+    for block in (8, 64):
+        for workers in (1, 2, 3):
+            assert sm.sre_brute(state, block=block, workers=workers) == ref
+
+
+def test_named_states_take_their_reductions():
+    assert sm.sre_brute(sm.build_w(9, 1)).method == "brute:hadamard+translation+parity"
+    assert sm.sre_brute(sm.build_omega(9, 2)).method == "brute:translation+parity"
+    assert sm.sre_brute(sm.build_phi(9, 1, 0.3)).method == "brute:parity"
+    assert sm.sre_brute(random_state(9, RNG)).method == "brute"
+
+
+def test_site_caps():
+    assert REDUCED_SITE_CAP > DEFAULT_SITE_CAP
+    with pytest.raises(ValueError, match="cap"):
+        sm.sre_brute(sm.build_w(5, 1), max_sites=3)
+    with pytest.raises(ValueError, match="cap"):
+        sm.sre_brute(random_state(5, RNG), max_sites=3)
+    # detection is O(L 2^L); a state without translation stops at the lower cap
+    with pytest.raises(ValueError, match=f"cap {DEFAULT_SITE_CAP}"):
+        sm.sre_brute(random_state(REDUCED_SITE_CAP, RNG))
+    with pytest.raises(ValueError, match=f"cap {DEFAULT_SITE_CAP}"):
+        sm.sre_brute(sm.make_x_product(REDUCED_SITE_CAP, [1, -1] * 8 + [1]))
+    with pytest.raises(ValueError, match=f"cap {REDUCED_SITE_CAP}"):
+        sm.sre_brute(random_state(REDUCED_SITE_CAP + 1, RNG))
