@@ -233,7 +233,7 @@ def cmd_ratio(args):
 
 def cmd_ent_profile(args):
     state, _ = state_for(args)
-    a = args.a if args.a else (args.L - 1) // 2
+    a = (args.L - 1) // 2 if args.a is None else args.a
     profile = entanglement.ent_profile(state, a, measure=args.measure,
                                        base="e" if args.base == "e" else 2)
     rows = [{"kstar": k + 1, "entropy": s} for k, s in enumerate(profile)]
@@ -353,13 +353,14 @@ def build_parser():
     p = Parser(prog="spinmagic", description="magic and entanglement experiments "
                                              "on phased W-states and the frustrated XYZ ring")
     sub = p.add_subparsers(dest="command", required=True, parser_class=Parser)
+    threads = "threads of the Pauli kernel in each exact SRE"
 
-    def common(sp, workers=False):
+    def common(sp, workers=None):
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--config", default=None, help="key = value config file")
         if workers:
-            sp.add_argument("--workers", type=int, default=1)
+            sp.add_argument("--workers", type=int, default=1, help=workers)
 
     sp = sub.add_parser("sre", help="stabilizer Renyi entropy of a named state")
     sp.add_argument("--kind", choices=("w", "omega", "phi", "ground"), default="w")
@@ -373,7 +374,7 @@ def build_parser():
                     help="comma list from {brute, structured, closed}; "
                          "default depends on --kind")
     sp.add_argument("--tol", type=float, default=AGREEMENT_TOL)
-    common(sp, workers=True)
+    common(sp, workers=threads)
     sp.set_defaults(func=cmd_sre)
 
     sp = sub.add_parser("hstar-map", help="critical field over a (Jy, Jz) grid")
@@ -381,7 +382,7 @@ def build_parser():
     sp.add_argument("--jz", required=True, help="comma-separated Jz values")
     sp.add_argument("--L", type=int, default=15)
     sp.add_argument("--tol", type=float, default=1e-3)
-    common(sp, workers=True)
+    common(sp, workers="processes over the grid points")
     sp.set_defaults(func=cmd_hstar_map)
 
     sp = sub.add_parser("jump-scaling", help="SRE / entanglement jump across h*")
@@ -390,7 +391,7 @@ def build_parser():
     sp.add_argument("--L", required=True, help="comma-separated odd sizes")
     sp.add_argument("--eps", type=float, default=1e-3)
     sp.add_argument("--tol", type=float, default=1e-4)
-    common(sp, workers=True)
+    common(sp, workers=threads)
     sp.set_defaults(func=cmd_jump_scaling)
 
     sp = sub.add_parser("ratio", help="magic decomposition ratio R(p, L)")
@@ -398,7 +399,7 @@ def build_parser():
     sp.add_argument("--jz", type=float, default=0.0)
     sp.add_argument("--h", type=float, default=0.5)
     sp.add_argument("--L", required=True, help="comma-separated odd sizes")
-    common(sp, workers=True)
+    common(sp, workers=threads)
     sp.set_defaults(func=cmd_ratio)
 
     sp = sub.add_parser("ent-profile", help="positional entanglement profile")
@@ -406,7 +407,7 @@ def build_parser():
     sp.add_argument("--L", type=int, required=True)
     sp.add_argument("--ell", type=int, default=1)
     sp.add_argument("--theta", type=float, default=0.0)
-    sp.add_argument("--a", type=int, default=0, help="subsystem size (default (L-1)/2)")
+    sp.add_argument("--a", type=int, default=None, help="subsystem size (default (L-1)/2)")
     sp.add_argument("--measure", choices=("renyi2", "von_neumann"), default="von_neumann")
     sp.add_argument("--base", choices=("2", "e"), default="e")
     sp.add_argument("--jy", type=float, default=0.33)

@@ -20,7 +20,7 @@ first looks for the symmetries that make masks redundant:
 
 Each symmetry is taken only when its residual norm is at most SYM_TOL.  The
 reduction order is fixed, so the raw moment is bit-identical for any worker
-count or block size.
+count or block size.  Work and memory are bounded by amplitudes, not by L.
 """
 
 import math
@@ -31,8 +31,9 @@ import numpy as np
 
 from .states import _translation_orbits, momentum_of, translate
 
-DEFAULT_SITE_CAP = 15  # enumeration of all 2^L x-masks, or of half of them
-REDUCED_SITE_CAP = 17  # enumeration of necklace representatives, about 2^L / L
+WORK_CAP = 2**30  # x-masks times 2^L that one moment may transform
+BLOCK_AMPS = 2**17  # amplitudes per block by default: 2 MB of complex rows
+TABLE_SITE_CAP = 10  # the 4^L magnitude table, 8 MB at L = 10
 # a symmetry is used when ||T psi - <T> psi||, or the norm of the amplitudes
 # of the wrong Z-parity, is at most this
 SYM_TOL = 1e-12
@@ -86,6 +87,11 @@ def _transformed_block(psi, masks):
     return g
 
 
+def _block_rows(size, block):
+    """``block`` if given, else the rows of length ``size`` in BLOCK_AMPS."""
+    return max(1, BLOCK_AMPS // size) if block is None else block
+
+
 def _moment(psi, masks, power, block, workers, weights=None):
     """sum over the x-masks a in ``masks`` of weights[a] sum_b |<X_a Z_b>|^power.
 
@@ -93,6 +99,10 @@ def _moment(psi, masks, power, block, workers, weights=None):
     order of ``masks``, so the result is the same for any ``block`` and
     ``workers``.
     """
+    if masks.size * psi.size > WORK_CAP:
+        raise ValueError(f"{masks.size} x-masks of {psi.size} amplitudes exceed "
+                         f"the work bound of 2^30 transformed amplitudes")
+    block = _block_rows(psi.size, block)
 
     def block_partials(start):
         g = _transformed_block(psi, masks[start:start + block])
@@ -111,16 +121,13 @@ def _moment(psi, masks, power, block, workers, weights=None):
     return math.fsum(sums.tolist())
 
 
-def pauli_moment(state, power=4, *, max_sites=DEFAULT_SITE_CAP, block=64, workers=1):
+def pauli_moment(state, power=4, *, block=None, workers=1):
     """sum over all 4^L Pauli strings of |<P>|^power (power even), by full
     enumeration of the 2^L x-masks.
 
     Deterministic for any ``workers``: partial sums are produced per x-mask
     and folded with math.fsum in ascending mask order.
     """
-    L = state.n_sites
-    if L > max_sites:
-        raise ValueError(f"L={L} exceeds the brute-force cap {max_sites}")
     if power % 2:
         raise ValueError("power must be even")
     psi = state.amps
@@ -166,34 +173,23 @@ def _reduced_masks(L, translation, parity):
     return masks, period[masks].astype(np.float64)
 
 
-def sre_brute(state, *, max_sites=None, block=64, workers=1):
+def sre_brute(state, *, block=None, workers=1):
     """Exact alpha=2 stabilizer Renyi entropy by Pauli enumeration, over the
     x-masks left independent by the symmetries the state is found to have.
 
     ``method`` is "brute" for full enumeration and otherwise names the
-    reductions, e.g. "brute:hadamard+translation+parity".  ``max_sites``
-    caps L; by default it is REDUCED_SITE_CAP for a translation eigenstate
-    and DEFAULT_SITE_CAP otherwise, where at least half the masks remain.
-    The symmetry check costs O(L 2^L) and runs before any enumeration.
+    reductions, e.g. "brute:hadamard+translation+parity".  No state leaves
+    fewer than 2^(L-1) / L masks, so an L at which even those exceed
+    WORK_CAP is refused before the O(L 2^L) symmetry check.
     """
     L = state.n_sites
-    if max_sites is None:
-        full_cap, reduced_cap = DEFAULT_SITE_CAP, REDUCED_SITE_CAP
-    else:
-        full_cap = reduced_cap = max_sites
-    if L > reduced_cap:
-        raise ValueError(f"L={L} exceeds the brute-force cap {reduced_cap}")
+    if 2 ** (2 * L - 1) > WORK_CAP * L:
+        raise ValueError(f"L={L}: even the fewest x-masks exceed the work bound "
+                         f"of 2^30 transformed amplitudes")
     psi, reductions = _symmetries(state)
-    if "translation" not in reductions and L > full_cap:
-        raise ValueError(f"L={L} exceeds the brute-force cap {full_cap} "
-                         f"of a state without translation symmetry")
-    if reductions:
-        masks, weights = _reduced_masks(L, "translation" in reductions, "parity" in reductions)
-        raw = _moment(psi, masks, 4, block, workers, weights)
-        method = "brute:" + "+".join(reductions)
-    else:
-        raw = pauli_moment(state, 4, max_sites=full_cap, block=block, workers=workers)
-        method = "brute"
+    masks, weights = _reduced_masks(L, "translation" in reductions, "parity" in reductions)
+    raw = _moment(psi, masks, 4, block, workers, weights)
+    method = "brute:" + "+".join(reductions) if reductions else "brute"
     value = -math.log2(raw / state.dim)
     return SreResult(value=value, raw_moment=raw, method=method)
 
@@ -219,13 +215,14 @@ def sre_structured_w(L, ell):
     return SreResult(value=value, raw_moment=raw, method="structured")
 
 
-def pauli_abs_table(state, *, max_sites=10, block=64):
+def pauli_abs_table(state):
     """All 4^L expectation magnitudes as a (2^L, 2^L) array [x_mask, z_mask]."""
     L = state.n_sites
-    if L > max_sites:
-        raise ValueError(f"L={L} exceeds the enumeration cap {max_sites}")
+    if L > TABLE_SITE_CAP:
+        raise ValueError(f"L={L} exceeds the table cap {TABLE_SITE_CAP}")
     psi = state.amps
     N = psi.size
+    block = _block_rows(N, None)
     out = np.empty((N, N))
     for start in range(0, N, block):
         stop = min(start + block, N)
@@ -233,13 +230,13 @@ def pauli_abs_table(state, *, max_sites=10, block=64):
     return out
 
 
-def pauli_moment_profile(state, bins=None, *, max_sites=10):
+def pauli_moment_profile(state, bins=None):
     """Histogram of the 4^L expectation magnitudes of ``state``.
 
     Returns (counts, edges) as from numpy.histogram; default bins resolve
     values in [0, 1] finely enough to separate the W-state families.
     """
-    values = pauli_abs_table(state, max_sites=max_sites).ravel()
+    values = pauli_abs_table(state).ravel()
     if bins is None:
         bins = np.linspace(0.0, 1.0 + 1e-9, 257)
     return np.histogram(values, bins=bins)

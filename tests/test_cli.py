@@ -175,6 +175,15 @@ def test_ent_profile_ground_state(capsys):
     assert json.loads(out)[-1]["amplitude"] < 1e-10
 
 
+@pytest.mark.parametrize("a", ["0", "-1", "5"])
+def test_ent_profile_subsystem_out_of_range(a, capsys):
+    # --a 0 is an explicit size, not the half-chain default
+    assert main(["ent-profile", "--kind", "w", "--L", "5", f"--a={a}"]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"subsystem size a={a} out of range" in captured.err
+
+
 def test_hstar_map_small_grid(capsys):
     code, out = run(
         ["hstar-map", "--jy", "0.33", "--jz", "0.0,-0.5", "--L", "5", "--tol", "1e-2"],

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinmagic as sm
-from spinmagic.pauli import DEFAULT_SITE_CAP, REDUCED_SITE_CAP, fwht
+from spinmagic import pauli
+from spinmagic.pauli import fwht
 from spinmagic.states import StateVector, random_state, translate
 
 RNG = np.random.default_rng(23)
@@ -57,11 +58,11 @@ def test_moment_deterministic_across_workers_and_blocks():
 
 
 def test_moment_caps_and_parity_check():
-    s = random_state(3, RNG)
+    # 2^16 x-masks of 2^16 amplitudes: four times the work bound
+    with pytest.raises(ValueError, match="work bound"):
+        sm.pauli_moment(random_state(16, np.random.default_rng(16)), 4)
     with pytest.raises(ValueError):
-        sm.pauli_moment(s, 4, max_sites=2)
-    with pytest.raises(ValueError):
-        sm.pauli_moment(s, 3)
+        sm.pauli_moment(random_state(3, RNG), 3)
 
 
 def test_sre_brute_small_w_values():
@@ -185,16 +186,53 @@ def test_named_states_take_their_reductions():
     assert sm.sre_brute(random_state(9, RNG)).method == "brute"
 
 
-def test_site_caps():
-    assert REDUCED_SITE_CAP > DEFAULT_SITE_CAP
-    with pytest.raises(ValueError, match="cap"):
-        sm.sre_brute(sm.build_w(5, 1), max_sites=3)
-    with pytest.raises(ValueError, match="cap"):
-        sm.sre_brute(random_state(5, RNG), max_sites=3)
-    # detection is O(L 2^L); a state without translation stops at the lower cap
-    with pytest.raises(ValueError, match=f"cap {DEFAULT_SITE_CAP}"):
-        sm.sre_brute(random_state(REDUCED_SITE_CAP, RNG))
-    with pytest.raises(ValueError, match=f"cap {DEFAULT_SITE_CAP}"):
-        sm.sre_brute(sm.make_x_product(REDUCED_SITE_CAP, [1, -1] * 8 + [1]))
-    with pytest.raises(ValueError, match=f"cap {REDUCED_SITE_CAP}"):
-        sm.sre_brute(random_state(REDUCED_SITE_CAP + 1, RNG))
+def test_site_caps(monkeypatch):
+    # one row of ones per x-mask stands in for the transform, so acceptance
+    # costs no enumeration; the work bound sees the real mask count
+    transformed = []
+    monkeypatch.setattr(pauli, "_transformed_block",
+                        lambda psi, masks: transformed.append(masks.size) or np.ones((masks.size, 1)))
+    # the largest accepted L: 15 without translation, 17 with it
+    for route, top in [((), 15), (("parity",), 15), (("translation",), 17),
+                       (("translation", "parity"), 17)]:
+        for L in (15, 16, 17, 18):
+            transformed.clear()
+            state = symmetric_state(L, 1, route, np.random.default_rng(L))
+            if L <= top:
+                method = "brute:" + "+".join(route) if route else "brute"
+                assert sm.sre_brute(state).method == method
+                assert 0 < sum(transformed) * 2**L <= pauli.WORK_CAP
+            else:
+                with pytest.raises(ValueError, match="work bound"):
+                    sm.sre_brute(state)
+                assert transformed == []
+
+
+def test_work_bound_raises_before_enumeration(monkeypatch):
+    detected = []
+    symmetries = pauli._symmetries
+    monkeypatch.setattr(pauli, "_symmetries", lambda s: detected.append(s) or symmetries(s))
+    monkeypatch.setattr(pauli, "_transformed_block", lambda psi, masks: pytest.fail("enumerated"))
+    # L = 17 without symmetry: refused after detection, by the mask count
+    with pytest.raises(ValueError, match="131072 x-masks of 131072 amplitudes"):
+        sm.sre_brute(random_state(17, RNG))
+    assert len(detected) == 1
+    # L = 18: refused before detection, whatever the state
+    with pytest.raises(ValueError, match="L=18"):
+        sm.sre_brute(random_state(18, RNG))
+    assert len(detected) == 1
+
+
+def test_default_blocks_hold_2_17_amplitudes(monkeypatch):
+    rows = []
+    transform = pauli._transformed_block
+    monkeypatch.setattr(pauli, "_transformed_block",
+                        lambda psi, masks: rows.append(masks.size) or transform(psi, masks))
+    sm.pauli_moment(random_state(11, RNG), 4, workers=2)
+    assert set(rows) == {64}
+    rows.clear()
+    sm.sre_brute(sm.build_w(13, 1))
+    assert max(rows) * 2**13 <= 2**17
+    rows.clear()
+    sm.pauli_abs_table(sm.build_w(9, 1))
+    assert set(rows) == {2**17 // 2**9}

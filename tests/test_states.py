@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spinmagic as sm
 from spinmagic.states import NotTranslationEigenstate, StateVector, random_state
@@ -137,3 +138,30 @@ def test_unitaries_preserve_norm():
                lambda x: sm.reflect(x, 1)):
         out = op(s)
         assert np.vdot(out.amps, out.amps).real == pytest.approx(1.0, abs=1e-12)
+
+
+sizes_and_seeds = dict(L=st.sampled_from([3, 5, 7, 9]), seed=st.integers(0, 2**32 - 1),
+                       k=st.integers(1, 8), center=st.integers(1, 9))
+
+
+@settings(max_examples=12, deadline=None)
+@given(**sizes_and_seeds)
+def test_m2_covariant_under_translation_and_reflection(L, seed, k, center):
+    s = random_state(L, np.random.default_rng(seed))
+    m2 = sm.sre_brute(s).value
+    for image in (sm.translate(s, k), sm.reflect(s, (center - 1) % L + 1)):
+        assert sm.sre_brute(image).value == pytest.approx(m2, rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**sizes_and_seeds, start=st.integers(1, 9), a=st.integers(1, 8))
+def test_renyi2_covariant_under_translation_and_reflection(L, seed, k, center, start, a):
+    s = random_state(L, np.random.default_rng(seed))
+    start, a, center = (start - 1) % L + 1, (a - 1) % (L - 1) + 1, (center - 1) % L + 1
+    s2 = sm.entropy(s, start, a)
+    # sites j -> j + k and j -> 2 center - j, so the window starts at
+    # start + k, and at the mirror image of its last site
+    moved = sm.entropy(sm.translate(s, k), (start + k - 1) % L + 1, a)
+    mirrored = sm.entropy(sm.reflect(s, center), (2 * center - start - a) % L + 1, a)
+    assert moved == pytest.approx(s2, rel=1e-12)
+    assert mirrored == pytest.approx(s2, rel=1e-12)
