@@ -17,7 +17,7 @@ from scipy.sparse.linalg import ArpackError
 
 from . import closed_forms, entanglement, pauli, wstates, xyz
 from .clifford import apply_circuit, build_circuit_s
-from .states import fidelity
+from .states import fidelity, random_state
 from .xyz import ChainParams, find_hstar, lowest_eigs, pick_ground_state
 
 EXIT_OK = 0
@@ -60,6 +60,14 @@ def parse_floats(text):
 
 def parse_ints(text):
     return [int(v) for v in str(text).split(",") if v != ""]
+
+
+def positive_int(text):
+    """argparse type of --workers: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def load_config(path):
@@ -267,6 +275,18 @@ def cmd_verify(args):
                         abs(b - closed_forms.m2_w_closed(L, ell)))
         check(f"sre triad agreement L={L}", worst, 1e-10)
 
+    for L in (3, 5):
+        ells = range(-(L - 1) // 2, (L - 1) // 2 + 1)
+        states = [random_state(L, np.random.default_rng(L))]
+        states += [wstates.build_w(L, ell) for ell in ells]
+        states += [wstates.build_omega(L, ell) for ell in ells]
+        worst = 0.0
+        for state in states:
+            single = [[pauli.pauli_expectation(state, a, b) for b in range(state.dim)]
+                      for a in range(state.dim)]
+            worst = max(worst, float(np.max(np.abs(pauli.pauli_abs_table(state) - single))))
+        check(f"Pauli kernel vs single strings L={L}", worst, 1e-12)
+
     for L in (3, 5, 7):
         ells = range(-(L - 1) // 2, (L - 1) // 2 + 1)
         states = [wstates.build_w(L, ell) for ell in ells]
@@ -309,8 +329,6 @@ def cmd_verify(args):
 
     rng = np.random.default_rng(4)
     for L in (3, 5, 7):
-        from .states import random_state
-
         worst = max(abs(pauli.pauli_moment(random_state(L, rng), 2) - 2**L) / 2**L
                     for _ in range(5))
         check(f"pauli purity identity L={L}", worst, 1e-9)
@@ -360,7 +378,7 @@ def build_parser():
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--config", default=None, help="key = value config file")
         if workers:
-            sp.add_argument("--workers", type=int, default=1, help=workers)
+            sp.add_argument("--workers", type=positive_int, default=1, help=workers)
 
     sp = sub.add_parser("sre", help="stabilizer Renyi entropy of a named state")
     sp.add_argument("--kind", choices=("w", "omega", "phi", "ground"), default="w")

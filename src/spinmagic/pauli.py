@@ -4,11 +4,25 @@ A Pauli string is encoded as a pair of L-bit masks (x_mask, z_mask); the
 string is evaluated as X_{x_mask} Z_{z_mask}, dropping the Hermitian phase
 i^{|x & z|} since only magnitudes enter the entropy.
 
-The brute-force kernel runs over x-masks; for each mask a the length-2^L
-vector g_a(s) = conj(psi(s ^ a)) * psi(s) is Walsh-Hadamard transformed,
-which yields all 2^L z-mask expectations at once: O(L 2^L) time per mask,
-O(2^L) memory per row.  Full enumeration takes all 2^L masks.  ``sre_brute``
-first looks for the symmetries that make masks redundant:
+The brute-force kernel runs over x-masks.  For a mask a the vector
+g_a(s) = conj(psi(s ^ a)) psi(s) has the Walsh-Hadamard transform
+G_a(b) = <X_a Z_b>, so one transform yields all 2^L z-masks at once.  g_a is
+Hermitian under the pairing s <-> s ^ a: g_a(s ^ a) = conj(g_a(s)).  With k
+the top bit of a, summing each pair over the s with bit k clear gives
+
+    G_a(b) = 2 Re H_a(b')  if |a & b| is even,   2i Im H_a(b')  if odd,
+
+where H_a is the transform of g_a restricted to those 2^(L-1) s, and b' is b
+without bit k.  So one complex transform of length 2^(L-1) per mask holds
+all 2^L magnitudes: the float64 view of the row 2 H_a is a real row of 2^L
+values whose magnitudes are the |<X_a Z_b>|, b at position
+2 b' + parity(a & b).  The row a = 0 is the real transform of |psi|^2, folded
+the same way on the top bit of the chain: its first butterfly is done by
+hand, (p_lo + p_hi) + i (p_lo - p_hi) over the two halves of p = |psi|^2, so
+the real and imaginary parts carry G_0 at bit L-1 clear and set.  Each mask
+costs O(L 2^L) time and O(2^L) bytes.  Full enumeration takes all 2^L
+masks.  ``sre_brute`` first looks for the symmetries that make masks
+redundant:
 
 - translation: sum_b |<X_a Z_b>|^4 is the same for every cyclic shift of a,
   so one necklace representative per orbit stands for the orbit, weighted
@@ -31,8 +45,10 @@ import numpy as np
 
 from .states import _translation_orbits, momentum_of, translate
 
-WORK_CAP = 2**30  # x-masks times 2^L that one moment may transform
-BLOCK_AMPS = 2**17  # amplitudes per block by default: 2 MB of complex rows
+# Pauli strings (x-masks times 2^L) that one moment may enumerate; each x-mask
+# is one complex transform of length 2^(L-1)
+WORK_CAP = 2**30
+BLOCK_AMPS = 2**17  # Pauli strings per block by default: 1 MB of transformed rows
 TABLE_SITE_CAP = 10  # the 4^L magnitude table, 8 MB at L = 10
 # a symmetry is used when ||T psi - <T> psi||, or the norm of the amplitudes
 # of the wrong Z-parity, is at most this
@@ -76,19 +92,49 @@ def fwht(rows):
     return rows
 
 
+def _fold_bits(masks, size):
+    """2^k for each x-mask a: the top bit of a, or for a = 0 the top bit of
+    the chain, size // 2."""
+    return np.int64(1) << (np.frexp(np.where(masks, masks, size // 2))[1] - 1)
+
+
 def _transformed_block(psi, masks):
-    """g_a(s) = conj(psi(s ^ a)) * psi(s) for the x-masks a in ``masks``,
-    Walsh-Hadamard transformed: entry [i, b] is <X_{masks[i]} Z_b> up to phase."""
-    idx = np.arange(psi.size, dtype=np.int64)
-    g = psi[idx[None, :] ^ masks[:, None]]
-    np.conj(g, out=g)
-    g *= psi
+    """One float64 row of 2^L values per x-mask a in ``masks``: the view of
+    its half-length complex transform (module docstring), whose entry at
+    ``_positions`` is +-|<X_a Z_b>|."""
+    size = psi.size
+    bits = _fold_bits(masks, size)[:, None]
+    idx = np.arange(size // 2, dtype=np.int64)
+    s = idx & -bits
+    s += idx  # s' with a 0 inserted at bit k: the s whose bit k is clear
+    # both factors in one buffer, gathered in place: fresh block-sized
+    # temporaries cost page faults per block
+    g, other = np.empty((2, masks.size, size // 2), dtype=complex)
+    np.take(psi, s, out=g, mode="clip")
+    s ^= masks[:, None]
+    np.take(2 * np.conj(psi), s, out=other, mode="clip")
+    g *= other
+    zero = masks == 0
+    if zero.any():
+        p = psi.real**2 + psi.imag**2
+        lo, hi = p[:size // 2], p[size // 2:]
+        g[zero] = (lo + hi) + 1j * (lo - hi)
     fwht(g)
-    return g
+    return g.view(np.float64)
+
+
+def _positions(masks, size):
+    """Where row a of ``_transformed_block`` holds <X_a Z_b>, for every z-mask
+    b: 2 b' + parity((a | 2^k) & b), with b' = b without bit k."""
+    bits = _fold_bits(masks, size)[:, None]
+    b = np.arange(size, dtype=np.int64)
+    kept = (b & (bits - 1)) + ((b >> 1) & -bits)
+    return 2 * kept + (np.bitwise_count((masks[:, None] | bits) & b) & 1)
 
 
 def _block_rows(size, block):
-    """``block`` if given, else the rows of length ``size`` in BLOCK_AMPS."""
+    """``block`` if given, else the x-masks of ``size`` strings each that fit
+    in BLOCK_AMPS."""
     return max(1, BLOCK_AMPS // size) if block is None else block
 
 
@@ -99,15 +145,18 @@ def _moment(psi, masks, power, block, workers, weights=None):
     order of ``masks``, so the result is the same for any ``block`` and
     ``workers``.
     """
+    block = _block_rows(psi.size, block)
+    if block < 1 or workers < 1:
+        raise ValueError(f"block and workers must be at least 1, got block={block}, "
+                         f"workers={workers}")
     if masks.size * psi.size > WORK_CAP:
         raise ValueError(f"{masks.size} x-masks of {psi.size} amplitudes exceed "
-                         f"the work bound of 2^30 transformed amplitudes")
-    block = _block_rows(psi.size, block)
+                         f"the work bound of 2^30 Pauli strings")
 
     def block_partials(start):
-        g = _transformed_block(psi, masks[start:start + block])
-        mag2 = g.real**2 + g.imag**2
-        return np.sum(mag2 ** (power // 2), axis=1)
+        rows = _transformed_block(psi, masks[start:start + block])
+        rows *= rows  # |<X_a Z_b>|^2, in another order
+        return np.sum(rows ** (power // 2), axis=1)
 
     starts = range(0, masks.size, block)
     if workers > 1:
@@ -185,7 +234,7 @@ def sre_brute(state, *, block=None, workers=1):
     L = state.n_sites
     if 2 ** (2 * L - 1) > WORK_CAP * L:
         raise ValueError(f"L={L}: even the fewest x-masks exceed the work bound "
-                         f"of 2^30 transformed amplitudes")
+                         f"of 2^30 Pauli strings")
     psi, reductions = _symmetries(state)
     masks, weights = _reduced_masks(L, "translation" in reductions, "parity" in reductions)
     raw = _moment(psi, masks, 4, block, workers, weights)
@@ -226,7 +275,9 @@ def pauli_abs_table(state):
     out = np.empty((N, N))
     for start in range(0, N, block):
         stop = min(start + block, N)
-        out[start:stop] = np.abs(_transformed_block(psi, np.arange(start, stop, dtype=np.int64)))
+        masks = np.arange(start, stop, dtype=np.int64)
+        rows = _transformed_block(psi, masks)
+        out[start:stop] = np.abs(np.take_along_axis(rows, _positions(masks, N), axis=1))
     return out
 
 

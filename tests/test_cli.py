@@ -273,6 +273,18 @@ def test_workers_only_on_parallel_commands():
         main(["ent-profile", "--L", "5", "--workers", "2"])
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("argv", [["sre", "--L", "3"], ["hstar-map", "--jy", "0.3", "--jz", "0"],
+                                  ["jump-scaling", "--L", "5"], ["ratio", "--L", "5"]],
+                         ids=lambda argv: argv[0])
+def test_workers_below_one_are_usage_errors(argv, workers, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--workers", workers])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--workers: must be at least 1" in captured.err
+
+
 def test_json_refuses_non_finite_values(monkeypatch, capsys):
     with pytest.raises(ValueError):
         write_rows([{"x": math.nan}], ["x"], None, "json")
@@ -288,4 +300,5 @@ def test_verify_passes(capsys):
     checks = [line for line in out.splitlines() if not line.startswith("NOTE")]
     assert code == EXIT_OK
     assert any("reduced vs full SRE kernel" in line for line in checks)
+    assert any("Pauli kernel vs single strings L=5" in line for line in checks)
     assert checks and all(line.startswith("PASS") for line in checks)

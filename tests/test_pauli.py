@@ -35,18 +35,39 @@ def test_pauli_expectation_rejects_oversized_mask():
         sm.pauli_expectation(sm.make_x_product(3, [-1] * 3), 1 << 3, 0)
 
 
-def test_moment_matches_direct_enumeration():
-    s = random_state(3, RNG)
-    direct = math.fsum(
-        sm.pauli_expectation(s, a, b) ** 4 for a in range(8) for b in range(8)
-    )
-    assert sm.pauli_moment(s, 4) == pytest.approx(direct, rel=1e-12)
-
-
 @pytest.mark.parametrize("L", [2, 3, 5])
 def test_purity_identity(L):
     s = random_state(L, RNG)
     assert sm.pauli_moment(s, 2) == pytest.approx(2.0**L, rel=1e-12)
+
+
+def random_amplitudes(L, seed, real):
+    """A random state whose amplitudes are complex, or real when ``real``."""
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(2**L) + (0 if real else 1j * rng.standard_normal(2**L))
+    return StateVector(L, amps / np.linalg.norm(amps))
+
+
+def single_strings(state):
+    """|<X_a Z_b>| for every (a, b), one pauli_expectation call each."""
+    N = state.dim
+    return np.array([[sm.pauli_expectation(state, a, b) for b in range(N)]
+                     for a in range(N)])
+
+
+@settings(max_examples=20)
+@given(L=st.integers(1, 5), real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_abs_table_matches_single_strings(L, real, seed):
+    state = random_amplitudes(L, seed, real)
+    assert np.max(np.abs(sm.pauli_abs_table(state) - single_strings(state))) <= 1e-12
+
+
+@settings(max_examples=20)
+@given(L=st.integers(1, 4), real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_moment_matches_direct_enumeration(L, real, seed):
+    state = random_amplitudes(L, seed, real)
+    direct = math.fsum((single_strings(state) ** 4).ravel().tolist())
+    assert sm.pauli_moment(state, 4) == pytest.approx(direct, rel=1e-12)
 
 
 def test_moment_deterministic_across_workers_and_blocks():
@@ -55,6 +76,15 @@ def test_moment_deterministic_across_workers_and_blocks():
     assert sm.pauli_moment(s, 4, block=8, workers=1) == ref
     assert sm.pauli_moment(s, 4, block=8, workers=3) == ref
     assert sm.pauli_moment(s, 4, block=16, workers=4) == ref
+
+
+@pytest.mark.parametrize("kwargs", [{"block": 0}, {"block": -3}, {"workers": 0},
+                                    {"workers": -2}])
+def test_block_and_workers_must_be_positive(kwargs):
+    state = random_state(3, RNG)
+    for run in (sm.pauli_moment, sm.sre_brute):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            run(state, **kwargs)
 
 
 def test_moment_caps_and_parity_check():
@@ -155,6 +185,17 @@ def test_reduced_kernel_matches_full_enumeration(L, route, seed):
         method, gap = relative_gap(symmetric_state(L, ell, route, rng))
         assert method == "brute:" + "+".join(route)
         assert gap <= 1e-12
+
+
+@settings(max_examples=30)
+@given(L=st.integers(1, 9), route=st.sampled_from([()] + ROUTES),
+       seed=st.integers(0, 2**32 - 1))
+def test_purity_identity_property(L, route, seed):
+    # random states, and random Z-parity, X-parity and momentum eigenstates
+    rng = np.random.default_rng(seed)
+    ell = int(rng.integers(-((L - 1) // 2), (L - 1) // 2 + 1))
+    state = symmetric_state(L, ell, route, rng)
+    assert sm.pauli_moment(state, 2) == pytest.approx(2.0**L, rel=1e-12)
 
 
 @settings(max_examples=10, deadline=None)
