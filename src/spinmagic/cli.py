@@ -7,6 +7,7 @@ config value, as argparse reports it).
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -25,8 +26,8 @@ EXIT_TOLERANCE = 2
 EXIT_SOLVER = 3
 EXIT_USAGE = 4
 
-# what a bad input or a failed solve raises; anything else is a bug and surfaces
-SOLVER_ERRORS = (ValueError, ArpackError, np.linalg.LinAlgError)
+# what a bad input, a failed solve or an oversized array raises; a bug surfaces
+SOLVER_ERRORS = (ValueError, ArpackError, np.linalg.LinAlgError, MemoryError)
 
 AGREEMENT_TOL = 1e-8
 
@@ -54,12 +55,20 @@ def write_rows(rows, columns, out, fmt_name):
             f.write(text)
 
 
+def _comma_list(text, kind):
+    """argparse type of a comma list: empty items are skipped, no item is an error."""
+    values = [kind(v) for v in text.split(",") if v != ""]
+    if not values:
+        raise argparse.ArgumentTypeError("expected a non-empty comma-separated list")
+    return values
+
+
 def parse_floats(text):
-    return [float(v) for v in str(text).split(",") if v != ""]
+    return _comma_list(text, float)
 
 
 def parse_ints(text):
-    return [int(v) for v in str(text).split(",") if v != ""]
+    return _comma_list(text, int)
 
 
 def positive_int(text):
@@ -85,6 +94,23 @@ def load_config(path):
     return values
 
 
+def ground(params):
+    """(momentum, state) of the ground state; 6 levels hold its whole cluster."""
+    return pick_ground_state(lowest_eigs(params, 6))
+
+
+def _guarded(point_row, point):
+    """The point merged with point_row(**point), or with a note if the solve fails."""
+    try:
+        return {**point, **point_row(**point)}
+    except SOLVER_ERRORS as exc:
+        return {**point, "note": f"solver failure: {exc}"}
+
+
+def _exit_code(rows, result):  # a sweep point without its result failed
+    return EXIT_SOLVER if any(r.get(result) is None for r in rows) else EXIT_OK
+
+
 # ---------------------------------------------------------------- sre
 
 
@@ -96,8 +122,7 @@ def state_for(args):
         return wstates.build_omega(args.L, args.ell), args.ell
     if args.kind == "phi":
         return wstates.build_phi(args.L, args.ell, args.theta), args.ell
-    man = lowest_eigs(ChainParams(L=args.L, jy=args.jy, jz=args.jz, h=args.h), 6)
-    ell0, state = pick_ground_state(man)
+    ell0, state = ground(ChainParams(L=args.L, jy=args.jy, jz=args.jz, h=args.h))
     return state, ell0
 
 
@@ -106,26 +131,19 @@ DEFAULT_METHODS = {"w": "brute,structured,closed", "omega": "brute,closed",
 
 
 def cmd_sre(args):
-    method = args.method or DEFAULT_METHODS[args.kind]
-    methods = [m.strip() for m in method.split(",")]
+    methods = [m.strip() for m in (args.method or DEFAULT_METHODS[args.kind]).split(",")]
+    known = ("brute", "structured", "closed") if args.kind in ("w", "omega") else ("brute",)
+    for m in methods:  # omega, W's Clifford image, shares W's M2
+        if m not in known:
+            raise ValueError(f"method {m!r} is not one of {known} for --kind {args.kind}")
     state, ell = state_for(args)
-    rows = []
-    values = {}
-    for m in methods:
-        if m == "brute":
-            values[m] = pauli.sre_brute(state, workers=args.workers).value
-        elif m == "structured":
-            values[m] = pauli.sre_structured_w(args.L, ell).value
-        elif m == "closed":
-            values[m] = closed_forms.m2_w_closed(args.L, ell)
-        else:
-            raise ValueError(f"unknown method {m!r}")
+    m2_of = {"brute": lambda: pauli.sre_brute(state, workers=args.workers).value,
+             "structured": lambda: pauli.sre_structured_w(args.L, ell).value,
+             "closed": lambda: closed_forms.m2_w_closed(args.L, ell)}
+    values = {m: m2_of[m]() for m in methods}
     ref = values[methods[0]]
-    for m in methods:
-        rows.append({
-            "kind": args.kind, "L": args.L, "ell": ell, "method": m,
-            "m2": values[m], "delta": values[m] - ref,
-        })
+    rows = [{"kind": args.kind, "L": args.L, "ell": ell, "method": m,
+             "m2": values[m], "delta": values[m] - ref} for m in methods]
     write_rows(rows, ["kind", "L", "ell", "method", "m2", "delta"], args.out, args.format)
     worst = max(abs(r["delta"]) for r in rows)
     return EXIT_OK if worst <= args.tol else EXIT_TOLERANCE  # a NaN tol breaches too
@@ -134,29 +152,24 @@ def cmd_sre(args):
 # ---------------------------------------------------------------- hstar-map
 
 
-def _hstar_point(task):
-    jy, jz, L, tol = task
-    try:
-        r = find_hstar(jy, jz, L, tol=tol)
-        return {"jy": jy, "jz": jz, "L": L, "hstar": r.hstar,
-                "bracket_width": r.bracket_width, "note": r.note}
-    except SOLVER_ERRORS as exc:  # annotate, keep sweeping
-        return {"jy": jy, "jz": jz, "L": L, "hstar": None,
-                "bracket_width": None, "note": f"solver failure: {exc}"}
+def _hstar_row(jy, jz, L, tol):
+    r = find_hstar(jy, jz, L, tol=tol)
+    return {"hstar": r.hstar, "bracket_width": r.bracket_width, "note": r.note}
 
 
 def cmd_hstar_map(args):
-    tasks = [(jy, jz, args.L, args.tol) for jy in parse_floats(args.jy)
-             for jz in parse_floats(args.jz)]
-    workers = min(args.workers, len(tasks))  # a pool forks all its workers up front
+    points = [{"jy": jy, "jz": jz, "L": args.L, "tol": args.tol}
+              for jy in args.jy for jz in args.jz]
+    point = functools.partial(_guarded, _hstar_row)  # module-level, so it pickles
+    workers = min(args.workers, len(points))  # a pool forks all its workers up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_hstar_point, tasks))  # order preserved
+            rows = list(pool.map(point, points))  # order preserved
     else:
-        rows = [_hstar_point(t) for t in tasks]
+        rows = list(map(point, points))
     write_rows(rows, ["jy", "jz", "L", "hstar", "bracket_width", "note"],
                args.out, args.format)
-    return EXIT_SOLVER if any(r["hstar"] is None for r in rows) else EXIT_OK
+    return _exit_code(rows, "hstar")
 
 
 # ---------------------------------------------------------------- jump-scaling
@@ -171,25 +184,21 @@ def _fit_exponent(Ls, values):
 
 
 def cmd_jump_scaling(args):
-    rows = []
-    failed = False
-    for L in parse_ints(args.L):
-        try:
-            r = find_hstar(args.jy, args.jz, L, tol=args.tol)
-            eps = args.eps * max(1.0, r.hstar)
-            row = {"L": L, "hstar": r.hstar}
-            for side, h in (("below", r.hstar - eps), ("above", r.hstar + eps)):
-                man = lowest_eigs(ChainParams(L=L, jy=args.jy, jz=args.jz, h=h), 6)
-                ell, state = pick_ground_state(man)
-                row[f"ell_{side}"] = ell
-                row[f"m2_{side}"] = pauli.sre_brute(state, workers=args.workers).value
-                row[f"s2_{side}"] = entanglement.entropy(state, 1, (L - 1) // 2)
-            row["dm2"] = row["m2_below"] - row["m2_above"]
-            row["ds2"] = abs(row["s2_below"] - row["s2_above"])
-            rows.append(row)
-        except SOLVER_ERRORS as exc:
-            failed = True
-            rows.append({"L": L, "hstar": None, "note": f"solver failure: {exc}"})
+    def point_row(L):
+        r = find_hstar(args.jy, args.jz, L, tol=args.tol)
+        eps = args.eps * max(1.0, r.hstar)
+        row = {"hstar": r.hstar}
+        for side, h in (("below", r.hstar - eps), ("above", r.hstar + eps)):
+            ell, state = ground(ChainParams(L=L, jy=args.jy, jz=args.jz, h=h))
+            row[f"ell_{side}"] = ell
+            row[f"m2_{side}"] = pauli.sre_brute(state, workers=args.workers).value
+            row[f"s2_{side}"] = entanglement.entropy(state, 1, (L - 1) // 2)
+        row["dm2"] = row["m2_below"] - row["m2_above"]
+        row["ds2"] = abs(row["s2_below"] - row["s2_above"])
+        return row
+
+    rows = [_guarded(point_row, {"L": L}) for L in args.L]
+    code = _exit_code(rows, "hstar")
     cols = ["L", "hstar", "ell_below", "ell_above", "m2_below", "m2_above",
             "s2_below", "s2_above", "dm2", "ds2", "fit_dm2_exponent",
             "fit_ds2_exponent", "note"]
@@ -204,36 +213,30 @@ def cmd_jump_scaling(args):
             "note": "power-law fit over the L sweep",
         })
     write_rows(rows, cols, args.out, args.format)
-    return EXIT_SOLVER if failed else EXIT_OK
+    return code
 
 
 # ---------------------------------------------------------------- ratio
 
 
 def cmd_ratio(args):
-    rows = []
-    failed = False
-    for L in parse_ints(args.L):
-        try:
-            tf = ChainParams(L=L, jy=args.jy, jz=args.jz, h=args.h)
-            ell0, gtf = pick_ground_state(lowest_eigs(tf, 6))
-            if ell0 == 0:
-                rows.append({"L": L, "note": "zero-momentum ground state (h >= h*?)"})
-                failed = True
-                continue
-            nf_man = lowest_eigs(xyz.nonfrustrated_counterpart(tf), 4)
-            m2_tf = pauli.sre_brute(gtf, workers=args.workers).value
-            m2_nf = pauli.sre_brute(nf_man.states[0], workers=args.workers).value
-            m2_w = closed_forms.m2_w_closed(L, ell0)
-            R = m2_tf / (m2_nf + m2_w)
-            rows.append({"L": L, "ell0": ell0, "m2_tf": m2_tf, "m2_nf": m2_nf,
-                         "m2_w_closed": m2_w, "R": R, "one_minus_R": 1.0 - R})
-        except SOLVER_ERRORS as exc:
-            failed = True
-            rows.append({"L": L, "note": f"solver failure: {exc}"})
+    def point_row(L):
+        tf = ChainParams(L=L, jy=args.jy, jz=args.jz, h=args.h)
+        ell0, gtf = ground(tf)
+        if ell0 == 0:
+            return {"note": "zero-momentum ground state (h >= h*?)"}
+        nf_man = lowest_eigs(xyz.nonfrustrated_counterpart(tf), 4)
+        m2_tf = pauli.sre_brute(gtf, workers=args.workers).value
+        m2_nf = pauli.sre_brute(nf_man.states[0], workers=args.workers).value
+        m2_w = closed_forms.m2_w_closed(L, ell0)
+        R = m2_tf / (m2_nf + m2_w)
+        return {"ell0": ell0, "m2_tf": m2_tf, "m2_nf": m2_nf,
+                "m2_w_closed": m2_w, "R": R, "one_minus_R": 1.0 - R}
+
+    rows = [_guarded(point_row, {"L": L}) for L in args.L]
     write_rows(rows, ["L", "ell0", "m2_tf", "m2_nf", "m2_w_closed", "R",
                       "one_minus_R", "note"], args.out, args.format)
-    return EXIT_SOLVER if failed else EXIT_OK
+    return _exit_code(rows, "R")
 
 
 # ---------------------------------------------------------------- ent-profile
@@ -291,7 +294,7 @@ def cmd_verify(args):
         ells = range(-(L - 1) // 2, (L - 1) // 2 + 1)
         states = [wstates.build_w(L, ell) for ell in ells]
         states += [wstates.build_omega(L, ell) for ell in ells]
-        states.append(pick_ground_state(lowest_eigs(ChainParams(L, 0.33, 0.0, 0.5), 6))[1])
+        states.append(ground(ChainParams(L, 0.33, 0.0, 0.5))[1])
         worst = 0.0
         for state in states:
             reduced = pauli.sre_brute(state)
@@ -380,24 +383,27 @@ def build_parser():
         if workers:
             sp.add_argument("--workers", type=positive_int, default=1, help=workers)
 
+    def state_flags(sp, kind, ell):  # the flags that state_for reads
+        sp.add_argument("--kind", choices=("w", "omega", "phi", "ground"), default=kind)
+        sp.add_argument("--L", type=int, required=True)
+        sp.add_argument("--ell", type=int, default=ell)
+        sp.add_argument("--theta", type=float, default=0.0)
+        sp.add_argument("--jy", type=float, default=0.33)
+        sp.add_argument("--jz", type=float, default=0.0)
+        sp.add_argument("--h", type=float, default=0.0)
+
     sp = sub.add_parser("sre", help="stabilizer Renyi entropy of a named state")
-    sp.add_argument("--kind", choices=("w", "omega", "phi", "ground"), default="w")
-    sp.add_argument("--L", type=int, required=True)
-    sp.add_argument("--ell", type=int, default=0)
-    sp.add_argument("--theta", type=float, default=0.0)
-    sp.add_argument("--jy", type=float, default=0.33)
-    sp.add_argument("--jz", type=float, default=0.0)
-    sp.add_argument("--h", type=float, default=0.0)
+    state_flags(sp, "w", 0)
     sp.add_argument("--method", default=None,
-                    help="comma list from {brute, structured, closed}; "
-                         "default depends on --kind")
+                    help="comma list from {brute, structured, closed}; the last "
+                         "two only for --kind w or omega; default depends on --kind")
     sp.add_argument("--tol", type=float, default=AGREEMENT_TOL)
     common(sp, workers=threads)
     sp.set_defaults(func=cmd_sre)
 
     sp = sub.add_parser("hstar-map", help="critical field over a (Jy, Jz) grid")
-    sp.add_argument("--jy", required=True, help="comma-separated Jy values")
-    sp.add_argument("--jz", required=True, help="comma-separated Jz values")
+    sp.add_argument("--jy", type=parse_floats, required=True, help="comma-separated Jy values")
+    sp.add_argument("--jz", type=parse_floats, required=True, help="comma-separated Jz values")
     sp.add_argument("--L", type=int, default=15)
     sp.add_argument("--tol", type=float, default=1e-3)
     common(sp, workers="processes over the grid points")
@@ -406,7 +412,7 @@ def build_parser():
     sp = sub.add_parser("jump-scaling", help="SRE / entanglement jump across h*")
     sp.add_argument("--jy", type=float, default=0.33)
     sp.add_argument("--jz", type=float, default=0.0)
-    sp.add_argument("--L", required=True, help="comma-separated odd sizes")
+    sp.add_argument("--L", type=parse_ints, required=True, help="comma-separated odd sizes")
     sp.add_argument("--eps", type=float, default=1e-3)
     sp.add_argument("--tol", type=float, default=1e-4)
     common(sp, workers=threads)
@@ -416,21 +422,15 @@ def build_parser():
     sp.add_argument("--jy", type=float, default=0.33)
     sp.add_argument("--jz", type=float, default=0.0)
     sp.add_argument("--h", type=float, default=0.5)
-    sp.add_argument("--L", required=True, help="comma-separated odd sizes")
+    sp.add_argument("--L", type=parse_ints, required=True, help="comma-separated odd sizes")
     common(sp, workers=threads)
     sp.set_defaults(func=cmd_ratio)
 
     sp = sub.add_parser("ent-profile", help="positional entanglement profile")
-    sp.add_argument("--kind", choices=("w", "omega", "phi", "ground"), default="phi")
-    sp.add_argument("--L", type=int, required=True)
-    sp.add_argument("--ell", type=int, default=1)
-    sp.add_argument("--theta", type=float, default=0.0)
+    state_flags(sp, "phi", 1)
     sp.add_argument("--a", type=int, default=None, help="subsystem size (default (L-1)/2)")
     sp.add_argument("--measure", choices=("renyi2", "von_neumann"), default="von_neumann")
     sp.add_argument("--base", choices=("2", "e"), default="e")
-    sp.add_argument("--jy", type=float, default=0.33)
-    sp.add_argument("--jz", type=float, default=0.0)
-    sp.add_argument("--h", type=float, default=0.0)
     common(sp)
     sp.set_defaults(func=cmd_ent_profile)
 

@@ -151,7 +151,7 @@ def _moment(psi, masks, power, block, workers, weights=None):
                          f"workers={workers}")
     if masks.size * psi.size > WORK_CAP:
         raise ValueError(f"{masks.size} x-masks of {psi.size} amplitudes exceed "
-                         f"the work bound of 2^30 Pauli strings")
+                         f"the work bound of 2^{math.log2(WORK_CAP):g} Pauli strings")
 
     def block_partials(start):
         rows = _transformed_block(psi, masks[start:start + block])
@@ -234,7 +234,7 @@ def sre_brute(state, *, block=None, workers=1):
     L = state.n_sites
     if 2 ** (2 * L - 1) > WORK_CAP * L:
         raise ValueError(f"L={L}: even the fewest x-masks exceed the work bound "
-                         f"of 2^30 Pauli strings")
+                         f"of 2^{math.log2(WORK_CAP):g} Pauli strings")
     psi, reductions = _symmetries(state)
     masks, weights = _reduced_masks(L, "translation" in reductions, "parity" in reductions)
     raw = _moment(psi, masks, 4, block, workers, weights)

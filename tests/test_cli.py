@@ -1,11 +1,12 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from spinmagic import cli
+from spinmagic import cli, xyz
 from spinmagic.cli import (
     EXIT_OK,
     EXIT_SOLVER,
@@ -59,10 +60,12 @@ def test_sre_json_format(capsys):
 
 
 def test_sre_omega_matches_w_closed_form(capsys):
-    # the Clifford image has the same magic as the W-state, so the closed
-    # form cross-checks the omega constructor end to end
-    code, out = run(["sre", "--kind", "omega", "--L", "5", "--ell", "1"], capsys)
+    # the Clifford image has the same magic as the W-state, so the W formulas
+    # cross-check the omega constructor end to end
+    code, out = run(["sre", "--kind", "omega", "--L", "5", "--ell", "1",
+                     "--method", "brute,structured,closed"], capsys)
     assert code == EXIT_OK
+    assert len(out.splitlines()) == 4
 
 
 def test_sre_tolerance_breach_exit_code(capsys):
@@ -73,6 +76,17 @@ def test_sre_tolerance_breach_exit_code(capsys):
 def test_bad_method_exit_code(capsys):
     code, _ = run(["sre", "--kind", "w", "--L", "3", "--method", "bogus"], capsys)
     assert code == EXIT_SOLVER
+
+
+@pytest.mark.parametrize("argv", [["--kind", "phi", "--ell", "1", "--method", "brute,closed"],
+                                  ["--kind", "ground", "--method", "brute,structured"]],
+                         ids=["phi-closed", "ground-structured"])
+def test_w_formulas_need_a_w_state(capsys, argv):
+    # structured and closed give W's M2: on another state they would report a
+    # false tolerance breach
+    assert main(["sre", "--L", "5"] + argv) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: method ")
 
 
 def test_output_file_and_config(tmp_path, capsys):
@@ -137,6 +151,29 @@ def test_config_supplies_flags(tmp_path, capsys, argv, text, column, expected):
     code, out = run(argv + ["--config", str(cfg), "--format", "json"], capsys)
     assert code == EXIT_OK
     assert [r[column] for r in json.loads(out)] == expected
+
+
+BAD_LISTS = [(["jump-scaling"], "L", "7,abc"), (["jump-scaling"], "L", ","),
+             (["ratio"], "L", ""), (["ratio"], "L", "5.0"),
+             (["hstar-map", "--jz", "0"], "jy", ""), (["hstar-map", "--jy", "0.3"], "jz", "0,x")]
+
+
+@pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("argv, key, value", BAD_LISTS,
+                         ids=[f"{a[0]}-{k}={v!r}" for a, k, v in BAD_LISTS])
+def test_malformed_and_empty_lists_are_usage_errors(tmp_path, capsys, argv, key, value,
+                                                    from_config):
+    if from_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv = argv + ["--config", str(cfg)]
+    else:
+        argv = argv + [f"--{key}={value}"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"argument --{key}: " in captured.err
 
 
 def test_load_config_parsing(tmp_path):
@@ -222,11 +259,61 @@ def test_hstar_map_pool_sized_by_grid(monkeypatch, capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+def test_hstar_map_process_pool_matches_serial(capsys):
+    # a real pool pickles the point function, which the serial path never does
+    argv = ["hstar-map", "--jy", "0.1,0.33", "--jz", "0.0", "--L", "5", "--tol", "1e-2"]
+    pooled = run(argv + ["--workers", "2"], capsys)
+    assert pooled == run(argv + ["--workers", "1"], capsys)
+    assert pooled[0] == EXIT_OK and len(pooled[1].splitlines()) == 3
+
+
 def test_ratio_small_size(capsys):
     code, out = run(["ratio", "--L", "7", "--format", "json"], capsys)
     assert code == EXIT_OK
     row = json.loads(out)[0]
     assert row["one_minus_R"] == pytest.approx(0.1123, abs=5e-3)
+
+
+def _fake_hstar(jy, jz, L, tol):
+    if jy == 0.3:
+        raise ValueError("no sign change in the bracket")
+    return SimpleNamespace(hstar=0.5, bracket_width=0.25, note="")
+
+
+ODD = "solver failure: L must be odd and >= 3, got"
+ZERO = "zero-momentum ground state (h >= h*?)"
+
+
+@pytest.mark.parametrize("argv, rows, count", [
+    # row index, CSV line, non-null JSON fields
+    (["jump-scaling", "--L", "5,8"],
+     [(1, "8,,,,,,,,,,,," + ODD + " 8", {"L": 8, "note": ODD + " 8"})], 2),
+    (["ratio", "--L", "6,7"], [(0, "6,,,,,,," + ODD + " 6", {"L": 6, "note": ODD + " 6"})], 2),
+    (["ratio", "--L", "5,7", "--h", "2.0"],
+     [(0, "5,,,,,,," + ZERO, {"L": 5, "note": ZERO}),
+      (1, "7,,,,,,," + ZERO, {"L": 7, "note": ZERO})], 2),
+    (["hstar-map", "--jy", "0.1,0.3", "--jz", "0.0", "--L", "5"],
+     [(0, "0.10000000000000001,0,5,0.5,0.25,",
+       {"jy": 0.1, "jz": 0.0, "L": 5, "hstar": 0.5, "bracket_width": 0.25, "note": ""}),
+      (1, "0.29999999999999999,0,5,,,solver failure: no sign change in the bracket",
+       {"jy": 0.3, "jz": 0.0, "L": 5,
+        "note": "solver failure: no sign change in the bracket"})], 2),
+], ids=["jump-even-L", "ratio-even-L", "ratio-zero-momentum", "hstar-map-failed-search"])
+def test_failure_rows_are_pinned(monkeypatch, capsys, argv, rows, count):
+    if argv[0] == "hstar-map":  # a search that fails at one grid point
+        monkeypatch.setattr(cli, "find_hstar", _fake_hstar)
+    code, csv_out = run(argv, capsys)
+    assert code == EXIT_SOLVER
+    lines = csv_out.splitlines()
+    assert len(lines) == count + 1
+    code, json_out = run(argv + ["--format", "json"], capsys)
+    assert code == EXIT_SOLVER
+    table = json.loads(json_out)
+    assert len(table) == count
+    header = lines[0].split(",")
+    for i, line, fields in rows:
+        assert lines[i + 1] == line
+        assert table[i] == {c: fields.get(c) for c in header}
 
 
 def test_invalid_state_parameters_exit_solver(capsys):
@@ -247,6 +334,24 @@ def test_solver_failure_exit_code(monkeypatch, capsys, failure):
     err = capsys.readouterr().err
     assert code == EXIT_SOLVER
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _out_of_memory(*args, **kwargs):
+    # what numpy raises for an array larger than the machine, without allocating
+    raise MemoryError("Unable to allocate 32.0 TiB for an array with shape (2199023255552,)")
+
+
+def test_memory_errors_are_solver_failures(monkeypatch, capsys):
+    monkeypatch.setattr(cli.wstates, "build_w", _out_of_memory)
+    assert main(["sre", "--kind", "w", "--L", "41"]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: Unable to allocate")
+    # the sector basis is the first array of an eigensolve
+    monkeypatch.setattr(xyz, "_momentum_basis", _out_of_memory)
+    code, out = run(["hstar-map", "--jy", "0.3", "--jz", "0", "--L", "41", "--format", "json"],
+                    capsys)
+    assert code == EXIT_SOLVER
+    assert json.loads(out)[0]["note"].startswith("solver failure: Unable to allocate")
 
 
 def test_programming_errors_are_not_solver_failures(monkeypatch, capsys):

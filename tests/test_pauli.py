@@ -95,6 +95,14 @@ def test_moment_caps_and_parity_check():
         sm.pauli_moment(random_state(3, RNG), 3)
 
 
+def test_work_bound_messages_follow_the_constant(monkeypatch):
+    monkeypatch.setattr(pauli, "WORK_CAP", 2**20)
+    with pytest.raises(ValueError, match=r"work bound of 2\^20 Pauli strings"):
+        sm.sre_brute(sm.build_w(13, 1))
+    with pytest.raises(ValueError, match=r"work bound of 2\^20 Pauli strings"):
+        sm.pauli_moment(random_state(11, RNG), 4)
+
+
 def test_sre_brute_small_w_values():
     assert sm.sre_brute(sm.build_w(3, 0)).value == pytest.approx(
         math.log2(9.0 / 5.0), abs=1e-12
