@@ -370,6 +370,7 @@ class Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built on the first call, not at import
 def build_parser():
     p = Parser(prog="spinmagic", description="magic and entanglement experiments "
                                              "on phased W-states and the frustrated XYZ ring")

@@ -35,22 +35,28 @@ def renyi2(rho):
     return -np.log2(purity)
 
 
+def _ln_base(base):
+    """ln of a logarithm base: 2 (bits) or "e" (nats)."""
+    if base == 2:
+        return np.log(2.0)
+    if base == "e" or base == np.e:
+        return 1.0
+    raise ValueError(f"unsupported base {base!r}")
+
+
 def von_neumann(rho, base=2):
     """-sum lambda log lambda over eigenvalues above a 1e-14 floor."""
     lam = np.linalg.eigvalsh(rho)
     lam = lam[lam > EIG_FLOOR]
-    s = -float(np.sum(lam * np.log(lam)))
-    if base == 2:
-        return s / np.log(2.0)
-    if base == "e" or base == np.e:
-        return s
-    raise ValueError(f"unsupported base {base!r}")
+    return -float(np.sum(lam * np.log(lam))) / _ln_base(base)
 
 
 def entropy(state, start, a, measure="renyi2", base=2):
+    """Entropy of the a sites from start, in bits for base 2, nats for "e"."""
+    ln_base = _ln_base(base)
     rho = reduced_density(state, start, a)
     if measure == "renyi2":
-        return renyi2(rho)
+        return renyi2(rho) * (np.log(2.0) / ln_base)
     if measure == "von_neumann":
         return von_neumann(rho, base=base)
     raise ValueError(f"unknown measure {measure!r}")

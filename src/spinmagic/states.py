@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-NORM_TOL = 1e-12
-
 
 class NotTranslationEigenstate(ValueError):
     """Raised when a momentum is requested from a non-eigenstate of T."""

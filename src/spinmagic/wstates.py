@@ -3,7 +3,7 @@ superpositions omega_p, and the mirror-symmetric phi(p, theta) combinations."""
 
 import numpy as np
 
-from .states import StateVector, make_x_product, momentum_of, translate, validate_ell
+from .states import StateVector, make_x_product, momentum_of, validate_ell
 
 
 def build_w(L, ell):

@@ -64,31 +64,28 @@ def nonfrustrated_counterpart(params):
 
 
 def _bond_tables(params, idx):
-    """H's diagonal at the basis states idx, and per bond its flip mask and
-    off-diagonal coefficients there: H|s> = diag |s> + sum coeff |s ^ mask>."""
-    L = params.L
-    diag = np.zeros(idx.shape)
-    flips = []
-    for n in range(L):
-        b1, b2 = n, (n + 1) % L
-        s1 = ((idx >> b1) & 1).astype(np.float64)
-        s2 = ((idx >> b2) & 1).astype(np.float64)
-        diag += params.jz * (1.0 - 2.0 * s1) * (1.0 - 2.0 * s2)
-        diag += params.h * (1.0 - 2.0 * s1)
-        # sxsx flips both bits with +1; sysy flips with -1 on equal bits
-        coeff = params.jx + params.jy * (2.0 * np.abs(s1 - s2) - 1.0)
-        flips.append(((1 << b1) | (1 << b2), coeff))
-    return diag, flips
+    """H at the basis states idx as H|s> = diag |s> + sum_n coeffs[n] |s ^ masks[n]>:
+    the diagonal, the L bond flip masks and the (L, len(idx)) coefficients."""
+    sites = np.arange(params.L)
+    nxt = np.roll(sites, -1)  # site n+1 of bond n, wrapping
+    sz = 1.0 - 2.0 * ((idx >> sites[:, None]) & 1)  # (L, len(idx)) of +-1
+    zz = sz * sz[nxt]
+    # the running sum bond by bond, Jz before h, keeps the float rounding
+    # of the diagonal fixed (a plain sum may pair terms differently)
+    terms = np.stack([params.jz * zz, params.h * sz], axis=1).reshape(2 * params.L, -1)
+    diag = np.add.accumulate(terms)[-1]
+    # sxsx flips both bits with +1; sysy flips with -1 on equal bits
+    return diag, (1 << sites) | (1 << nxt), params.jx - params.jy * zz
 
 
 def hamiltonian_sparse(params):
     """Sparse CSR matrix of H; (L+1) 2^L nonzeros, real symmetric."""
     N = 2 ** params.L
     idx = np.arange(N, dtype=np.int64)
-    diag, flips = _bond_tables(params, idx)
-    rows = np.tile(idx, len(flips) + 1)
-    cols = np.concatenate([idx] + [idx ^ mask for mask, _ in flips])
-    data = np.concatenate([diag] + [coeff for _, coeff in flips])
+    diag, masks, coeffs = _bond_tables(params, idx)
+    rows = np.tile(idx, masks.size + 1)
+    cols = np.concatenate([idx, (idx ^ masks[:, None]).ravel()])
+    data = np.concatenate([diag, coeffs.ravel()])
     return sp.csr_matrix((data, (rows, cols)), shape=(N, N))
 
 
@@ -125,15 +122,12 @@ def _sector_eigs(params, ell, parity, count):
     k = min(count, n)
     # [T, H] = 0 gives <r', ell|H|r, ell> = sqrt(R_r) <r', ell|H|r>, so each
     # column needs H at its representative only
-    diag, flips = _bond_tables(params, reps)
-    weight = np.sqrt(period)
-    rows, data = [np.arange(n)], [diag]
-    for mask, coeff in flips:
-        flipped = reps ^ mask
-        rows.append(col[flipped])
-        data.append(weight * coeff * amp[flipped].conj())
-    cols = np.tile(np.arange(n), len(rows))
-    block = sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), cols)), shape=(n, n))
+    diag, masks, coeffs = _bond_tables(params, reps)
+    flipped = reps ^ masks[:, None]
+    rows = np.concatenate([np.arange(n), col[flipped].ravel()])
+    data = np.concatenate([diag, (np.sqrt(period) * coeffs * amp[flipped].conj()).ravel()])
+    cols = np.tile(np.arange(n), masks.size + 1)
+    block = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
     if n <= DENSE_BLOCK_MAX or k >= n - 1:
         vals, vecs = eigh(block.toarray(), subset_by_index=[0, k - 1])
     else:

@@ -212,6 +212,21 @@ def test_ent_profile_ground_state(capsys):
     assert json.loads(out)[-1]["amplitude"] < 1e-10
 
 
+@pytest.mark.parametrize("measure", ["renyi2", "von_neumann"])
+def test_ent_profile_base_e_is_base_2_times_ln2(measure, capsys):
+    rows = {}
+    for base in ("2", "e"):
+        argv = ["ent-profile", "--kind", "phi", "--L", "7", "--ell", "1",
+                "--measure", measure, "--base", base, "--format", "json"]
+        code, out = run(argv, capsys)
+        assert code == EXIT_OK
+        rows[base] = json.loads(out)
+    bits = [r["entropy"] for r in rows["2"][:-1]]
+    nats = [r["entropy"] for r in rows["e"][:-1]]
+    assert min(bits) > 0.1
+    assert nats == pytest.approx([s * math.log(2.0) for s in bits], rel=1e-15)
+
+
 @pytest.mark.parametrize("a", ["0", "-1", "5"])
 def test_ent_profile_subsystem_out_of_range(a, capsys):
     # --a 0 is an explicit size, not the half-chain default

@@ -79,6 +79,22 @@ def test_von_neumann_bases():
         sm.von_neumann(bell, base=10)
 
 
+@pytest.mark.parametrize("measure", ["renyi2", "von_neumann"])
+def test_entropy_base_sets_the_unit(measure):
+    state = sm.build_phi(7, 1, 0.3)
+    bits = sm.entropy(state, 2, 3, measure=measure, base=2)
+    assert bits > 0.1
+    nats = sm.entropy(state, 2, 3, measure=measure, base="e")
+    assert nats == pytest.approx(bits * math.log(2.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("measure", ["renyi2", "von_neumann"])
+@pytest.mark.parametrize("base", ["bogus", 10, "2"])
+def test_entropy_rejects_other_bases(measure, base):
+    with pytest.raises(ValueError, match="unsupported base"):
+        sm.entropy(sm.build_w(5, 1), 1, 2, measure=measure, base=base)
+
+
 def test_profile_flat_for_translation_eigenstates():
     for state in (sm.build_w(7, 2), sm.build_omega(7, 1)):
         prof = sm.ent_profile(state, 3)

@@ -54,6 +54,65 @@ def test_hamiltonian_commutes_with_z_parity():
     assert np.allclose(H @ (sign * v), sign * (H @ v), atol=1e-12)
 
 
+PAULI = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]]),
+    "z": np.diag([1.0, -1.0]).astype(complex),
+}
+
+
+def kron_hamiltonian(params):
+    """H from Kronecker products of 2x2 Paulis, independent of the bond tables:
+    site j is bit j-1, so site L is the leftmost factor."""
+    L = params.L
+
+    def site_op(ops):  # {site: Pauli name}
+        out = np.ones((1, 1), dtype=complex)
+        for j in range(L, 0, -1):
+            out = np.kron(out, PAULI[ops[j]] if j in ops else np.eye(2))
+        return out
+
+    H = np.zeros((2**L, 2**L), dtype=complex)
+    for n in range(1, L + 1):
+        m = n % L + 1
+        for name, j in (("x", params.jx), ("y", params.jy), ("z", params.jz)):
+            H += j * site_op({n: name, m: name})
+        H += params.h * site_op({n: "z"})
+    return H
+
+
+@pytest.mark.parametrize("L", [3, 5])
+def test_hamiltonian_matches_kronecker_products(L):
+    rng = np.random.default_rng(L)
+    points = [sm.ChainParams(L, *rng.uniform(-0.9, 0.9, 2), rng.uniform(-1.5, 1.5))
+              for _ in range(3)]
+    points.append(xyz.nonfrustrated_counterpart(sm.ChainParams(L, 0.33, -0.2, 0.4)))
+    assert points[-1].jx == -1.0
+    for params in points:
+        H = sm.hamiltonian_sparse(params).toarray()
+        np.testing.assert_allclose(H, kron_hamiltonian(params), rtol=0, atol=1e-12)
+
+
+def test_bond_tables_match_a_loop_over_bonds():
+    # the diagonal is summed bond by bond, Jz before h, so the arrays must
+    # equal the loop exactly, also for tables of one basis state
+    rng = np.random.default_rng(7)
+    for L in (3, 5, 7):
+        params = sm.ChainParams(L, *rng.uniform(-0.9, 0.9, 2), rng.uniform(-1.5, 1.5))
+        full = np.arange(2**L, dtype=np.int64)
+        for idx in [full] + np.split(full, full.size):
+            diag, masks, coeffs = xyz._bond_tables(params, idx)
+            ref = np.zeros(idx.shape)
+            for n in range(L):
+                s1 = 1.0 - 2.0 * ((idx >> n) & 1)
+                s2 = 1.0 - 2.0 * ((idx >> (n + 1) % L) & 1)
+                ref += params.jz * s1 * s2
+                ref += params.h * s1
+                assert masks[n] == (1 << n) | (1 << (n + 1) % L)
+                assert np.array_equal(coeffs[n], params.jx - params.jy * s1 * s2)
+            assert np.array_equal(diag, ref)
+
+
 def test_single_site_field_limit():
     # J = 0 reduces to a pure field: spectrum is h * (L - 2 |s|)
     params = sm.ChainParams(L=3, jy=0.0, jz=0.0, h=0.7, jx=0.0)
