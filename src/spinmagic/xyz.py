@@ -3,6 +3,11 @@ Hamiltonian, low-energy spectrum solved per (momentum, Z-parity)
 sector, and the critical field h* separating zero- from finite-momentum
 ground states.
 
+A sector block is built as H(h) = H0 + h diag(mag), with mag = sum_n sz_n at
+the orbit representatives, so the h* search builds its blocks once and finds
+h* as a Newton root of the sector gap; ``lowest_eigs`` uses the same builder
+and solver.
+
 H = sum_n [ Jx sx_n sx_{n+1} + Jy sy_n sy_{n+1} + Jz sz_n sz_{n+1} ]
     + h sum_n sz_n,      site L+1 = site 1.
 """
@@ -64,28 +69,27 @@ def nonfrustrated_counterpart(params):
 
 
 def _bond_tables(params, idx):
-    """H at the basis states idx as H|s> = diag |s> + sum_n coeffs[n] |s ^ masks[n]>:
-    the diagonal, the L bond flip masks and the (L, len(idx)) coefficients."""
+    """H at the basis states idx as
+    H|s> = (diag + h mag) |s> + sum_n coeffs[n] |s ^ masks[n]>: the h = 0
+    diagonal, the magnetization sum_n sz_n, the L bond flip masks and the
+    (L, len(idx)) coefficients."""
     sites = np.arange(params.L)
     nxt = np.roll(sites, -1)  # site n+1 of bond n, wrapping
     sz = 1.0 - 2.0 * ((idx >> sites[:, None]) & 1)  # (L, len(idx)) of +-1
     zz = sz * sz[nxt]
-    # the running sum bond by bond, Jz before h, keeps the float rounding
-    # of the diagonal fixed (a plain sum may pair terms differently)
-    terms = np.stack([params.jz * zz, params.h * sz], axis=1).reshape(2 * params.L, -1)
-    diag = np.add.accumulate(terms)[-1]
-    # sxsx flips both bits with +1; sysy flips with -1 on equal bits
-    return diag, (1 << sites) | (1 << nxt), params.jx - params.jy * zz
+    # sums of +-1 are exact in any order, so diag and mag are the same bits
+    # however idx is split; sxsx flips both bits with +1, sysy with -1 on equal bits
+    return params.jz * zz.sum(0), sz.sum(0), (1 << sites) | (1 << nxt), params.jx - params.jy * zz
 
 
 def hamiltonian_sparse(params):
     """Sparse CSR matrix of H; (L+1) 2^L nonzeros, real symmetric."""
     N = 2 ** params.L
     idx = np.arange(N, dtype=np.int64)
-    diag, masks, coeffs = _bond_tables(params, idx)
+    diag, mag, masks, coeffs = _bond_tables(params, idx)
     rows = np.tile(idx, masks.size + 1)
     cols = np.concatenate([idx, (idx ^ masks[:, None]).ravel()])
-    data = np.concatenate([diag, coeffs.ravel()])
+    data = np.concatenate([diag + params.h * mag, coeffs.ravel()])
     return sp.csr_matrix((data, (rows, cols)), shape=(N, N))
 
 
@@ -114,27 +118,44 @@ def _momentum_basis(L, ell, parity):
     return col, amp, reps, period[reps]
 
 
-def _sector_eigs(params, ell, parity, count):
-    """Lowest min(count, n) eigenpairs, in any order, of H in the n-dimensional
-    (ell, Z-parity) sector, with the eigenvectors in the sector's basis."""
+def _sectors(L):
+    """The (ell, Z-parity) sectors with ell >= 0, in the order that breaks ties."""
+    return [(ell, parity) for ell in range((L - 1) // 2 + 1) for parity in (1, -1)]
+
+
+def _sector_block(params, ell, parity):
+    """H in the n-dimensional (ell, Z-parity) sector as H(h) = h0 + h diag(mag):
+    the h-independent part h0 (CSR) and the magnetization sum_n sz_n of the n
+    representatives, which T conserves."""
     col, amp, reps, period = _momentum_basis(params.L, ell, parity)
     n = reps.size
-    k = min(count, n)
     # [T, H] = 0 gives <r', ell|H|r, ell> = sqrt(R_r) <r', ell|H|r>, so each
     # column needs H at its representative only
-    diag, masks, coeffs = _bond_tables(params, reps)
+    diag, mag, masks, coeffs = _bond_tables(params, reps)
     flipped = reps ^ masks[:, None]
     rows = np.concatenate([np.arange(n), col[flipped].ravel()])
     data = np.concatenate([diag, (np.sqrt(period) * coeffs * amp[flipped].conj()).ravel()])
     cols = np.tile(np.arange(n), masks.size + 1)
-    block = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n)), mag
+
+
+def _solve_sector(block, h, count):
+    """Lowest min(count, n) eigenpairs of the sector block h0 + h diag(mag),
+    with the eigenvectors in the sector's basis.  Blocks up to DENSE_BLOCK_MAX
+    and near-complete spectra go to eigh, the rest to ARPACK from a fixed
+    start vector."""
+    h0, mag = block
+    n = mag.size
+    k = min(count, n)
     if n <= DENSE_BLOCK_MAX or k >= n - 1:
-        vals, vecs = eigh(block.toarray(), subset_by_index=[0, k - 1])
-    else:
-        v0 = np.random.default_rng(EIGSH_SEED).standard_normal(n)
-        ncv = min(n - 1, max(2 * k + 10, 20))
-        vals, vecs = spla.eigsh(block, k=k, which="SA", v0=v0, ncv=ncv, maxiter=20000)
-    return vals, vecs
+        # densified per solve: holding the L + 1 dense blocks of a search
+        # costs more memory than the conversion costs time
+        a = h0.toarray()
+        a[np.diag_indices(n)] += h * mag
+        return eigh(a, subset_by_index=[0, k - 1], overwrite_a=True)
+    v0 = np.random.default_rng(EIGSH_SEED).standard_normal(n)
+    ncv = min(n - 1, max(2 * k + 10, 20))
+    return spla.eigsh(h0 + sp.diags(h * mag), k=k, which="SA", v0=v0, ncv=ncv, maxiter=20000)
 
 
 def lowest_eigs(params, count):
@@ -142,35 +163,43 @@ def lowest_eigs(params, count):
 
     H commutes with the translation T and the Z-parity, so it is solved in
     each (ell, parity) block for ell >= 0; the ell < 0 levels are the complex
-    conjugates, since H is real.  Blocks up to DENSE_BLOCK_MAX are solved
-    densely, larger ones by ARPACK from a fixed start vector.
+    conjugates, since H is real.  Levels within DEGENERACY_RTOL of a cluster's
+    lowest level form one cluster; clusters come in ascending energy, and the
+    levels of a cluster in sector order (ell ascending, +ell before -ell,
+    parity +1 first), so a degenerate manifold comes out the same on every
+    run whatever the last bits of its energies.
     """
     L = params.L
     N = 2**L
     if count < 1 or count >= N:
         raise ValueError(f"count must be in [1, {N - 1}]")
     levels = []  # (energy, ell, parity, eigenvector in the sector basis)
-    for ell in range((L - 1) // 2 + 1):
-        for parity in (1, -1):
-            vals, vecs = _sector_eigs(params, ell, parity, count)
-            for e, v in zip(vals, vecs.T):
-                levels.append((e, ell, parity, v))
-                if ell:
-                    levels.append((e, -ell, parity, v))
-    levels.sort(key=lambda level: level[0])
-    levels = levels[:count]
+    for ell, parity in _sectors(L):
+        vals, vecs = _solve_sector(_sector_block(params, ell, parity), params.h, count)
+        for e, v in zip(vals, vecs.T):
+            levels.append((e, ell, parity, v))
+            if ell:
+                levels.append((e, -ell, parity, v))
+    by_energy = sorted(range(len(levels)), key=lambda i: levels[i][0])
+    tol = DEGENERACY_RTOL * max(1.0, abs(levels[by_energy[0]][0]))
+    cluster = {}  # level -> lowest energy of its cluster
+    start = -np.inf
+    for i in by_energy:
+        if levels[i][0] - start >= tol:
+            start = levels[i][0]
+        cluster[i] = start
+    keep = sorted(range(len(levels)), key=lambda i: (cluster[i], i))[:count]
     states = []
-    for _, ell, parity, v in levels:  # embed the kept levels only, by a gather
+    for i in keep:  # embed the kept levels only, by a gather
+        _, ell, parity, v = levels[i]
         col, amp, _, _ = _momentum_basis(L, abs(ell), parity)
         amps = amp * v[col]
         states.append(StateVector(L, amps.conj() if ell < 0 else amps))
-    energies = np.array([e for e, _, _, _ in levels])
-    tol = DEGENERACY_RTOL * max(1.0, abs(energies[0]))
     return GroundManifold(
-        energies=energies,
+        energies=np.array([levels[i][0] for i in keep]),
         states=states,
-        momenta=[ell for _, ell, _, _ in levels],
-        degeneracy=int(np.count_nonzero(energies - energies[0] < tol)),
+        momenta=[levels[i][1] for i in keep],
+        degeneracy=sum(cluster[i] == cluster[keep[0]] for i in keep),
     )
 
 
@@ -188,29 +217,65 @@ def pick_ground_state(manifold):
 
 
 def find_hstar(jy, jz, L, tol=1e-4, h_max=1.0):
-    """Bisect on h for the boundary between finite-momentum (h < h*) and
-    zero-momentum (h > h*) ground states.
+    """The critical field h* between finite-momentum (h < h*) and zero-momentum
+    (h > h*) ground states: the root of the sector gap
+    Delta(h) = min_{ell != 0} E_ell(h) - min_{ell = 0} E_ell(h), with E_ell(h)
+    the lowest level of a sector; Delta < 0 is a finite-momentum ground state.
+
+    The sector blocks are built once.  An evaluation of Delta solves the
+    lowest level of every sector at one h, and dDelta/dh is <mag> of the
+    finite-momentum minimizer minus <mag> of the zero-momentum one
+    (Hellmann-Feynman).  Inside the sign bracket [lo, hi], at first
+    [0, h_max], a Newton step from the end with the smaller |Delta| is taken
+    if it lands strictly inside and is at most half the previous Newton step
+    (the first at most h_max / 2); otherwise the bracket is bisected.  So each
+    evaluation halves the bracket or the Newton step, and a search makes at
+    most 2 + 2 ceil(log2(h_max / tol)) evaluations.  It stops when a Newton
+    step is shorter than ``tol`` (h* is where it lands, ``bracket_width`` is
+    |step|; at a crossing of two levels Newton converges quadratically, so
+    the error is far below tol) or the bracket is at most ``tol`` wide (its
+    midpoint and width).
 
     For jz < -jy the finite-momentum phase is absent and h* = 0 is returned
-    with a note; same if the predicate is already false at h = 0.
+    with a note; the same if the ground state has zero momentum at h = 0, and
+    h* = h_max with a note if it keeps finite momentum up to h_max.
     """
-    if not tol > 0:  # NaN too; at tol <= 0 the bisection stalls on adjacent doubles
+    if not tol > 0:  # NaN too; at tol <= 0 the search never stops
         raise ValueError(f"find_hstar needs tol > 0, got {tol}")
     if jz < -jy:
         return HstarResult(jy, jz, L, 0.0, 0.0, note="no finite-momentum phase")
+    params = ChainParams(L=L, jy=jy, jz=jz, h=0.0)
+    blocks = [(ell != 0, _sector_block(params, ell, parity)) for ell, parity in _sectors(L)]
 
-    def finite_momentum(h):
-        return lowest_eigs(ChainParams(L=L, jy=jy, jz=jz, h=h), 1).momenta[0] != 0
+    def evaluate(h):
+        """(h, Delta(h), dDelta/dh)."""
+        lowest = {}  # finite momentum? -> (E, <mag>) of the lowest sector level
+        for finite, block in blocks:
+            vals, vecs = _solve_sector(block, h, 1)
+            if finite not in lowest or vals[0] < lowest[finite][0]:
+                v = vecs[:, 0]
+                lowest[finite] = (vals[0], np.vdot(v, block[1] * v).real)
+        (e1, m1), (e0, m0) = lowest[True], lowest[False]
+        return h, e1 - e0, m1 - m0
 
-    if not finite_momentum(0.0):
+    lo, hi = evaluate(0.0), evaluate(h_max)
+    if not lo[1] < 0:
         return HstarResult(jy, jz, L, 0.0, 0.0, note="zero-momentum ground state at h=0")
-    lo, hi = 0.0, h_max
-    if finite_momentum(h_max):
+    if hi[1] < 0:
         return HstarResult(jy, jz, L, h_max, 0.0, note="finite momentum up to h_max")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if finite_momentum(mid):
-            lo = mid
+    last_step = h_max  # a Newton step may be at most half the previous one
+    while hi[0] - lo[0] > tol:
+        x, d, slope = min(lo, hi, key=lambda end: abs(end[1]))
+        step = -d / slope if slope != 0 and np.isfinite(slope) else np.nan
+        if lo[0] <= x + step <= hi[0] and abs(step) < tol:
+            return HstarResult(jy, jz, L, float(x + step), float(abs(step)))
+        if lo[0] < x + step < hi[0] and abs(step) <= 0.5 * last_step:
+            last_step = abs(step)
+            point = evaluate(x + step)
         else:
-            hi = mid
-    return HstarResult(jy, jz, L, 0.5 * (lo + hi), hi - lo)
+            point = evaluate(0.5 * (lo[0] + hi[0]))
+        if point[1] < 0:
+            lo = point
+        else:
+            hi = point
+    return HstarResult(jy, jz, L, float(0.5 * (lo[0] + hi[0])), float(hi[0] - lo[0]))

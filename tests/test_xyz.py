@@ -1,8 +1,12 @@
-from types import SimpleNamespace
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spinmagic as sm
@@ -94,23 +98,24 @@ def test_hamiltonian_matches_kronecker_products(L):
 
 
 def test_bond_tables_match_a_loop_over_bonds():
-    # the diagonal is summed bond by bond, Jz before h, so the arrays must
-    # equal the loop exactly, also for tables of one basis state
+    # the bond and magnetization sums are integers, so the arrays must equal
+    # the loop exactly, also for tables of one basis state
     rng = np.random.default_rng(7)
     for L in (3, 5, 7):
         params = sm.ChainParams(L, *rng.uniform(-0.9, 0.9, 2), rng.uniform(-1.5, 1.5))
         full = np.arange(2**L, dtype=np.int64)
         for idx in [full] + np.split(full, full.size):
-            diag, masks, coeffs = xyz._bond_tables(params, idx)
-            ref = np.zeros(idx.shape)
+            diag, mag, masks, coeffs = xyz._bond_tables(params, idx)
+            zz, sz = np.zeros(idx.shape), np.zeros(idx.shape)
             for n in range(L):
                 s1 = 1.0 - 2.0 * ((idx >> n) & 1)
                 s2 = 1.0 - 2.0 * ((idx >> (n + 1) % L) & 1)
-                ref += params.jz * s1 * s2
-                ref += params.h * s1
+                zz += s1 * s2
+                sz += s1
                 assert masks[n] == (1 << n) | (1 << (n + 1) % L)
                 assert np.array_equal(coeffs[n], params.jx - params.jy * s1 * s2)
-            assert np.array_equal(diag, ref)
+            assert np.array_equal(diag, params.jz * zz)
+            assert np.array_equal(mag, sz)
 
 
 def test_single_site_field_limit():
@@ -132,6 +137,17 @@ def test_classical_point_ground_manifold(L):
     for ell in man.momenta[: 2 * L]:
         counts[ell] = counts.get(ell, 0) + 1
     assert counts == {ell: 2 for ell in range(-(L - 1) // 2, (L - 1) // 2 + 1)}
+
+
+def test_degenerate_manifold_is_the_same_in_fresh_processes():
+    # at the classical point every L = 13 sector block goes through eigsh and
+    # the 2L-fold ground cluster is exactly degenerate, so its order comes from
+    # the sector labels, not from the last bits of the energies
+    code = "import spinmagic as sm; print(sm.lowest_eigs(sm.ChainParams(13, 0, 0, 0), 6).momenta)"
+    env = {**os.environ, "PYTHONPATH": str(Path(sm.__file__).parents[1])}
+    runs = [subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout for _ in range(3)]
+    assert runs == ["[0, 0, 1, -1, 1, -1]\n"] * 3
 
 
 def test_dense_and_iterative_solvers_agree(monkeypatch):
@@ -185,24 +201,105 @@ def test_find_hstar_frozen_values():
     assert sm.find_hstar(0.33, 0.0, 9).hstar == pytest.approx(0.97025, abs=5e-4)
 
 
+def counting_solve(monkeypatch, limit=None):
+    """Wrap the shared sector solve; returns the list of fields it is called at."""
+    calls = []
+    solve = xyz._solve_sector
+
+    def counted(block, h, count):
+        calls.append(h)
+        if limit is not None and len(calls) > limit:
+            pytest.fail(f"search still running after {len(calls)} solves")
+        return solve(block, h, count)
+
+    monkeypatch.setattr(xyz, "_solve_sector", counted)
+    return calls
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
 def test_find_hstar_rejects_nonpositive_tol(monkeypatch, capsys, tol):
-    calls = []
-
-    def counting_solver(params, count):
-        # a stand-in with h* = 0.5 that stops a bisection which would never end
-        calls.append(params.h)
-        if len(calls) > 100:
-            pytest.fail(f"bisection still running after {len(calls)} solves")
-        return SimpleNamespace(momenta=[1 if params.h < 0.5 else 0])
-
-    monkeypatch.setattr(xyz, "lowest_eigs", counting_solver)
+    # the real sector solve, stopped after 100 solves: without the guard the
+    # search at tol <= 0 would never end
+    counting_solve(monkeypatch, limit=100)
     with pytest.raises(ValueError, match="tol"):
         sm.find_hstar(0.33, 0.0, 5, tol=tol)
     # the CLI writes the failure as a row and exits 3
     code = main(["hstar-map", "--jy", "0.33", "--jz", "0.0", "--L", "5", "--tol", str(tol)])
     assert code == EXIT_SOLVER
     assert "solver failure" in capsys.readouterr().out
+
+
+@settings(max_examples=40)
+@given(L=st.sampled_from([5, 7, 9]), jy=st.floats(-0.9, 0.9), above=st.floats(0.005, 0.35))
+def test_find_hstar_brackets_the_public_predicate(L, jy, above):
+    # jz > -jy is the finite-momentum region; h* < 1 lies close to its edge
+    jz = -jy + above
+    assume(abs(jz) < 0.95)
+    tol = 1e-4
+    r = sm.find_hstar(jy, jz, L, tol=tol)
+    if r.note:
+        return
+
+    def finite_momentum(h):
+        return sm.lowest_eigs(sm.ChainParams(L, jy, jz, h), 1).momenta[0] != 0
+
+    assert finite_momentum(r.hstar - tol)
+    assert not finite_momentum(r.hstar + tol)
+
+
+@pytest.mark.parametrize("L, ell, parity", [(7, 0, 1), (7, 1, -1), (13, 2, 1)])
+def test_hellmann_feynman_slope_matches_finite_difference(L, ell, parity):
+    # the L = 13 block is above DENSE_BLOCK_MAX and goes through eigsh
+    block = xyz._sector_block(sm.ChainParams(L, 0.33, 0.1, 0.0), ell, parity)
+    h, dh = 0.6, 1e-4
+    _, vecs = xyz._solve_sector(block, h, 1)
+    v = vecs[:, 0]
+    slope = np.vdot(v, block[1] * v).real
+    up, down = (xyz._solve_sector(block, h + sign * dh, 1)[0][0] for sign in (1, -1))
+    assert abs(slope - (up - down) / (2 * dh)) <= 1e-6
+
+
+@pytest.mark.parametrize("L", [7, 9, 11])
+def test_find_hstar_gap_evaluations(monkeypatch, L):
+    # one gap evaluation solves the L + 1 sectors; bisection needed 16 to tol 1e-4
+    calls = counting_solve(monkeypatch)
+    assert sm.find_hstar(0.33, 0.0, L).note == ""
+    assert len(calls) % (L + 1) == 0
+    assert len(calls) // (L + 1) <= 6
+
+
+GAPS = {  # gap stand-ins with root 0.3: no smooth tangent there, or a flat one
+    "kink": lambda u: (u, 1.0) if u < 0 else (20 * u, 20.0),
+    "cusp": lambda u: (np.sign(u) * np.sqrt(abs(u)), 0.5 / np.sqrt(abs(u)) if u else np.inf),
+    "flat": lambda u: (u**9, 9 * u**8),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-8])
+@pytest.mark.parametrize("shape", sorted(GAPS))
+def test_find_hstar_safeguard_bounds_the_evaluations(monkeypatch, shape, tol):
+    # the finite-momentum sectors have Delta(h) = GAPS[shape](h - 0.3), the
+    # zero-momentum ones 0; each one-state block has mag = 1, so its vector
+    # carries the slope through <v|mag|v>
+    evaluations = []
+
+    def stand_in_block(params, ell, parity):
+        return (ell, parity), np.ones(1)
+
+    def stand_in_solve(block, h, count):
+        ell, parity = block[0]
+        if (ell, parity) == (0, 1):
+            evaluations.append(h)
+        value, slope = GAPS[shape](h - 0.3) if ell else (0.0, 0.0)
+        return np.array([value]), np.array([[np.sqrt(slope)]])
+
+    monkeypatch.setattr(xyz, "_sector_block", stand_in_block)
+    monkeypatch.setattr(xyz, "_solve_sector", stand_in_solve)
+    r = sm.find_hstar(0.33, 0.0, 7, tol=tol)
+    # a Newton step shorter than tol ends the search: at a simple root that
+    # leaves an error far below tol, at the ninefold flat root up to 9 tol
+    assert r.note == "" and abs(r.hstar - 0.3) <= (9 if shape == "flat" else 1) * tol
+    assert len(evaluations) <= 2 + 2 * math.ceil(math.log2(1.0 / tol))
 
 
 def test_find_hstar_absent_phase():
