@@ -71,6 +71,31 @@ def parse_ints(text):
     return _comma_list(text, int)
 
 
+def _is_negative_list(token):
+    """Whether ``token`` is a comma list led by a negative number, '-0.2,0.0'."""
+    head, comma, _ = token.partition(",")
+    if not (comma and head.startswith("-")):
+        return False
+    try:
+        float(head)
+    except ValueError:
+        return False
+    return True
+
+
+def attach_negative_lists(argv):
+    """argv with each `--flag -0.2,0.0` written `--flag=-0.2,0.0`.  argparse
+    takes a token that starts with '-' for an option unless it is a single
+    negative number, so a comma list led by one would not reach its flag."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _is_negative_list(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def positive_int(text):
     """argparse type of --workers: an integer of at least 1."""
     value = int(text)
@@ -95,7 +120,8 @@ def load_config(path):
 
 
 def ground(params):
-    """(momentum, state) of the ground state; 6 levels hold its whole cluster."""
+    """(momentum, state) of the ground state; 6 levels hold its whole cluster,
+    since lowest_eigs cuts no cluster."""
     return pick_ground_state(lowest_eigs(params, 6))
 
 
@@ -290,19 +316,29 @@ def cmd_verify(args):
             worst = max(worst, float(np.max(np.abs(pauli.pauli_abs_table(state) - single))))
         check(f"Pauli kernel vs single strings L={L}", worst, 1e-12)
 
-    for L in (3, 5, 7):
-        ells = range(-(L - 1) // 2, (L - 1) // 2 + 1)
-        states = [wstates.build_w(L, ell) for ell in ells]
-        states += [wstates.build_omega(L, ell) for ell in ells]
-        states.append(ground(ChainParams(L, 0.33, 0.0, 0.5))[1])
+    def reduced_gap(states, reduction):
+        """Largest relative gap of sre_brute's raw moment to full enumeration;
+        a state that does not take ``reduction`` tests nothing here."""
         worst = 0.0
         for state in states:
             reduced = pauli.sre_brute(state)
             full = pauli.pauli_moment(state, 4)
-            # a state that falls back to full enumeration tests nothing here
-            worst = max(worst, math.inf if reduced.method == "brute"
-                        else abs(reduced.raw_moment - full) / full)
-        check(f"reduced vs full SRE kernel L={L}", worst, 1e-12)
+            taken = reduction in reduced.method.partition(":")[2].split("+")
+            worst = max(worst, abs(reduced.raw_moment - full) / full if taken else math.inf)
+        return worst
+
+    for L in (3, 5, 7, 9):
+        ells = range(-(L - 1) // 2, (L - 1) // 2 + 1)
+        w_states = [wstates.build_w(L, ell) for ell in ells]
+        omegas = [wstates.build_omega(L, ell) for ell in ells]
+        grounds = [ground(ChainParams(L, 0.33, 0.0, h))[1] for h in (0.5, 1.5)]
+        phis = [wstates.build_phi(L, ell, 0.3) for ell in ells if ell]
+        check(f"reduced vs full SRE kernel L={L}",
+              reduced_gap(w_states + omegas + grounds, "translation"), 1e-12)
+        check(f"Z-parity fold vs full SRE kernel L={L}",
+              reduced_gap(w_states + omegas + phis, "parity"), 1e-12)
+        check(f"bracelets vs full SRE kernel L={L}",
+              reduced_gap(w_states + omegas + grounds, "reflection"), 1e-12)
 
     for L in (3, 5, 7):
         circ = build_circuit_s(L)
@@ -451,7 +487,7 @@ def config_flags(argv):
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = attach_negative_lists(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         flags = config_flags(argv)

@@ -6,35 +6,57 @@ i^{|x & z|} since only magnitudes enter the entropy.
 
 The brute-force kernel runs over x-masks.  For a mask a the vector
 g_a(s) = conj(psi(s ^ a)) psi(s) has the Walsh-Hadamard transform
-G_a(b) = <X_a Z_b>, so one transform yields all 2^L z-masks at once.  g_a is
-Hermitian under the pairing s <-> s ^ a: g_a(s ^ a) = conj(g_a(s)).  With k
-the top bit of a, summing each pair over the s with bit k clear gives
+G_a(b) = <X_a Z_b>, so one transform yields all 2^L z-masks at once.  Two
+folds shorten that transform.
 
-    G_a(b) = 2 Re H_a(b')  if |a & b| is even,   2i Im H_a(b')  if odd,
+- Hermitian fold, on every state.  g_a(s ^ a) = conj(g_a(s)).  With k the
+  top bit of a, summing each pair over the s with bit k clear gives
 
-where H_a is the transform of g_a restricted to those 2^(L-1) s, and b' is b
-without bit k.  So one complex transform of length 2^(L-1) per mask holds
-all 2^L magnitudes: the float64 view of the row 2 H_a is a real row of 2^L
-values whose magnitudes are the |<X_a Z_b>|, b at position
-2 b' + parity(a & b).  The row a = 0 is the real transform of |psi|^2, folded
-the same way on the top bit of the chain: its first butterfly is done by
-hand, (p_lo + p_hi) + i (p_lo - p_hi) over the two halves of p = |psi|^2, so
-the real and imaginary parts carry G_0 at bit L-1 clear and set.  Each mask
-costs O(L 2^L) time and O(2^L) bytes.  Full enumeration takes all 2^L
-masks.  ``sre_brute`` first looks for the symmetries that make masks
-redundant:
+      G_a(b) = 2 Re H_a(b')  if |a & b| is even,   2i Im H_a(b')  if odd,
+
+  where H_a is the transform of g_a restricted to those 2^(L-1) s, and b' is
+  b without bit k.  So one complex transform of length 2^(L-1) per mask
+  holds all 2^L magnitudes: the float64 view of the row 2 H_a is a real row
+  of 2^L values whose magnitudes are the |<X_a Z_b>|, b at position
+  2 b' + parity(a & b).
+- Z-parity fold, on a state that lives on the basis states of one Z-parity
+  P.  For an even-weight a, g_a lives there too, so bit 0 of s follows from
+  the parity of its other bits (bit 0 is not k, as k >= 1 for a != 0).
+  Summing over the 2^(L-2) free bits t of s gives
+  H_a(b') = (-1)^(P b_0) F_a(c), where F_a is the transform of length
+  2^(L-2) of g_a at those s, and c is b' without bit 0, complemented where
+  b_0 = 1.  So |<X_a Z_b>| = |<X_a Z_(b ^ (2^L - 1))>|: the float64 view of
+  2 F_a is a row of 2^(L-1) values, b at position 2 c + parity(a & b), each
+  standing for the two z-masks b and b ^ (2^L - 1).
+
+The row a = 0 is the real transform of p = |psi|^2, folded on the top bit
+of the chain: its first butterfly is done by hand, as
+(p(s) + p(s ^ e)) + i (p(s) - p(s ^ e)) with e = 2^(L-1), or 2^(L-1) + 1
+under the Z-parity fold, so the real and imaginary parts carry G_0 where
+parity(e & b) is even and odd.  Each mask costs O(L 2^L) time and O(2^L)
+bytes.  Full enumeration takes all 2^L masks.  ``sre_brute`` first looks
+for the symmetries that make masks redundant:
 
 - translation: sum_b |<X_a Z_b>|^4 is the same for every cyclic shift of a,
   so one necklace representative per orbit stands for the orbit, weighted
   by the orbit size;
-- Z-parity: <X_a Z_b> vanishes for every odd-weight a;
-- X-parity: H^{(x)L} is Clifford, leaves M2 and translation alone and maps
-  a Pi^x eigenstate to a Pi^z eigenstate, so one transform of the
-  amplitudes turns X-parity into Z-parity.
+- Z-parity: <X_a Z_b> vanishes for every odd-weight a, and the even-weight
+  masks take the Z-parity fold;
+- X-parity: H^{(x)L} is Clifford, leaves M2, translation and reflection
+  alone and maps a Pi^x eigenstate to a Pi^z eigenstate, so one transform
+  of the amplitudes turns X-parity into Z-parity;
+- reflection: R K psi = e^(i theta) psi, with R a mirror of the ring and K
+  complex conjugation, holds for the momentum eigenstates of a real,
+  mirror-symmetric Hamiltonian at any momentum.  It gives
+  |<X_a Z_b>| = |<X_(R a) Z_(R b)>|, so under translation one bracelet
+  representative (the smallest rotation of a or of its mirror image) stands
+  for its orbit under rotations and mirrors, weighted by the orbit size.
 
 Each symmetry is taken only when its residual norm is at most SYM_TOL.  The
 reduction order is fixed, so the raw moment is bit-identical for any worker
-count or block size.  Work and memory are bounded by amplitudes, not by L.
+count or block size.  Work and memory are bounded by the complex amplitudes
+the kernel transforms, 2^(L-1) per x-mask or 2^(L-2) under the Z-parity
+fold, not by L.
 """
 
 import math
@@ -43,15 +65,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _translation_orbits, momentum_of, translate
+from .states import (StateVector, _reflect_bits, _translation_orbits, momentum_of, reflect,
+                     translate)
 
-# Pauli strings (x-masks times 2^L) that one moment may enumerate; each x-mask
-# is one complex transform of length 2^(L-1)
+# complex amplitudes that one moment may transform: 2^(L-1) per x-mask, or
+# 2^(L-2) under the Z-parity fold
 WORK_CAP = 2**30
-BLOCK_AMPS = 2**17  # Pauli strings per block by default: 1 MB of transformed rows
+BLOCK_AMPS = 2**16  # complex amplitudes per block by default: 1 MB of transformed rows
 TABLE_SITE_CAP = 10  # the 4^L magnitude table, 8 MB at L = 10
-# a symmetry is used when ||T psi - <T> psi||, or the norm of the amplitudes
-# of the wrong Z-parity, is at most this
+# a symmetry is used when ||O psi - <O> psi|| (O = T, or R K), or the norm of
+# the amplitudes of the wrong Z-parity, is at most this
 SYM_TOL = 1e-12
 
 
@@ -98,63 +121,96 @@ def _fold_bits(masks, size):
     return np.int64(1) << (np.frexp(np.where(masks, masks, size // 2))[1] - 1)
 
 
-def _transformed_block(psi, masks):
-    """One float64 row of 2^L values per x-mask a in ``masks``: the view of
-    its half-length complex transform (module docstring), whose entry at
-    ``_positions`` is +-|<X_a Z_b>|."""
+def _width(size, sector):
+    """Complex amplitudes per transformed row: 2^(L-1), or 2^(L-2) under the
+    Z-parity fold."""
+    return size // 2 if sector is None else size // 4
+
+
+def _butterfly_mask(size, sector):
+    """e of the row a = 0 (module docstring): 2^(L-1), plus 1 under the
+    Z-parity fold."""
+    return size // 2 if sector is None else size // 2 + 1
+
+
+def _sources(size, sector):
+    """The s that a transformed row sums over, before a 0 is inserted at bit
+    k: all s below size / 2, or under the Z-parity fold each t below size / 4
+    shifted up one bit, with bit 0 set so that s has Z-parity ``sector``."""
+    if sector is None:
+        return np.arange(size // 2, dtype=np.int64)
+    t = np.arange(size // 4, dtype=np.int64)
+    return (t << 1) | ((np.bitwise_count(t) & 1) ^ sector)
+
+
+def _transformed_block(psi, masks, sector=None):
+    """One float64 row per x-mask a in ``masks``: the view of its complex
+    transform (module docstring), 2^L values, or 2^(L-1) under the Z-parity
+    fold when psi lives on the basis states of Z-parity ``sector`` and the
+    masks have even weight.  The entry at ``_positions`` is +-|<X_a Z_b>|."""
     size = psi.size
     bits = _fold_bits(masks, size)[:, None]
-    idx = np.arange(size // 2, dtype=np.int64)
+    idx = _sources(size, sector)
     s = idx & -bits
-    s += idx  # s' with a 0 inserted at bit k: the s whose bit k is clear
-    # both factors in one buffer, gathered in place: fresh block-sized
-    # temporaries cost page faults per block
-    g, other = np.empty((2, masks.size, size // 2), dtype=complex)
+    s += idx  # idx with a 0 inserted at bit k: the s whose bit k is clear
+    # both factors in one buffer, gathered and conjugated in place: fresh
+    # temporaries (block-sized, or 2 conj(psi) of all 2^L amplitudes) cost
+    # page faults per block
+    g, other = np.empty((2, masks.size, idx.size), dtype=complex)
     np.take(psi, s, out=g, mode="clip")
     s ^= masks[:, None]
-    np.take(2 * np.conj(psi), s, out=other, mode="clip")
+    np.take(psi, s, out=other, mode="clip")
+    np.conjugate(other, out=other)
+    other *= 2
     g *= other
     zero = masks == 0
     if zero.any():
         p = psi.real**2 + psi.imag**2
-        lo, hi = p[:size // 2], p[size // 2:]
+        lo, hi = p[idx], p[idx ^ _butterfly_mask(size, sector)]
         g[zero] = (lo + hi) + 1j * (lo - hi)
     fwht(g)
     return g.view(np.float64)
 
 
-def _positions(masks, size):
+def _positions(masks, size, sector=None):
     """Where row a of ``_transformed_block`` holds <X_a Z_b>, for every z-mask
-    b: 2 b' + parity((a | 2^k) & b), with b' = b without bit k."""
+    b: 2 c + parity(m & b), with c = b without bit k and m = a, or for a = 0
+    the mask e of its hand butterfly.  Under the Z-parity fold c also drops
+    bit 0 and is complemented where b_0 = 1."""
     bits = _fold_bits(masks, size)[:, None]
     b = np.arange(size, dtype=np.int64)
-    kept = (b & (bits - 1)) + ((b >> 1) & -bits)
-    return 2 * kept + (np.bitwise_count((masks[:, None] | bits) & b) & 1)
+    c = (b & (bits - 1)) + ((b >> 1) & -bits)
+    if sector is not None:
+        c = (c >> 1) ^ (-(b & 1) & (size // 4 - 1))
+    m = np.where(masks == 0, _butterfly_mask(size, sector), masks)[:, None]
+    return 2 * c + (np.bitwise_count(m & b) & 1)
 
 
-def _block_rows(size, block):
-    """``block`` if given, else the x-masks of ``size`` strings each that fit
-    in BLOCK_AMPS."""
-    return max(1, BLOCK_AMPS // size) if block is None else block
+def _block_rows(width, block):
+    """``block`` if given, else the x-masks of ``width`` complex amplitudes
+    each that fit in BLOCK_AMPS."""
+    return max(1, BLOCK_AMPS // width) if block is None else block
 
 
-def _moment(psi, masks, power, block, workers, weights=None):
-    """sum over the x-masks a in ``masks`` of weights[a] sum_b |<X_a Z_b>|^power.
+def _moment(psi, masks, power, block, workers, weights=None, sector=None):
+    """sum over the x-masks a in ``masks`` of weights[a] sum_b |<X_a Z_b>|^power,
+    under the Z-parity fold when ``sector`` is given.
 
     Partial sums are produced per mask and folded with math.fsum in the
     order of ``masks``, so the result is the same for any ``block`` and
     ``workers``.
     """
-    block = _block_rows(psi.size, block)
+    width = _width(psi.size, sector)
+    block = _block_rows(width, block)
     if block < 1 or workers < 1:
         raise ValueError(f"block and workers must be at least 1, got block={block}, "
                          f"workers={workers}")
-    if masks.size * psi.size > WORK_CAP:
-        raise ValueError(f"{masks.size} x-masks of {psi.size} amplitudes exceed "
-                         f"the work bound of 2^{math.log2(WORK_CAP):g} Pauli strings")
+    if masks.size * width > WORK_CAP:
+        raise ValueError(f"{masks.size} x-masks of {width} transformed amplitudes exceed "
+                         f"the work bound of 2^{math.log2(WORK_CAP):g} amplitudes")
 
     def block_partials(start):
-        rows = _transformed_block(psi, masks[start:start + block])
+        rows = _transformed_block(psi, masks[start:start + block], sector)
         rows *= rows  # |<X_a Z_b>|^2, in another order
         return np.sum(rows ** (power // 2), axis=1)
 
@@ -165,6 +221,8 @@ def _moment(psi, masks, power, block, workers, weights=None):
     else:
         partials = list(map(block_partials, starts))
     sums = np.concatenate(partials)
+    if sector is not None:
+        sums *= 2  # a folded value stands for z-masks b and b ^ (2^L - 1)
     if weights is not None:
         sums *= weights
     return math.fsum(sums.tolist())
@@ -183,43 +241,67 @@ def pauli_moment(state, power=4, *, block=None, workers=1):
     return _moment(psi, np.arange(psi.size, dtype=np.int64), power, block, workers)
 
 
-def _wrong_parity_norm(psi):
-    """Norm of the amplitudes outside the Z-parity sector that holds more weight."""
+def _parity_sector(psi):
+    """The Z-parity (0 or 1) of the basis states that psi lives on, when the
+    amplitudes of the other parity have norm at most SYM_TOL; else None, and
+    None at L = 1, where the Z-parity fold has no second bit."""
+    if psi.size < 4:
+        return None
     odd = (np.bitwise_count(np.arange(psi.size, dtype=np.int64)) & 1).astype(bool)
-    return min(np.linalg.norm(psi[odd]), np.linalg.norm(psi[~odd]))
+    for sector, wrong in ((0, odd), (1, ~odd)):
+        if np.linalg.norm(psi[wrong]) <= SYM_TOL:
+            return sector
+    return None
+
+
+def _is_symmetric(psi, image):
+    """Whether image = O psi is e^(i theta) psi: ||O psi - <O> psi|| <= SYM_TOL."""
+    return np.linalg.norm(image - np.vdot(psi, image) * psi) <= SYM_TOL
 
 
 def _symmetries(state):
-    """The amplitudes to enumerate and the reductions they admit, in the
-    order applied: a subset of ("hadamard", "translation", "parity")."""
+    """The amplitudes to enumerate; the reductions they admit, in the order
+    applied, a subset of ("hadamard", "translation", "parity", "reflection");
+    and the Z-parity sector of the amplitudes, or None without "parity"."""
     psi = state.amps
     reductions = []
-    parity = _wrong_parity_norm(psi) <= SYM_TOL
-    if not parity:
+    sector = _parity_sector(psi)
+    if sector is None:
         image = fwht(psi.copy()) / math.sqrt(psi.size)  # H^{(x)L} psi
-        if _wrong_parity_norm(image) <= SYM_TOL:
-            psi, parity = image, True
+        sector = _parity_sector(image)
+        if sector is not None:
+            psi = image
             reductions.append("hadamard")
-    shifted = translate(state).amps  # H^{(x)L} commutes with T
-    if np.linalg.norm(shifted - np.vdot(state.amps, shifted) * state.amps) <= SYM_TOL:
+    # H^{(x)L} commutes with T, R and K, so the symmetries of state hold for psi
+    translation = _is_symmetric(state.amps, translate(state).amps)
+    if translation:
         reductions.append("translation")
-    if parity:
+    if sector is not None:
         reductions.append("parity")
-    return psi, reductions
+    if translation and _is_symmetric(
+            state.amps, reflect(StateVector(state.n_sites, state.amps.conj()), 1).amps):
+        reductions.append("reflection")
+    return psi, reductions, sector
 
 
-def _reduced_masks(L, translation, parity):
+def _reduced_masks(L, translation, parity, reflection):
     """The x-masks that stand for all 2^L, ascending, and their multiplicities
-    (None for 1): the even-weight masks under parity, and the necklace
-    representatives (the smallest rotation), weighted by orbit size, under
-    translation."""
+    (None for 1): the even-weight masks under parity; under translation the
+    necklace representatives (the smallest rotation), weighted by orbit
+    size; and with reflection too the bracelet representatives (the smallest
+    rotation of the mask or of its mirror image), weighted by the size of the
+    orbit under rotations and mirrors."""
     idx = np.arange(2**L, dtype=np.int64)
     keep = (np.bitwise_count(idx) & 1) == 0 if parity else np.ones(idx.size, dtype=bool)
     if not translation:
         return idx[keep], None
-    rep, _, period = _translation_orbits(L)
+    rep, _, size = _translation_orbits(L)
+    if reflection:
+        mirror = rep[_reflect_bits(idx, 0, L)]  # the necklace of the mirror image
+        size = np.where(mirror == rep, size, 2 * size)
+        rep = np.minimum(rep, mirror)
     masks = idx[keep & (rep == idx)]
-    return masks, period[masks].astype(np.float64)
+    return masks, size[masks].astype(np.float64)
 
 
 def sre_brute(state, *, block=None, workers=1):
@@ -227,17 +309,20 @@ def sre_brute(state, *, block=None, workers=1):
     x-masks left independent by the symmetries the state is found to have.
 
     ``method`` is "brute" for full enumeration and otherwise names the
-    reductions, e.g. "brute:hadamard+translation+parity".  No state leaves
-    fewer than 2^(L-1) / L masks, so an L at which even those exceed
-    WORK_CAP is refused before the O(L 2^L) symmetry check.
+    reductions, e.g. "brute:hadamard+translation+parity+reflection".  No
+    state leaves fewer than 2^(L-1) / (2L) masks (the even-weight masks over
+    the 2L rotations and mirrors), of 2^(L-2) amplitudes each, so an L at
+    which even those exceed WORK_CAP is refused before the O(L 2^L) symmetry
+    check.
     """
     L = state.n_sites
-    if 2 ** (2 * L - 1) > WORK_CAP * L:
+    if 2 ** (2 * L - 4) > WORK_CAP * L:
         raise ValueError(f"L={L}: even the fewest x-masks exceed the work bound "
-                         f"of 2^{math.log2(WORK_CAP):g} Pauli strings")
-    psi, reductions = _symmetries(state)
-    masks, weights = _reduced_masks(L, "translation" in reductions, "parity" in reductions)
-    raw = _moment(psi, masks, 4, block, workers, weights)
+                         f"of 2^{math.log2(WORK_CAP):g} amplitudes")
+    psi, reductions, sector = _symmetries(state)
+    masks, weights = _reduced_masks(L, *(r in reductions
+                                         for r in ("translation", "parity", "reflection")))
+    raw = _moment(psi, masks, 4, block, workers, weights, sector)
     method = "brute:" + "+".join(reductions) if reductions else "brute"
     value = -math.log2(raw / state.dim)
     return SreResult(value=value, raw_moment=raw, method=method)
@@ -265,19 +350,24 @@ def sre_structured_w(L, ell):
 
 
 def pauli_abs_table(state):
-    """All 4^L expectation magnitudes as a (2^L, 2^L) array [x_mask, z_mask]."""
+    """All 4^L expectation magnitudes as a (2^L, 2^L) array [x_mask, z_mask].
+    A Z-parity eigenstate has zero odd-weight rows, and its other rows come
+    from the Z-parity fold."""
     L = state.n_sites
     if L > TABLE_SITE_CAP:
         raise ValueError(f"L={L} exceeds the table cap {TABLE_SITE_CAP}")
     psi = state.amps
     N = psi.size
-    block = _block_rows(N, None)
-    out = np.empty((N, N))
-    for start in range(0, N, block):
-        stop = min(start + block, N)
-        masks = np.arange(start, stop, dtype=np.int64)
-        rows = _transformed_block(psi, masks)
-        out[start:stop] = np.abs(np.take_along_axis(rows, _positions(masks, N), axis=1))
+    sector = _parity_sector(psi)
+    masks = np.arange(N, dtype=np.int64)
+    if sector is not None:
+        masks = masks[(np.bitwise_count(masks) & 1) == 0]
+    block = _block_rows(_width(N, sector), None)
+    out = np.zeros((N, N))
+    for start in range(0, masks.size, block):
+        rows = masks[start:start + block]
+        out[rows] = np.abs(np.take_along_axis(_transformed_block(psi, rows, sector),
+                                              _positions(rows, N, sector), axis=1))
     return out
 
 

@@ -136,15 +136,19 @@ def translate(state, steps=1):
     return StateVector(L, state.amps[src])
 
 
+def _reflect_bits(idx, c, L):
+    """L-bit integers with bit j moved to bit 2c - j (mod L)."""
+    dest = np.zeros_like(idx)
+    for j in range(L):
+        dest |= ((idx >> j) & 1) << ((2 * c - j) % L)
+    return dest
+
+
 def reflect(state, center):
     """Mirror the chain about ``center``: site j -> 2*center - j (mod L)."""
     L = state.n_sites
     c = _require_site(center, L)
-    idx = np.arange(state.dim, dtype=np.int64)
-    dest = np.zeros_like(idx)
-    for j in range(L):
-        m = (2 * c - j) % L
-        dest |= ((idx >> j) & 1) << m
+    dest = _reflect_bits(np.arange(state.dim, dtype=np.int64), c, L)
     out = np.empty_like(state.amps)
     out[dest] = state.amps
     return StateVector(L, out)

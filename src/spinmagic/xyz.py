@@ -47,7 +47,7 @@ class ChainParams:
 
 @dataclass(frozen=True)
 class GroundManifold:
-    energies: np.ndarray  # ascending, all requested levels
+    energies: np.ndarray  # clusters ascending: the requested levels, no cluster cut
     states: list  # StateVector per level, a momentum and Z-parity eigenstate
     momenta: list  # momentum index of the sector each state came from
     degeneracy: int  # levels within DEGENERACY_RTOL of the lowest
@@ -158,8 +158,25 @@ def _solve_sector(block, h, count):
     return spla.eigsh(h0 + sp.diags(h * mag), k=k, which="SA", v0=v0, ncv=ncv, maxiter=20000)
 
 
+def _cluster_starts(energies):
+    """For each level, the lowest energy of its cluster: sorted by energy, a
+    level within DEGENERACY_RTOL (relative to the lowest level) of the
+    current cluster's lowest level joins it, and any other starts a new one.
+    Also that tolerance."""
+    by_energy = sorted(range(len(energies)), key=energies.__getitem__)
+    tol = DEGENERACY_RTOL * max(1.0, abs(energies[by_energy[0]]))
+    starts = [0.0] * len(energies)
+    start = -np.inf
+    for i in by_energy:
+        if energies[i] - start >= tol:
+            start = energies[i]
+        starts[i] = start
+    return starts, tol
+
+
 def lowest_eigs(params, count):
-    """Lowest ``count`` eigenpairs of H, each labelled by its momentum sector.
+    """Lowest ``count`` eigenpairs of H, each labelled by its momentum sector,
+    and more where the count ends inside a cluster: no cluster is cut.
 
     H commutes with the translation T and the Z-parity, so it is solved in
     each (ell, parity) block for ell >= 0; the ell < 0 levels are the complex
@@ -167,28 +184,28 @@ def lowest_eigs(params, count):
     lowest level form one cluster; clusters come in ascending energy, and the
     levels of a cluster in sector order (ell ascending, +ell before -ell,
     parity +1 first), so a degenerate manifold comes out the same on every
-    run whatever the last bits of its energies.
+    run whatever the last bits of its energies.  A block whose levels all lie
+    below the end of the last cluster kept may hold more of it, so it is
+    solved again for twice as many, until a level lies above that end or the
+    block is exhausted.
     """
     L = params.L
     N = 2**L
     if count < 1 or count >= N:
         raise ValueError(f"count must be in [1, {N - 1}]")
-    levels = []  # (energy, ell, parity, eigenvector in the sector basis)
-    for ell, parity in _sectors(L):
-        vals, vecs = _solve_sector(_sector_block(params, ell, parity), params.h, count)
-        for e, v in zip(vals, vecs.T):
-            levels.append((e, ell, parity, v))
-            if ell:
-                levels.append((e, -ell, parity, v))
-    by_energy = sorted(range(len(levels)), key=lambda i: levels[i][0])
-    tol = DEGENERACY_RTOL * max(1.0, abs(levels[by_energy[0]][0]))
-    cluster = {}  # level -> lowest energy of its cluster
-    start = -np.inf
-    for i in by_energy:
-        if levels[i][0] - start >= tol:
-            start = levels[i][0]
-        cluster[i] = start
-    keep = sorted(range(len(levels)), key=lambda i: (cluster[i], i))[:count]
+    solved = {}  # (ell, parity) -> eigenvalues and eigenvectors in the sector basis
+    pending = dict.fromkeys(_sectors(L), count)
+    while pending:
+        for (ell, parity), k in pending.items():
+            solved[ell, parity] = _solve_sector(_sector_block(params, ell, parity), params.h, k)
+        levels = [(e, m, parity, v) for (ell, parity), (vals, vecs) in solved.items()
+                  for e, v in zip(vals, vecs.T) for m in ((ell, -ell) if ell else (0,))]
+        starts, tol = _cluster_starts([level[0] for level in levels])
+        order = sorted(range(len(levels)), key=lambda i: (starts[i], i))
+        last = starts[order[count - 1]]  # the lowest level of the last cluster kept
+        pending = {sector: 2 * vals.size for sector, (vals, vecs) in solved.items()
+                   if vals[-1] - last < tol and vals.size < vecs.shape[0]}
+    keep = [i for i in order if starts[i] <= last]
     states = []
     for i in keep:  # embed the kept levels only, by a gather
         _, ell, parity, v = levels[i]
@@ -199,7 +216,7 @@ def lowest_eigs(params, count):
         energies=np.array([levels[i][0] for i in keep]),
         states=states,
         momenta=[levels[i][1] for i in keep],
-        degeneracy=sum(cluster[i] == cluster[keep[0]] for i in keep),
+        degeneracy=sum(starts[i] == starts[keep[0]] for i in keep),
     )
 
 

@@ -153,6 +153,16 @@ def test_config_supplies_flags(tmp_path, capsys, argv, text, column, expected):
     assert [r[column] for r in json.loads(out)] == expected
 
 
+def test_negative_lists_need_no_equals_sign(capsys):
+    # argparse alone would take a separate "-0.2,0.0" for an option
+    spaced = run(["hstar-map", "--jy", "0.33", "--jz", "-0.2,0.0", "--L", "5"], capsys)
+    attached = run(["hstar-map", "--jy", "0.33", "--jz=-0.2,0.0", "--L", "5"], capsys)
+    assert spaced == attached
+    assert spaced[0] == EXIT_OK and len(spaced[1].splitlines()) == 3
+    assert cli.attach_negative_lists(["ratio", "--L", "-5,7", "--jy", "-0.3", "--h", "1"]) == [
+        "ratio", "--L=-5,7", "--jy", "-0.3", "--h", "1"]
+
+
 BAD_LISTS = [(["jump-scaling"], "L", "7,abc"), (["jump-scaling"], "L", ","),
              (["ratio"], "L", ""), (["ratio"], "L", "5.0"),
              (["hstar-map", "--jz", "0"], "jy", ""), (["hstar-map", "--jy", "0.3"], "jz", "0,x")]

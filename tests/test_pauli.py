@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 import spinmagic as sm
 from spinmagic import pauli
 from spinmagic.pauli import fwht
-from spinmagic.states import StateVector, random_state, translate
+from spinmagic.states import StateVector, random_state, reflect, translate
+from spinmagic.xyz import ChainParams, lowest_eigs, pick_ground_state
 
 RNG = np.random.default_rng(23)
 
@@ -88,7 +89,7 @@ def test_block_and_workers_must_be_positive(kwargs):
 
 
 def test_moment_caps_and_parity_check():
-    # 2^16 x-masks of 2^16 amplitudes: four times the work bound
+    # 2^16 x-masks of 2^15 transformed amplitudes: twice the work bound
     with pytest.raises(ValueError, match="work bound"):
         sm.pauli_moment(random_state(16, np.random.default_rng(16)), 4)
     with pytest.raises(ValueError):
@@ -96,10 +97,11 @@ def test_moment_caps_and_parity_check():
 
 
 def test_work_bound_messages_follow_the_constant(monkeypatch):
-    monkeypatch.setattr(pauli, "WORK_CAP", 2**20)
-    with pytest.raises(ValueError, match=r"work bound of 2\^20 Pauli strings"):
+    # W(13, 1) takes 190 bracelets of 2^11 amplitudes, 2^18.6
+    monkeypatch.setattr(pauli, "WORK_CAP", 2**18)
+    with pytest.raises(ValueError, match=r"work bound of 2\^18 amplitudes"):
         sm.sre_brute(sm.build_w(13, 1))
-    with pytest.raises(ValueError, match=r"work bound of 2\^20 Pauli strings"):
+    with pytest.raises(ValueError, match=r"work bound of 2\^18 amplitudes"):
         sm.pauli_moment(random_state(11, RNG), 4)
 
 
@@ -157,11 +159,20 @@ def test_mesoscopic_string_property(L):
 
 ROUTES = [("translation",), ("translation", "parity"), ("hadamard", "translation", "parity"),
           ("parity",), ("hadamard", "parity")]
+MIRROR_ROUTES = [("translation", "reflection"), ("translation", "parity", "reflection"),
+                 ("hadamard", "translation", "parity", "reflection")]
+
+
+def mirror_image(amps, L):
+    """R K amps: the complex conjugate mirrored about site 1."""
+    norm = np.linalg.norm(amps)
+    return norm * reflect(StateVector(L, amps.conj() / norm), 1).amps
 
 
 def symmetric_state(L, ell, route, rng):
     """A random state with the symmetries ``route`` names: a momentum-ell
     eigenstate under "translation", a Z-parity eigenstate under "parity",
+    an R K eigenstate under "reflection" (R K keeps momentum and parity),
     and then under "hadamard" the H^{(x)L} image, an X-parity eigenstate."""
     psi = random_state(L, rng)
     amps = psi.amps
@@ -171,9 +182,17 @@ def symmetric_state(L, ell, route, rng):
     if "parity" in route:
         odd = np.bitwise_count(np.arange(2**L)) & 1
         amps = np.where(odd == rng.integers(2), 0, amps)
+    if "reflection" in route:
+        amps = amps + mirror_image(amps, L)  # (R K)^2 = 1
     if "hadamard" in route:
         amps = fwht(amps.copy())
     return StateVector(L, amps / np.linalg.norm(amps))
+
+
+def mirror_symmetric(state):
+    """Whether R K psi = e^(i theta) psi, to 1e-12 in norm."""
+    image = mirror_image(state.amps, state.n_sites)
+    return bool(np.linalg.norm(image - np.vdot(state.amps, image) * state.amps) <= 1e-12)
 
 
 def relative_gap(state):
@@ -190,9 +209,72 @@ def relative_gap(state):
 def test_reduced_kernel_matches_full_enumeration(L, route, seed):
     rng = np.random.default_rng(seed)
     for ell in range(-(L - 1) // 2, (L - 1) // 2 + 1) if "translation" in route else [0]:
-        method, gap = relative_gap(symmetric_state(L, ell, route, rng))
-        assert method == "brute:" + "+".join(route)
+        state = symmetric_state(L, ell, route, rng)
+        method, gap = relative_gap(state)
+        # at L = 3 an (ell != 0, parity) sector holds one momentum state,
+        # which R K maps to itself, so it takes the bracelets too
+        mirrored = "translation" in route and mirror_symmetric(state)
+        assert method == "brute:" + "+".join(route + ("reflection",) * mirrored)
         assert gap <= 1e-12
+
+
+def nonzero_ell(L, rng):
+    ell = int(rng.integers(1, (L - 1) // 2 + 1))
+    return ell if rng.integers(2) else -ell
+
+
+# L = 9 has orbits of period 3, and L = 11 is the size of the benchmark
+@pytest.mark.parametrize("L", [5, 7, 9, 11])
+@pytest.mark.parametrize("route", [("parity",), ("hadamard", "parity")] + MIRROR_ROUTES,
+                         ids="+".join)
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_folded_and_bracelet_kernels_match_full_enumeration(L, route, seed):
+    # random Z-parity and X-parity states, and random R K-symmetric momentum
+    # eigenstates at ell != 0
+    rng = np.random.default_rng(seed)
+    state = symmetric_state(L, nonzero_ell(L, rng), route, rng)
+    method, gap = relative_gap(state)
+    assert method == "brute:" + "+".join(route)
+    assert gap <= 1e-12
+
+
+@pytest.mark.parametrize("L", [5, 7, 9, 11])
+def test_named_states_fold_and_take_bracelets(L):
+    ells = (-(L - 1) // 2, 0, 1)  # the ends of the momentum window, and 1
+    cases = [(sm.build_w(L, ell), "hadamard+translation+parity+reflection") for ell in ells]
+    cases += [(sm.build_omega(L, ell), "translation+parity+reflection") for ell in ells]
+    cases += [(sm.build_phi(L, ell, 0.3), "parity") for ell in ells if ell]
+    for h, zero in ((0.5, False), (1.5, True)):  # below and above h*
+        ell, state = pick_ground_state(lowest_eigs(ChainParams(L, 0.33, 0.0, h), 6))
+        assert (ell == 0) == zero
+        cases.append((state, "translation+parity+reflection"))
+    for state, method in cases:
+        reduced, gap = relative_gap(state)
+        assert reduced == "brute:" + method
+        assert gap <= 1e-12
+
+
+@pytest.mark.parametrize("L", [5, 7, 9, 11])
+@pytest.mark.parametrize("route", [("translation",), ("translation", "parity")], ids="+".join)
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_translation_eigenstates_without_mirror_symmetry_take_necklaces(L, route, seed):
+    rng = np.random.default_rng(seed)
+    state = symmetric_state(L, nonzero_ell(L, rng), route, rng)
+    assert not mirror_symmetric(state)
+    assert sm.sre_brute(state).method == "brute:" + "+".join(route)
+
+
+@settings(max_examples=20, deadline=None)
+@given(L=st.integers(2, 5), route=st.sampled_from([("parity",), ("translation", "parity"),
+                                                   ("translation", "parity", "reflection")]),
+       seed=st.integers(0, 2**32 - 1))
+def test_abs_table_matches_single_strings_on_parity_states(L, route, seed):
+    # the table of a Z-parity eigenstate comes from the Z-parity fold
+    rng = np.random.default_rng(seed)
+    state = symmetric_state(L, 0, route, rng)
+    assert np.max(np.abs(sm.pauli_abs_table(state) - single_strings(state))) <= 1e-12
 
 
 @settings(max_examples=30)
@@ -229,28 +311,31 @@ def test_reduced_kernel_deterministic_across_workers_and_blocks(route):
 
 
 def test_named_states_take_their_reductions():
-    assert sm.sre_brute(sm.build_w(9, 1)).method == "brute:hadamard+translation+parity"
-    assert sm.sre_brute(sm.build_omega(9, 2)).method == "brute:translation+parity"
+    assert sm.sre_brute(sm.build_w(9, 1)).method == "brute:hadamard+translation+parity+reflection"
+    assert sm.sre_brute(sm.build_omega(9, 2)).method == "brute:translation+parity+reflection"
     assert sm.sre_brute(sm.build_phi(9, 1, 0.3)).method == "brute:parity"
     assert sm.sre_brute(random_state(9, RNG)).method == "brute"
 
 
 def test_site_caps(monkeypatch):
     # one row of ones per x-mask stands in for the transform, so acceptance
-    # costs no enumeration; the work bound sees the real mask count
+    # costs no enumeration; the work bound sees the real mask count and row width
     transformed = []
-    monkeypatch.setattr(pauli, "_transformed_block",
-                        lambda psi, masks: transformed.append(masks.size) or np.ones((masks.size, 1)))
-    # the largest accepted L: 15 without translation, 17 with it
-    for route, top in [((), 15), (("parity",), 15), (("translation",), 17),
-                       (("translation", "parity"), 17)]:
-        for L in (15, 16, 17, 18):
+    monkeypatch.setattr(pauli, "_transformed_block", lambda psi, masks, sector=None:
+                        transformed.append(masks.size) or np.ones((masks.size, 1)))
+    # the largest accepted L, one more refused: rows of 2^(L-1) amplitudes,
+    # or 2^(L-2) under the Z-parity fold; a generic state stops at 15
+    for route, top in [((), 15), (("parity",), 16), (("translation",), 17),
+                       (("translation", "parity"), 18),
+                       (("translation", "parity", "reflection"), 19)]:
+        for L in (top, top + 1):
             transformed.clear()
             state = symmetric_state(L, 1, route, np.random.default_rng(L))
             if L <= top:
                 method = "brute:" + "+".join(route) if route else "brute"
                 assert sm.sre_brute(state).method == method
-                assert 0 < sum(transformed) * 2**L <= pauli.WORK_CAP
+                width = 2 ** (L - 2) if "parity" in route else 2 ** (L - 1)
+                assert 0 < sum(transformed) * width <= pauli.WORK_CAP
             else:
                 with pytest.raises(ValueError, match="work bound"):
                     sm.sre_brute(state)
@@ -261,27 +346,29 @@ def test_work_bound_raises_before_enumeration(monkeypatch):
     detected = []
     symmetries = pauli._symmetries
     monkeypatch.setattr(pauli, "_symmetries", lambda s: detected.append(s) or symmetries(s))
-    monkeypatch.setattr(pauli, "_transformed_block", lambda psi, masks: pytest.fail("enumerated"))
+    monkeypatch.setattr(pauli, "_transformed_block",
+                        lambda psi, masks, sector=None: pytest.fail("enumerated"))
     # L = 17 without symmetry: refused after detection, by the mask count
-    with pytest.raises(ValueError, match="131072 x-masks of 131072 amplitudes"):
+    with pytest.raises(ValueError, match="131072 x-masks of 65536 transformed amplitudes"):
         sm.sre_brute(random_state(17, RNG))
     assert len(detected) == 1
-    # L = 18: refused before detection, whatever the state
-    with pytest.raises(ValueError, match="L=18"):
-        sm.sre_brute(random_state(18, RNG))
+    # L = 20: refused before detection, whatever the state
+    with pytest.raises(ValueError, match="L=20"):
+        sm.sre_brute(random_state(20, RNG))
     assert len(detected) == 1
 
 
 def test_default_blocks_hold_2_17_amplitudes(monkeypatch):
+    # 2^16 complex amplitudes, the 2^17 float64 values of their view: 1 MB
     rows = []
     transform = pauli._transformed_block
-    monkeypatch.setattr(pauli, "_transformed_block",
-                        lambda psi, masks: rows.append(masks.size) or transform(psi, masks))
+    monkeypatch.setattr(pauli, "_transformed_block", lambda psi, masks, sector=None:
+                        rows.append(masks.size) or transform(psi, masks, sector))
     sm.pauli_moment(random_state(11, RNG), 4, workers=2)
-    assert set(rows) == {64}
+    assert set(rows) == {2**16 // 2**10}
     rows.clear()
-    sm.sre_brute(sm.build_w(13, 1))
-    assert max(rows) * 2**13 <= 2**17
+    sm.sre_brute(sm.build_w(13, 1))  # rows of 2^11 amplitudes under the Z-parity fold
+    assert max(rows) * 2**11 <= 2**16
     rows.clear()
     sm.pauli_abs_table(sm.build_w(9, 1))
-    assert set(rows) == {2**17 // 2**9}
+    assert set(rows) == {2**16 // 2**8}

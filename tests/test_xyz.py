@@ -139,15 +139,31 @@ def test_classical_point_ground_manifold(L):
     assert counts == {ell: 2 for ell in range(-(L - 1) // 2, (L - 1) // 2 + 1)}
 
 
+@pytest.mark.parametrize("L", [5, 7])
+def test_lowest_cluster_is_kept_whole(L):
+    # one level of each sector lies in the 2L-fold classical cluster
+    man = sm.lowest_eigs(sm.ChainParams(L=L, jy=0.0, jz=0.0, h=0.0), 1)
+    assert man.degeneracy == len(man.energies) == len(man.states) == 2 * L
+    assert np.allclose(man.energies, 2.0 - L, rtol=0, atol=1e-10)
+    # H = 0 is one cluster: asked for one level, every block is solved again
+    # until it is exhausted
+    flat = sm.lowest_eigs(sm.ChainParams(L=L, jy=0.0, jz=0.0, h=0.0, jx=0.0), 1)
+    assert flat.degeneracy == len(flat.energies) == 2**L
+    assert sorted(flat.momenta) == sorted(measure_momentum(s) for s in flat.states)
+
+
 def test_degenerate_manifold_is_the_same_in_fresh_processes():
     # at the classical point every L = 13 sector block goes through eigsh and
     # the 2L-fold ground cluster is exactly degenerate, so its order comes from
-    # the sector labels, not from the last bits of the energies
-    code = "import spinmagic as sm; print(sm.lowest_eigs(sm.ChainParams(13, 0, 0, 0), 6).momenta)"
+    # the sector labels, not from the last bits of the energies; 6 levels are
+    # asked for, and the whole cluster of 26 comes back
+    code = ("import spinmagic as sm; m = sm.lowest_eigs(sm.ChainParams(13, 0, 0, 0), 6); "
+            "print(m.degeneracy, m.momenta)")
     env = {**os.environ, "PYTHONPATH": str(Path(sm.__file__).parents[1])}
     runs = [subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            text=True, check=True).stdout for _ in range(3)]
-    assert runs == ["[0, 0, 1, -1, 1, -1]\n"] * 3
+    cluster = [ell for k in range(7) for ell in ([k, k] if k == 0 else [k, -k, k, -k])]
+    assert runs == [f"26 {cluster}\n"] * 3
 
 
 def test_dense_and_iterative_solvers_agree(monkeypatch):
@@ -170,9 +186,13 @@ def test_sector_states_are_labelled_eigenstates(L, jy, jz, h):
     params = sm.ChainParams(L=L, jy=jy, jz=jz, h=h)
     H = sm.hamiltonian_sparse(params)
     full = np.linalg.eigvalsh(H.toarray())
-    assert np.allclose(sm.lowest_eigs(params, 6).energies, full[:6], rtol=0, atol=1e-10)
+    # whole clusters come back, each in sector order: 6 or more levels, and
+    # 2^L - 1 or all of them
+    lowest = np.sort(sm.lowest_eigs(params, 6).energies)
+    assert lowest.size >= 6
+    assert np.allclose(lowest, full[:lowest.size], rtol=0, atol=1e-10)
     man = sm.lowest_eigs(params, 2**L - 1)
-    assert np.allclose(man.energies, full[:-1], rtol=0, atol=1e-10)
+    assert np.allclose(np.sort(man.energies), full[:man.energies.size], rtol=0, atol=1e-10)
     for e, ell, state in zip(man.energies, man.momenta, man.states):
         assert np.linalg.norm(H @ state.amps - e * state.amps) <= 1e-9
         assert measure_momentum(state) == ell
