@@ -121,7 +121,7 @@ def load_config(path):
 
 def ground(params):
     """(momentum, state) of the ground state; 6 levels hold its whole cluster,
-    since lowest_eigs cuts no cluster."""
+    since lowest_eigs never cuts the ground cluster."""
     return pick_ground_state(lowest_eigs(params, 6))
 
 

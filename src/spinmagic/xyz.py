@@ -47,7 +47,7 @@ class ChainParams:
 
 @dataclass(frozen=True)
 class GroundManifold:
-    energies: np.ndarray  # clusters ascending: the requested levels, no cluster cut
+    energies: np.ndarray  # clusters ascending: the requested levels, the ground cluster whole
     states: list  # StateVector per level, a momentum and Z-parity eigenstate
     momenta: list  # momentum index of the sector each state came from
     degeneracy: int  # levels within DEGENERACY_RTOL of the lowest
@@ -176,7 +176,7 @@ def _cluster_starts(energies):
 
 def lowest_eigs(params, count):
     """Lowest ``count`` eigenpairs of H, each labelled by its momentum sector,
-    and more where the count ends inside a cluster: no cluster is cut.
+    and more where the count ends inside the ground cluster: it is never cut.
 
     H commutes with the translation T and the Z-parity, so it is solved in
     each (ell, parity) block for ell >= 0; the ell < 0 levels are the complex
@@ -184,28 +184,31 @@ def lowest_eigs(params, count):
     lowest level form one cluster; clusters come in ascending energy, and the
     levels of a cluster in sector order (ell ascending, +ell before -ell,
     parity +1 first), so a degenerate manifold comes out the same on every
-    run whatever the last bits of its energies.  A block whose levels all lie
-    below the end of the last cluster kept may hold more of it, so it is
-    solved again for twice as many, until a level lies above that end or the
-    block is exhausted.
+    run whatever the last bits of its energies, and ``energies`` ascends to
+    within that tolerance.  A block whose levels all lie inside the ground
+    cluster may hold more of it, so it is solved again for twice as many,
+    until a level lies above the cluster or the block is exhausted.  A later
+    cluster that ``count`` ends inside is cut, in sector order.
     """
     L = params.L
     N = 2**L
     if count < 1 or count >= N:
         raise ValueError(f"count must be in [1, {N - 1}]")
+    blocks = {sector: _sector_block(params, *sector) for sector in _sectors(L)}
     solved = {}  # (ell, parity) -> eigenvalues and eigenvectors in the sector basis
-    pending = dict.fromkeys(_sectors(L), count)
+    pending = dict.fromkeys(blocks, count)
     while pending:
-        for (ell, parity), k in pending.items():
-            solved[ell, parity] = _solve_sector(_sector_block(params, ell, parity), params.h, k)
+        for sector, k in pending.items():
+            solved[sector] = _solve_sector(blocks[sector], params.h, k)
         levels = [(e, m, parity, v) for (ell, parity), (vals, vecs) in solved.items()
                   for e, v in zip(vals, vecs.T) for m in ((ell, -ell) if ell else (0,))]
         starts, tol = _cluster_starts([level[0] for level in levels])
         order = sorted(range(len(levels)), key=lambda i: (starts[i], i))
-        last = starts[order[count - 1]]  # the lowest level of the last cluster kept
+        ground = starts[order[0]]
         pending = {sector: 2 * vals.size for sector, (vals, vecs) in solved.items()
-                   if vals[-1] - last < tol and vals.size < vecs.shape[0]}
-    keep = [i for i in order if starts[i] <= last]
+                   if vals[-1] - ground < tol and vals.size < vecs.shape[0]}
+    degeneracy = sum(start == ground for start in starts)
+    keep = order[:max(count, degeneracy)]
     states = []
     for i in keep:  # embed the kept levels only, by a gather
         _, ell, parity, v = levels[i]
@@ -216,7 +219,7 @@ def lowest_eigs(params, count):
         energies=np.array([levels[i][0] for i in keep]),
         states=states,
         momenta=[levels[i][1] for i in keep],
-        degeneracy=sum(starts[i] == starts[keep[0]] for i in keep),
+        degeneracy=degeneracy,
     )
 
 
