@@ -50,7 +50,6 @@ from .xyz import (
     GroundManifold,
     HstarResult,
     find_hstar,
-    ground_momenta,
     hamiltonian_sparse,
     lowest_eigs,
     nonfrustrated_counterpart,

@@ -335,7 +335,7 @@ def cmd_verify(args):
         phis = [wstates.build_phi(L, ell, 0.3) for ell in ells if ell]
         check(f"reduced vs full SRE kernel L={L}",
               reduced_gap(w_states + omegas + grounds, "translation"), 1e-12)
-        check(f"Z-parity fold vs full SRE kernel L={L}",
+        check(f"Z-parity restriction vs full SRE kernel L={L}",
               reduced_gap(w_states + omegas + phis, "parity"), 1e-12)
         check(f"bracelets vs full SRE kernel L={L}",
               reduced_gap(w_states + omegas + grounds, "reflection"), 1e-12)

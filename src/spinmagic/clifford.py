@@ -85,24 +85,21 @@ def apply_circuit_inverse(state, circuit):
     return state
 
 
-def build_circuit_s(L, chain_order="asc"):
+def build_circuit_s(L):
     """Gate list (application order) of the W -> omega Clifford circuit:
 
     S = prod_j C(L, L-j) (prod_j sigma^z_{2j-1}) H(L) sigma^z_L
         prod_j C(j, j+1) Pi^z
 
-    The rightmost factor acts first.  ``chain_order`` fixes the ambiguous
-    ordering of the C(j, j+1) ladder; 'asc' (C(1,2) first) is the ordering
-    that realizes the W -> omega mapping with ell' = ell and is the frozen
-    default ('desc' kept for the ordering experiment).
+    The rightmost factor acts first.  The C(j, j+1) ladder runs ascending,
+    C(1, 2) first: that ordering realizes the W -> omega mapping with
+    ell' = ell, and the descending one does not.
     """
     if L < 3 or L % 2 == 0:
         raise ValueError(f"L must be odd and >= 3, got {L}")
     M = (L - 1) // 2
-    js = range(1, L)
-    ladder = list(js) if chain_order == "asc" else list(reversed(js))
     gates = [Gate("PARITYZ")]
-    gates += [Gate("CXZ", (j, j + 1)) for j in ladder]
+    gates += [Gate("CXZ", (j, j + 1)) for j in range(1, L)]
     gates += [Gate("Z", (L,)), Gate("H", (L,))]
     gates += [Gate("Z", (2 * j - 1,)) for j in range(1, M + 1)]
     gates += [Gate("CXZ", (L, L - j)) for j in range(1, L)]

@@ -6,42 +6,37 @@ i^{|x & z|} since only magnitudes enter the entropy.
 
 The brute-force kernel runs over x-masks.  For a mask a the vector
 g_a(s) = conj(psi(s ^ a)) psi(s) has the Walsh-Hadamard transform
-G_a(b) = <X_a Z_b>, so one transform yields all 2^L z-masks at once.  Two
-folds shorten that transform.
+G_a(b) = <X_a Z_b>, so one transform yields all 2^L z-masks at once.  It is
+folded in half: g_a(s ^ a) = conj(g_a(s)), so with k the top bit of a,
+summing each pair over the s with bit k clear gives
 
-- Hermitian fold, on every state.  g_a(s ^ a) = conj(g_a(s)).  With k the
-  top bit of a, summing each pair over the s with bit k clear gives
+    G_a(b) = 2 Re H_a(b')  if |a & b| is even,   2i Im H_a(b')  if odd,
 
-      G_a(b) = 2 Re H_a(b')  if |a & b| is even,   2i Im H_a(b')  if odd,
-
-  where H_a is the transform of g_a restricted to those 2^(L-1) s, and b' is
-  b without bit k.  So one complex transform of length 2^(L-1) per mask
-  holds all 2^L magnitudes: the float64 view of the row 2 H_a is a real row
-  of 2^L values whose magnitudes are the |<X_a Z_b>|, b at position
-  2 b' + parity(a & b).
-- Z-parity fold, on a state that lives on the basis states of one Z-parity
-  P.  For an even-weight a, g_a lives there too, so bit 0 of s follows from
-  the parity of its other bits (bit 0 is not k, as k >= 1 for a != 0).
-  Summing over the 2^(L-2) free bits t of s gives
-  H_a(b') = (-1)^(P b_0) F_a(c), where F_a is the transform of length
-  2^(L-2) of g_a at those s, and c is b' without bit 0, complemented where
-  b_0 = 1.  So |<X_a Z_b>| = |<X_a Z_(b ^ (2^L - 1))>|: the float64 view of
-  2 F_a is a row of 2^(L-1) values, b at position 2 c + parity(a & b), each
-  standing for the two z-masks b and b ^ (2^L - 1).
+where H_a is the transform of g_a restricted to those 2^(L-1) s, and b' is b
+without bit k.  So one complex transform of length 2^(L-1) per mask holds
+all 2^L magnitudes: the float64 view of the row 2 H_a is a real row of 2^L
+values whose magnitudes are the |<X_a Z_b>|, b at position
+2 b' + parity(a & b).
 
 The row a = 0 is the real transform of p = |psi|^2, folded on the top bit
 of the chain: its first butterfly is done by hand, as
-(p(s) + p(s ^ e)) + i (p(s) - p(s ^ e)) with e = 2^(L-1), or 2^(L-1) + 1
-under the Z-parity fold, so the real and imaginary parts carry G_0 where
-parity(e & b) is even and odd.  Each mask costs O(L 2^L) time and O(2^L)
-bytes.  Full enumeration takes all 2^L masks.  ``sre_brute`` first looks
-for the symmetries that make masks redundant:
+(p(s) + p(s ^ e)) + i (p(s) - p(s ^ e)) with e = 2^(L-1), so the real and
+imaginary parts carry G_0 where b_(L-1) is 0 and 1.  Each mask costs
+O(L 2^L) time and O(2^L) bytes.  Full enumeration takes all 2^L masks.
+``sre_brute`` first looks for the symmetries that make masks redundant:
 
 - translation: sum_b |<X_a Z_b>|^4 is the same for every cyclic shift of a,
   so one necklace representative per orbit stands for the orbit, weighted
   by the orbit size;
-- Z-parity: <X_a Z_b> vanishes for every odd-weight a, and the even-weight
-  masks take the Z-parity fold;
+- Z-parity: for a state of Z-parity P, <X_a Z_b> vanishes for every
+  odd-weight a.  The basis permutation C that replaces bit 0 of s by
+  parity(s) (CNOTs from sites 2..L onto site 1) is Clifford and maps psi to
+  |P>_1 (x) phi, with phi(t) = psi((t << 1) | (parity(t) ^ P)) on L - 1
+  sites.  It sends X_a, a of even weight, to X_(a >> 1) on phi, and z-mask b
+  to c = (b >> 1) ^ (b_0 ? 2^(L-1) - 1 : 0), up to a sign, so
+  sum_b |<X_a Z_b>_psi|^4 = 2 sum_c |<X_(a >> 1) Z_c>_phi|^4: the kernel
+  runs on phi, over the masks shifted right by one (a bijection of the
+  even-weight masks that keeps their order), at twice the weight;
 - X-parity: H^{(x)L} is Clifford, leaves M2, translation and reflection
   alone and maps a Pi^x eigenstate to a Pi^z eigenstate, so one transform
   of the amplitudes turns X-parity into Z-parity;
@@ -55,8 +50,8 @@ for the symmetries that make masks redundant:
 Each symmetry is taken only when its residual norm is at most SYM_TOL.  The
 reduction order is fixed, so the raw moment is bit-identical for any worker
 count or block size.  Work and memory are bounded by the complex amplitudes
-the kernel transforms, 2^(L-1) per x-mask or 2^(L-2) under the Z-parity
-fold, not by L.
+the kernel transforms, half the length of the vector per x-mask: 2^(L-1),
+or 2^(L-2) on the Z-parity restriction, not by L.
 """
 
 import math
@@ -69,7 +64,7 @@ from .states import (StateVector, _reflect_bits, _translation_orbits, momentum_o
                      translate)
 
 # complex amplitudes that one moment may transform: 2^(L-1) per x-mask, or
-# 2^(L-2) under the Z-parity fold
+# 2^(L-2) on the Z-parity restriction
 WORK_CAP = 2**30
 BLOCK_AMPS = 2**16  # complex amplitudes per block by default: 1 MB of transformed rows
 TABLE_SITE_CAP = 10  # the 4^L magnitude table, 8 MB at L = 10
@@ -121,36 +116,13 @@ def _fold_bits(masks, size):
     return np.int64(1) << (np.frexp(np.where(masks, masks, size // 2))[1] - 1)
 
 
-def _width(size, sector):
-    """Complex amplitudes per transformed row: 2^(L-1), or 2^(L-2) under the
-    Z-parity fold."""
-    return size // 2 if sector is None else size // 4
-
-
-def _butterfly_mask(size, sector):
-    """e of the row a = 0 (module docstring): 2^(L-1), plus 1 under the
-    Z-parity fold."""
-    return size // 2 if sector is None else size // 2 + 1
-
-
-def _sources(size, sector):
-    """The s that a transformed row sums over, before a 0 is inserted at bit
-    k: all s below size / 2, or under the Z-parity fold each t below size / 4
-    shifted up one bit, with bit 0 set so that s has Z-parity ``sector``."""
-    if sector is None:
-        return np.arange(size // 2, dtype=np.int64)
-    t = np.arange(size // 4, dtype=np.int64)
-    return (t << 1) | ((np.bitwise_count(t) & 1) ^ sector)
-
-
-def _transformed_block(psi, masks, sector=None):
+def _transformed_block(psi, masks):
     """One float64 row per x-mask a in ``masks``: the view of its complex
-    transform (module docstring), 2^L values, or 2^(L-1) under the Z-parity
-    fold when psi lives on the basis states of Z-parity ``sector`` and the
-    masks have even weight.  The entry at ``_positions`` is +-|<X_a Z_b>|."""
+    transform (module docstring), psi.size values.  The entry at
+    ``_positions`` is +-|<X_a Z_b>|."""
     size = psi.size
     bits = _fold_bits(masks, size)[:, None]
-    idx = _sources(size, sector)
+    idx = np.arange(size // 2, dtype=np.int64)
     s = idx & -bits
     s += idx  # idx with a 0 inserted at bit k: the s whose bit k is clear
     # both factors in one buffer, gathered and conjugated in place: fresh
@@ -166,23 +138,20 @@ def _transformed_block(psi, masks, sector=None):
     zero = masks == 0
     if zero.any():
         p = psi.real**2 + psi.imag**2
-        lo, hi = p[idx], p[idx ^ _butterfly_mask(size, sector)]
+        lo, hi = p[idx], p[idx ^ (size // 2)]
         g[zero] = (lo + hi) + 1j * (lo - hi)
     fwht(g)
     return g.view(np.float64)
 
 
-def _positions(masks, size, sector=None):
+def _positions(masks, size):
     """Where row a of ``_transformed_block`` holds <X_a Z_b>, for every z-mask
-    b: 2 c + parity(m & b), with c = b without bit k and m = a, or for a = 0
-    the mask e of its hand butterfly.  Under the Z-parity fold c also drops
-    bit 0 and is complemented where b_0 = 1."""
+    b: 2 c + parity(a & b), with c = b without bit k, and for a = 0 (k the
+    top bit of the chain) 2 c + b_k."""
     bits = _fold_bits(masks, size)[:, None]
     b = np.arange(size, dtype=np.int64)
     c = (b & (bits - 1)) + ((b >> 1) & -bits)
-    if sector is not None:
-        c = (c >> 1) ^ (-(b & 1) & (size // 4 - 1))
-    m = np.where(masks == 0, _butterfly_mask(size, sector), masks)[:, None]
+    m = np.where(masks == 0, size // 2, masks)[:, None]
     return 2 * c + (np.bitwise_count(m & b) & 1)
 
 
@@ -192,15 +161,15 @@ def _block_rows(width, block):
     return max(1, BLOCK_AMPS // width) if block is None else block
 
 
-def _moment(psi, masks, power, block, workers, weights=None, sector=None):
-    """sum over the x-masks a in ``masks`` of weights[a] sum_b |<X_a Z_b>|^power,
-    under the Z-parity fold when ``sector`` is given.
+def _moment(psi, masks, power, block, workers, weights=None):
+    """sum over the x-masks a in ``masks`` of weights[a] sum_b |<X_a Z_b>|^power.
 
     Partial sums are produced per mask and folded with math.fsum in the
     order of ``masks``, so the result is the same for any ``block`` and
-    ``workers``.
+    ``workers``.  Threads are started only when there are two blocks or
+    more, and no more than there are blocks.
     """
-    width = _width(psi.size, sector)
+    width = psi.size // 2
     block = _block_rows(width, block)
     if block < 1 or workers < 1:
         raise ValueError(f"block and workers must be at least 1, got block={block}, "
@@ -210,19 +179,18 @@ def _moment(psi, masks, power, block, workers, weights=None, sector=None):
                          f"the work bound of 2^{math.log2(WORK_CAP):g} amplitudes")
 
     def block_partials(start):
-        rows = _transformed_block(psi, masks[start:start + block], sector)
+        rows = _transformed_block(psi, masks[start:start + block])
         rows *= rows  # |<X_a Z_b>|^2, in another order
         return np.sum(rows ** (power // 2), axis=1)
 
     starts = range(0, masks.size, block)
+    workers = min(workers, len(starts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(block_partials, starts))
     else:
         partials = list(map(block_partials, starts))
     sums = np.concatenate(partials)
-    if sector is not None:
-        sums *= 2  # a folded value stands for z-masks b and b ^ (2^L - 1)
     if weights is not None:
         sums *= weights
     return math.fsum(sums.tolist())
@@ -241,16 +209,18 @@ def pauli_moment(state, power=4, *, block=None, workers=1):
     return _moment(psi, np.arange(psi.size, dtype=np.int64), power, block, workers)
 
 
-def _parity_sector(psi):
-    """The Z-parity (0 or 1) of the basis states that psi lives on, when the
-    amplitudes of the other parity have norm at most SYM_TOL; else None, and
-    None at L = 1, where the Z-parity fold has no second bit."""
+def _parity_restriction(psi):
+    """phi(t) = psi((t << 1) | (parity(t) ^ P)), with C psi = |P>_1 (x) phi
+    (module docstring), when psi lives on the basis states of one Z-parity P:
+    the amplitudes of the other have norm at most SYM_TOL.  Else None, and
+    None at L = 1, where phi would have no site."""
     if psi.size < 4:
         return None
-    odd = (np.bitwise_count(np.arange(psi.size, dtype=np.int64)) & 1).astype(bool)
-    for sector, wrong in ((0, odd), (1, ~odd)):
+    t = np.arange(psi.size // 2, dtype=np.int64)
+    even = (t << 1) | (np.bitwise_count(t) & 1)  # the s of Z-parity 0, in the order of t
+    for kept, wrong in ((even, even ^ 1), (even ^ 1, even)):
         if np.linalg.norm(psi[wrong]) <= SYM_TOL:
-            return sector
+            return psi[kept]
     return None
 
 
@@ -260,28 +230,29 @@ def _is_symmetric(psi, image):
 
 
 def _symmetries(state):
-    """The amplitudes to enumerate; the reductions they admit, in the order
-    applied, a subset of ("hadamard", "translation", "parity", "reflection");
-    and the Z-parity sector of the amplitudes, or None without "parity"."""
+    """The amplitudes to enumerate, of L - 1 sites under "parity" (the
+    restriction phi) and L otherwise; and the reductions they admit, in the
+    order applied, a subset of ("hadamard", "translation", "parity",
+    "reflection")."""
     psi = state.amps
     reductions = []
-    sector = _parity_sector(psi)
-    if sector is None:
+    phi = _parity_restriction(psi)
+    if phi is None:
         image = fwht(psi.copy()) / math.sqrt(psi.size)  # H^{(x)L} psi
-        sector = _parity_sector(image)
-        if sector is not None:
-            psi = image
+        phi = _parity_restriction(image)
+        if phi is not None:
             reductions.append("hadamard")
     # H^{(x)L} commutes with T, R and K, so the symmetries of state hold for psi
     translation = _is_symmetric(state.amps, translate(state).amps)
     if translation:
         reductions.append("translation")
-    if sector is not None:
+    if phi is not None:
+        psi = phi
         reductions.append("parity")
     if translation and _is_symmetric(
             state.amps, reflect(StateVector(state.n_sites, state.amps.conj()), 1).amps):
         reductions.append("reflection")
-    return psi, reductions, sector
+    return psi, reductions
 
 
 def _reduced_masks(L, translation, parity, reflection):
@@ -319,10 +290,14 @@ def sre_brute(state, *, block=None, workers=1):
     if 2 ** (2 * L - 4) > WORK_CAP * L:
         raise ValueError(f"L={L}: even the fewest x-masks exceed the work bound "
                          f"of 2^{math.log2(WORK_CAP):g} amplitudes")
-    psi, reductions, sector = _symmetries(state)
+    psi, reductions = _symmetries(state)
     masks, weights = _reduced_masks(L, *(r in reductions
                                          for r in ("translation", "parity", "reflection")))
-    raw = _moment(psi, masks, 4, block, workers, weights, sector)
+    if "parity" in reductions:
+        # X_a on psi is X_(a >> 1) on phi, and each value stands for 2 z-masks
+        masks = masks >> 1
+        weights = 2 * (1 if weights is None else weights)
+    raw = _moment(psi, masks, 4, block, workers, weights)
     method = "brute:" + "+".join(reductions) if reductions else "brute"
     value = -math.log2(raw / state.dim)
     return SreResult(value=value, raw_moment=raw, method=method)
@@ -351,23 +326,28 @@ def sre_structured_w(L, ell):
 
 def pauli_abs_table(state):
     """All 4^L expectation magnitudes as a (2^L, 2^L) array [x_mask, z_mask].
-    A Z-parity eigenstate has zero odd-weight rows, and its other rows come
-    from the Z-parity fold."""
+    A Z-parity eigenstate has zero odd-weight rows, and its other rows are
+    read off the Z-parity restriction phi: row a, column b from row a >> 1,
+    column c(b) of the table of phi."""
     L = state.n_sites
     if L > TABLE_SITE_CAP:
         raise ValueError(f"L={L} exceeds the table cap {TABLE_SITE_CAP}")
     psi = state.amps
     N = psi.size
-    sector = _parity_sector(psi)
-    masks = np.arange(N, dtype=np.int64)
-    if sector is not None:
+    phi = _parity_restriction(psi)
+    masks = cols = np.arange(N, dtype=np.int64)
+    shift = 0
+    if phi is not None:
+        psi, shift = phi, 1
+        cols = (masks >> 1) ^ (-(masks & 1) & (N // 2 - 1))  # c(b) for each z-mask b
         masks = masks[(np.bitwise_count(masks) & 1) == 0]
-    block = _block_rows(_width(N, sector), None)
+    block = _block_rows(psi.size // 2, None)
     out = np.zeros((N, N))
     for start in range(0, masks.size, block):
         rows = masks[start:start + block]
-        out[rows] = np.abs(np.take_along_axis(_transformed_block(psi, rows, sector),
-                                              _positions(rows, N, sector), axis=1))
+        table = np.take_along_axis(_transformed_block(psi, rows >> shift),
+                                   _positions(rows >> shift, psi.size), axis=1)
+        out[rows] = np.abs(table[:, cols])
     return out
 
 

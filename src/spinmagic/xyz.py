@@ -223,12 +223,6 @@ def lowest_eigs(params, count):
     )
 
 
-def ground_momenta(params, *, count=6):
-    """Momentum indices spanning the ground cluster."""
-    man = lowest_eigs(params, count)
-    return [man.momenta[i] for i in range(man.degeneracy)], man
-
-
 def pick_ground_state(manifold):
     """The ground-cluster state with the largest momentum index (the +p
     member of a degenerate pair), and that index."""

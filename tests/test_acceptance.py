@@ -181,10 +181,10 @@ def test_criterion_07_transition_phenomenology():
     details = []
     for L in ODD_7_15:
         hs = hstar(L)
-        ms_below, man_b = sm.ground_momenta(
-            sm.ChainParams(L=L, jy=JY, jz=JZ, h=max(hs - 1e-3, 0.0)))
-        ms_above, man_a = sm.ground_momenta(
-            sm.ChainParams(L=L, jy=JY, jz=JZ, h=hs + 1e-3))
+        man_b = sm.lowest_eigs(sm.ChainParams(L=L, jy=JY, jz=JZ, h=max(hs - 1e-3, 0.0)), 6)
+        ms_below = man_b.momenta[:man_b.degeneracy]
+        man_a = sm.lowest_eigs(sm.ChainParams(L=L, jy=JY, jz=JZ, h=hs + 1e-3), 6)
+        ms_above = man_a.momenta[:man_a.degeneracy]
         pair = (
             man_b.degeneracy == 2
             and sorted(ms_below) == [-max(ms_below), max(ms_below)]

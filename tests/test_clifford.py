@@ -98,7 +98,8 @@ def test_circuit_maps_w_to_omega(L):
 
 
 def test_desc_ordering_does_not_realize_the_mapping():
-    circ = sm.build_circuit_s(5, chain_order="desc")
+    circ = sm.build_circuit_s(5)
+    circ[1:5] = reversed(circ[1:5])  # the C(j, j+1) ladder, C(4, 5) first
     img = sm.apply_circuit(sm.build_w(5, 1), circ)
     assert sm.fidelity(img, sm.build_omega(5, 1)) < 0.99
 

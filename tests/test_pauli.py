@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -271,7 +272,7 @@ def test_translation_eigenstates_without_mirror_symmetry_take_necklaces(L, route
                                                    ("translation", "parity", "reflection")]),
        seed=st.integers(0, 2**32 - 1))
 def test_abs_table_matches_single_strings_on_parity_states(L, route, seed):
-    # the table of a Z-parity eigenstate comes from the Z-parity fold
+    # the table of a Z-parity eigenstate comes from its Z-parity restriction
     rng = np.random.default_rng(seed)
     state = symmetric_state(L, 0, route, rng)
     assert np.max(np.abs(sm.pauli_abs_table(state) - single_strings(state))) <= 1e-12
@@ -321,10 +322,10 @@ def test_site_caps(monkeypatch):
     # one row of ones per x-mask stands in for the transform, so acceptance
     # costs no enumeration; the work bound sees the real mask count and row width
     transformed = []
-    monkeypatch.setattr(pauli, "_transformed_block", lambda psi, masks, sector=None:
+    monkeypatch.setattr(pauli, "_transformed_block", lambda psi, masks:
                         transformed.append(masks.size) or np.ones((masks.size, 1)))
     # the largest accepted L, one more refused: rows of 2^(L-1) amplitudes,
-    # or 2^(L-2) under the Z-parity fold; a generic state stops at 15
+    # or 2^(L-2) on the Z-parity restriction; a generic state stops at 15
     for route, top in [((), 15), (("parity",), 16), (("translation",), 17),
                        (("translation", "parity"), 18),
                        (("translation", "parity", "reflection"), 19)]:
@@ -347,7 +348,7 @@ def test_work_bound_raises_before_enumeration(monkeypatch):
     symmetries = pauli._symmetries
     monkeypatch.setattr(pauli, "_symmetries", lambda s: detected.append(s) or symmetries(s))
     monkeypatch.setattr(pauli, "_transformed_block",
-                        lambda psi, masks, sector=None: pytest.fail("enumerated"))
+                        lambda psi, masks: pytest.fail("enumerated"))
     # L = 17 without symmetry: refused after detection, by the mask count
     with pytest.raises(ValueError, match="131072 x-masks of 65536 transformed amplitudes"):
         sm.sre_brute(random_state(17, RNG))
@@ -362,13 +363,48 @@ def test_default_blocks_hold_2_17_amplitudes(monkeypatch):
     # 2^16 complex amplitudes, the 2^17 float64 values of their view: 1 MB
     rows = []
     transform = pauli._transformed_block
-    monkeypatch.setattr(pauli, "_transformed_block", lambda psi, masks, sector=None:
-                        rows.append(masks.size) or transform(psi, masks, sector))
+    monkeypatch.setattr(pauli, "_transformed_block", lambda psi, masks:
+                        rows.append(masks.size) or transform(psi, masks))
     sm.pauli_moment(random_state(11, RNG), 4, workers=2)
     assert set(rows) == {2**16 // 2**10}
     rows.clear()
-    sm.sre_brute(sm.build_w(13, 1))  # rows of 2^11 amplitudes under the Z-parity fold
+    sm.sre_brute(sm.build_w(13, 1))  # rows of 2^11 amplitudes on the Z-parity restriction
     assert max(rows) * 2**11 <= 2**16
     rows.clear()
     sm.pauli_abs_table(sm.build_w(9, 1))
     assert set(rows) == {2**16 // 2**8}
+
+
+def test_threads_start_only_for_two_blocks_or_more(monkeypatch):
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(pauli, "ThreadPoolExecutor", RecordingPool)
+    # 63 bracelets of 2^9 amplitudes: one block
+    sm.sre_brute(sm.build_w(11, 1), workers=2)
+    assert pools == []
+    # 2^11 x-masks in blocks of 8
+    sm.pauli_moment(random_state(11, RNG), 4, block=8, workers=3)
+    assert pools == [3]
+
+
+@settings(max_examples=20, deadline=None)
+@given(L=st.integers(3, 9), sector=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_parity_states_enumerate_their_restriction(L, sector, seed):
+    # C, which replaces bit 0 of s by parity(s), maps psi of Z-parity P to
+    # |P> (x) phi, phi(t) = psi((t << 1) | (parity(t) ^ P)), and each z-mask
+    # of phi stands for two of psi; L = 2 is left out, where the states on
+    # {00, 11} are translation eigenstates too
+    rng = np.random.default_rng(seed)
+    odd = np.bitwise_count(np.arange(2**L)) & 1
+    psi = np.where(odd == sector, random_state(L, rng).amps, 0)
+    psi /= np.linalg.norm(psi)
+    t = np.arange(2 ** (L - 1))
+    phi = StateVector(L - 1, psi[(t << 1) | ((np.bitwise_count(t) & 1) ^ sector)])
+    reduced = sm.sre_brute(StateVector(L, psi))
+    assert reduced.method == "brute:parity"
+    assert reduced.raw_moment == 2 * sm.pauli_moment(phi, 4)

@@ -214,9 +214,11 @@ def test_ground_state_is_eigenvector():
 
 
 def test_momentum_pair_below_hstar_and_zero_above():
-    ms_below, _ = sm.ground_momenta(sm.ChainParams(L=7, jy=0.33, jz=0.0, h=0.5))
+    man = sm.lowest_eigs(sm.ChainParams(L=7, jy=0.33, jz=0.0, h=0.5), 6)
+    ms_below = man.momenta[:man.degeneracy]
     assert sorted(ms_below) == [-1, 1]
-    ms_above, man = sm.ground_momenta(sm.ChainParams(L=7, jy=0.33, jz=0.0, h=0.99))
+    man = sm.lowest_eigs(sm.ChainParams(L=7, jy=0.33, jz=0.0, h=0.99), 6)
+    ms_above = man.momenta[:man.degeneracy]
     assert ms_above == [0]
     assert man.degeneracy == 1
 
