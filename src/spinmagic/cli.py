@@ -229,8 +229,8 @@ def cmd_jump_scaling(args):
             "s2_below", "s2_above", "dm2", "ds2", "fit_dm2_exponent",
             "fit_ds2_exponent", "note"]
     good = [r for r in rows if r.get("hstar") is not None]
-    if len(good) >= 2:
-        Ls = [r["L"] for r in good]
+    Ls = [r["L"] for r in good]
+    if len(set(Ls)) >= 2:  # a line through one size is no power law
         rows.append({
             "L": None,
             "fit_dm2_exponent": _fit_exponent(

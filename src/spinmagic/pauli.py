@@ -325,29 +325,19 @@ def sre_structured_w(L, ell):
 
 
 def pauli_abs_table(state):
-    """All 4^L expectation magnitudes as a (2^L, 2^L) array [x_mask, z_mask].
-    A Z-parity eigenstate has zero odd-weight rows, and its other rows are
-    read off the Z-parity restriction phi: row a, column b from row a >> 1,
-    column c(b) of the table of phi."""
+    """All 4^L expectation magnitudes as a (2^L, 2^L) array [x_mask, z_mask],
+    by the full kernel over every x-mask."""
     L = state.n_sites
     if L > TABLE_SITE_CAP:
         raise ValueError(f"L={L} exceeds the table cap {TABLE_SITE_CAP}")
     psi = state.amps
     N = psi.size
-    phi = _parity_restriction(psi)
-    masks = cols = np.arange(N, dtype=np.int64)
-    shift = 0
-    if phi is not None:
-        psi, shift = phi, 1
-        cols = (masks >> 1) ^ (-(masks & 1) & (N // 2 - 1))  # c(b) for each z-mask b
-        masks = masks[(np.bitwise_count(masks) & 1) == 0]
-    block = _block_rows(psi.size // 2, None)
-    out = np.zeros((N, N))
-    for start in range(0, masks.size, block):
-        rows = masks[start:start + block]
-        table = np.take_along_axis(_transformed_block(psi, rows >> shift),
-                                   _positions(rows >> shift, psi.size), axis=1)
-        out[rows] = np.abs(table[:, cols])
+    block = _block_rows(N // 2, None)
+    out = np.empty((N, N))
+    for start in range(0, N, block):
+        rows = np.arange(start, min(start + block, N), dtype=np.int64)
+        table = np.take_along_axis(_transformed_block(psi, rows), _positions(rows, N), axis=1)
+        out[rows] = np.abs(table)
     return out
 
 

@@ -9,6 +9,7 @@ Conventions used throughout the package:
     p = 2 pi ell / L.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,10 +71,12 @@ def _rotate_bits(idx, k, L):
     return ((idx << k) | (idx >> (L - k))) & mask if k else idx
 
 
+@functools.cache
 def _translation_orbits(L):
     """For every L-bit basis index s: the representative r of its orbit under
     translation (the smallest index in it), the shift j with s = T^j r, and
-    the orbit's period (its size)."""
+    the orbit's period (its size).  Cached per L and shared by the sectors of
+    ``xyz`` and the necklaces of ``pauli``, so read-only."""
     idx = np.arange(2**L, dtype=np.int64)
     rep, shift = idx, np.zeros_like(idx)
     period = np.full(idx.size, L)
@@ -84,6 +87,8 @@ def _translation_orbits(L):
         shift[lower] = L - k
     for k in range(L - 1, 0, -1):
         period[_rotate_bits(idx, k, L) == idx] = k
+    for table in (rep, shift, period):
+        table.flags.writeable = False
     return rep, shift, period
 
 

@@ -12,7 +12,6 @@ H = sum_n [ Jx sx_n sx_{n+1} + Jy sy_n sy_{n+1} + Jz sz_n sz_{n+1} ]
     + h sum_n sz_n,      site L+1 = site 1.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ EIGSH_SEED = 20240917
 # sector blocks up to this dimension use dense eigh: for 1-6 levels on one core
 # it beats eigsh on complex blocks of dimension 165 (L = 12), not 315 (L = 13)
 DENSE_BLOCK_MAX = 256
+H_MAX = 1.0  # the upper end of the sign bracket that the h* search starts from
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,12 @@ def hamiltonian_sparse(params):
     return sp.csr_matrix((data, (rows, cols)), shape=(N, N))
 
 
-@functools.lru_cache(maxsize=None)
 def _momentum_basis(L, ell, parity):
     """The isometry V (2^L, n) onto the (ell, Z-parity) sector, stored by rows:
     V[s, col[s]] = amp[s] and amp = 0 off the sector, since each basis state
     lies in one translation orbit.  Also the orbit representatives r (smallest
-    index of each orbit) and the periods R of the n columns.
+    index of each orbit) and the periods R of the n columns.  Built per call
+    from the cached orbit table of L, so no sector outlives its caller.
 
     Column r is the momentum state sum_{j<R} e^{2 pi i ell j / L} T^j |r> / sqrt(R),
     with T|psi> = e^{-ip}|psi>.  An orbit of period R admits ell only if
@@ -111,8 +111,9 @@ def _momentum_basis(L, ell, parity):
     col = np.zeros(idx.size, dtype=np.int32)
     col[reps] = np.arange(reps.size)
     col = col[rep]
-    # e^{2 pi i ell j / L} has period R in j when ell R = 0 (mod L)
-    amp = np.where(live, np.exp(2j * np.pi * ell * (shift % period) / L) / np.sqrt(period), 0)
+    # e^{2 pi i ell j / L} for j < L, which has period R in j when ell R = 0 (mod L)
+    phases = np.exp(2j * np.pi * ell * np.arange(L) / L)
+    amp = np.where(live, phases[shift % period] / np.sqrt(period), 0)
     if ell == 0:  # a real isometry keeps the zero-momentum block real symmetric
         amp = amp.real
     return col, amp, reps, period[reps]
@@ -125,8 +126,8 @@ def _sectors(L):
 
 def _sector_block(params, ell, parity):
     """H in the n-dimensional (ell, Z-parity) sector as H(h) = h0 + h diag(mag):
-    the h-independent part h0 (CSR) and the magnetization sum_n sz_n of the n
-    representatives, which T conserves."""
+    the h-independent part h0 (COO, whose duplicates the solvers sum) and the
+    magnetization sum_n sz_n of the n representatives, which T conserves."""
     col, amp, reps, period = _momentum_basis(params.L, ell, parity)
     n = reps.size
     # [T, H] = 0 gives <r', ell|H|r, ell> = sqrt(R_r) <r', ell|H|r>, so each
@@ -136,7 +137,7 @@ def _sector_block(params, ell, parity):
     rows = np.concatenate([np.arange(n), col[flipped].ravel()])
     data = np.concatenate([diag, (np.sqrt(period) * coeffs * amp[flipped].conj()).ravel()])
     cols = np.tile(np.arange(n), masks.size + 1)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n)), mag
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)), mag
 
 
 def _solve_sector(block, h, count):
@@ -230,7 +231,7 @@ def pick_ground_state(manifold):
     return manifold.momenta[best], manifold.states[best]
 
 
-def find_hstar(jy, jz, L, tol=1e-4, h_max=1.0):
+def find_hstar(jy, jz, L, tol=1e-4):
     """The critical field h* between finite-momentum (h < h*) and zero-momentum
     (h > h*) ground states: the root of the sector gap
     Delta(h) = min_{ell != 0} E_ell(h) - min_{ell = 0} E_ell(h), with E_ell(h)
@@ -240,11 +241,11 @@ def find_hstar(jy, jz, L, tol=1e-4, h_max=1.0):
     lowest level of every sector at one h, and dDelta/dh is <mag> of the
     finite-momentum minimizer minus <mag> of the zero-momentum one
     (Hellmann-Feynman).  Inside the sign bracket [lo, hi], at first
-    [0, h_max], a Newton step from the end with the smaller |Delta| is taken
+    [0, H_MAX], a Newton step from the end with the smaller |Delta| is taken
     if it lands strictly inside and is at most half the previous Newton step
-    (the first at most h_max / 2); otherwise the bracket is bisected.  So each
+    (the first at most H_MAX / 2); otherwise the bracket is bisected.  So each
     evaluation halves the bracket or the Newton step, and a search makes at
-    most 2 + 2 ceil(log2(h_max / tol)) evaluations.  It stops when a Newton
+    most 2 + 2 ceil(log2(H_MAX / tol)) evaluations.  It stops when a Newton
     step is shorter than ``tol`` (h* is where it lands, ``bracket_width`` is
     |step|; at a crossing of two levels Newton converges quadratically, so
     the error is far below tol) or the bracket is at most ``tol`` wide (its
@@ -252,7 +253,7 @@ def find_hstar(jy, jz, L, tol=1e-4, h_max=1.0):
 
     For jz < -jy the finite-momentum phase is absent and h* = 0 is returned
     with a note; the same if the ground state has zero momentum at h = 0, and
-    h* = h_max with a note if it keeps finite momentum up to h_max.
+    h* = H_MAX with a note if it keeps finite momentum up to H_MAX.
     """
     if not tol > 0:  # NaN too; at tol <= 0 the search never stops
         raise ValueError(f"find_hstar needs tol > 0, got {tol}")
@@ -272,12 +273,12 @@ def find_hstar(jy, jz, L, tol=1e-4, h_max=1.0):
         (e1, m1), (e0, m0) = lowest[True], lowest[False]
         return h, e1 - e0, m1 - m0
 
-    lo, hi = evaluate(0.0), evaluate(h_max)
+    lo, hi = evaluate(0.0), evaluate(H_MAX)
     if not lo[1] < 0:
         return HstarResult(jy, jz, L, 0.0, 0.0, note="zero-momentum ground state at h=0")
     if hi[1] < 0:
-        return HstarResult(jy, jz, L, h_max, 0.0, note="finite momentum up to h_max")
-    last_step = h_max  # a Newton step may be at most half the previous one
+        return HstarResult(jy, jz, L, H_MAX, 0.0, note="finite momentum up to h_max")
+    last_step = H_MAX  # a Newton step may be at most half the previous one
     while hi[0] - lo[0] > tol:
         x, d, slope = min(lo, hi, key=lambda end: abs(end[1]))
         step = -d / slope if slope != 0 and np.isfinite(slope) else np.nan

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -432,3 +433,15 @@ def test_verify_passes(capsys):
     assert any("reduced vs full SRE kernel" in line for line in checks)
     assert any("Pauli kernel vs single strings L=5" in line for line in checks)
     assert checks and all(line.startswith("PASS") for line in checks)
+
+
+def test_jump_scaling_fits_only_two_sizes_or_more(capsys):
+    # a line through the points of a single L is no power law
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["jump-scaling", "--L", "5,5"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert caught == [] and captured.err == ""
+    assert len(captured.out.splitlines()) == 3 and "power-law fit" not in captured.out
+    code, out = run(["jump-scaling", "--L", "5,7"], capsys)
+    assert code == EXIT_OK and out.splitlines()[-1].endswith("power-law fit over the L sweep")

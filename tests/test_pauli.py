@@ -272,7 +272,8 @@ def test_translation_eigenstates_without_mirror_symmetry_take_necklaces(L, route
                                                    ("translation", "parity", "reflection")]),
        seed=st.integers(0, 2**32 - 1))
 def test_abs_table_matches_single_strings_on_parity_states(L, route, seed):
-    # the table of a Z-parity eigenstate comes from its Z-parity restriction
+    # the full kernel, on states whose odd-weight rows vanish and whose
+    # translation and reflection symmetries the table does not use
     rng = np.random.default_rng(seed)
     state = symmetric_state(L, 0, route, rng)
     assert np.max(np.abs(sm.pauli_abs_table(state) - single_strings(state))) <= 1e-12

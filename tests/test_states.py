@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinmagic as sm
-from spinmagic.states import NotTranslationEigenstate, StateVector, random_state
+from spinmagic.states import (NotTranslationEigenstate, StateVector, _rotate_bits,
+                              _translation_orbits, random_state)
 
 RNG = np.random.default_rng(11)
 
@@ -72,6 +73,27 @@ def test_translate_group_composition():
     ab = sm.translate(sm.translate(s, 2), 4)
     direct = sm.translate(s, 6 % 5)
     assert sm.fidelity(ab, direct) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("L", range(1, 13))
+def test_translation_orbits(L):
+    rep, shift, period = _translation_orbits(L)
+    idx = np.arange(2**L, dtype=np.int64)
+    rotations = np.array([_rotate_bits(idx, k, L) for k in range(1, L + 1)])  # T^1 .. T^L
+    for k in np.unique(shift):
+        at = shift == k
+        assert np.array_equal(_rotate_bits(rep[at], k, L), idx[at])  # s = T^shift rep
+    assert np.array_equal(rep, rotations.min(axis=0))
+    assert np.array_equal(period, 1 + np.argmax(rotations == idx, axis=0))
+
+
+def test_translation_orbits_are_read_only():
+    # one table per L serves every later call, so no caller may write to it
+    tables = _translation_orbits(5)
+    assert _translation_orbits(5) is tables
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 1
 
 
 def test_reflect_involution():
