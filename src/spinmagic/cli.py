@@ -104,6 +104,14 @@ def positive_int(text):
     return value
 
 
+def positive_float(text):
+    """argparse type of --eps: a finite float above 0."""
+    value = float(text)
+    if not 0 < value < math.inf:  # False for NaN too
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {value}")
+    return value
+
+
 def load_config(path):
     """Flat key = value file, '#' comments."""
     values = {}
@@ -120,9 +128,9 @@ def load_config(path):
 
 
 def ground(params):
-    """(momentum, state) of the ground state; 6 levels hold its whole cluster,
-    since lowest_eigs never cuts the ground cluster."""
-    return pick_ground_state(lowest_eigs(params, 6))
+    """(momentum, state) of the ground state; one level per sector holds its
+    whole cluster, since lowest_eigs never cuts the ground cluster."""
+    return pick_ground_state(lowest_eigs(params, 1))
 
 
 def _guarded(point_row, point):
@@ -251,7 +259,7 @@ def cmd_ratio(args):
         ell0, gtf = ground(tf)
         if ell0 == 0:
             return {"note": "zero-momentum ground state (h >= h*?)"}
-        nf_man = lowest_eigs(xyz.nonfrustrated_counterpart(tf), 4)
+        nf_man = lowest_eigs(xyz.nonfrustrated_counterpart(tf), 1)
         m2_tf = pauli.sre_brute(gtf, workers=args.workers).value
         m2_nf = pauli.sre_brute(nf_man.states[0], workers=args.workers).value
         m2_w = closed_forms.m2_w_closed(L, ell0)
@@ -316,29 +324,20 @@ def cmd_verify(args):
             worst = max(worst, float(np.max(np.abs(pauli.pauli_abs_table(state) - single))))
         check(f"Pauli kernel vs single strings L={L}", worst, 1e-12)
 
-    def reduced_gap(states, reduction):
-        """Largest relative gap of sre_brute's raw moment to full enumeration;
-        a state that does not take ``reduction`` tests nothing here."""
+    for L in (3, 5, 7, 9):  # each family takes its whole route, or the check fails
+        ells = range(-(L - 1) // 2, (L - 1) // 2 + 1)
+        sym = "translation+parity+reflection"
+        routes = [(f"hadamard+{sym}", wstates.build_w(L, ell)) for ell in ells]
+        routes += [(sym, wstates.build_omega(L, ell)) for ell in ells]
+        routes += [(sym, ground(ChainParams(L, 0.33, 0.0, h))[1]) for h in (0.5, 1.5)]
+        routes += [("parity", wstates.build_phi(L, ell, 0.3)) for ell in ells if ell]
         worst = 0.0
-        for state in states:
+        for route, state in routes:
             reduced = pauli.sre_brute(state)
             full = pauli.pauli_moment(state, 4)
-            taken = reduction in reduced.method.partition(":")[2].split("+")
-            worst = max(worst, abs(reduced.raw_moment - full) / full if taken else math.inf)
-        return worst
-
-    for L in (3, 5, 7, 9):
-        ells = range(-(L - 1) // 2, (L - 1) // 2 + 1)
-        w_states = [wstates.build_w(L, ell) for ell in ells]
-        omegas = [wstates.build_omega(L, ell) for ell in ells]
-        grounds = [ground(ChainParams(L, 0.33, 0.0, h))[1] for h in (0.5, 1.5)]
-        phis = [wstates.build_phi(L, ell, 0.3) for ell in ells if ell]
-        check(f"reduced vs full SRE kernel L={L}",
-              reduced_gap(w_states + omegas + grounds, "translation"), 1e-12)
-        check(f"Z-parity restriction vs full SRE kernel L={L}",
-              reduced_gap(w_states + omegas + phis, "parity"), 1e-12)
-        check(f"bracelets vs full SRE kernel L={L}",
-              reduced_gap(w_states + omegas + grounds, "reflection"), 1e-12)
+            gap = abs(reduced.raw_moment - full) / full
+            worst = max(worst, gap if reduced.method == f"brute:{route}" else math.inf)
+        check(f"reduced vs full SRE kernel L={L}", worst, 1e-12)
 
     for L in (3, 5, 7):
         circ = build_circuit_s(L)
@@ -450,7 +449,7 @@ def build_parser():
     sp.add_argument("--jy", type=float, default=0.33)
     sp.add_argument("--jz", type=float, default=0.0)
     sp.add_argument("--L", type=parse_ints, required=True, help="comma-separated odd sizes")
-    sp.add_argument("--eps", type=float, default=1e-3)
+    sp.add_argument("--eps", type=positive_float, default=1e-3)
     sp.add_argument("--tol", type=float, default=1e-4)
     common(sp, workers=threads)
     sp.set_defaults(func=cmd_jump_scaling)

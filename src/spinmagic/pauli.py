@@ -48,10 +48,13 @@ O(L 2^L) time and O(2^L) bytes.  Full enumeration takes all 2^L masks.
   for its orbit under rotations and mirrors, weighted by the orbit size.
 
 Each symmetry is taken only when its residual norm is at most SYM_TOL.  The
-reduction order is fixed, so the raw moment is bit-identical for any worker
-count or block size.  Work and memory are bounded by the complex amplitudes
-the kernel transforms, half the length of the vector per x-mask: 2^(L-1),
-or 2^(L-2) on the Z-parity restriction, not by L.
+reductions yield the x-masks with an explicit float weight each (1.0 under
+full enumeration), and one block driver runs the kernel for the moments and
+the magnitude table alike.  The reduction order is fixed, so the raw moment
+is bit-identical for any worker count or block size.  Work and memory are
+bounded by the complex amplitudes the kernel transforms, half the length of
+the vector per x-mask: 2^(L-1), or 2^(L-2) on the Z-parity restriction, not
+by L.
 """
 
 import math
@@ -63,8 +66,8 @@ import numpy as np
 from .states import (StateVector, _reflect_bits, _translation_orbits, momentum_of, reflect,
                      translate)
 
-# complex amplitudes that one moment may transform: 2^(L-1) per x-mask, or
-# 2^(L-2) on the Z-parity restriction
+# complex amplitudes that one enumeration may transform: 2^(L-1) per x-mask,
+# or 2^(L-2) on the Z-parity restriction
 WORK_CAP = 2**30
 BLOCK_AMPS = 2**16  # complex amplitudes per block by default: 1 MB of transformed rows
 TABLE_SITE_CAP = 10  # the 4^L magnitude table, 8 MB at L = 10
@@ -155,22 +158,14 @@ def _positions(masks, size):
     return 2 * c + (np.bitwise_count(m & b) & 1)
 
 
-def _block_rows(width, block):
-    """``block`` if given, else the x-masks of ``width`` complex amplitudes
-    each that fit in BLOCK_AMPS."""
-    return max(1, BLOCK_AMPS // width) if block is None else block
-
-
-def _moment(psi, masks, power, block, workers, weights=None):
-    """sum over the x-masks a in ``masks`` of weights[a] sum_b |<X_a Z_b>|^power.
-
-    Partial sums are produced per mask and folded with math.fsum in the
-    order of ``masks``, so the result is the same for any ``block`` and
-    ``workers``.  Threads are started only when there are two blocks or
-    more, and no more than there are blocks.
-    """
+def _blocks(psi, masks, reduce, block, workers):
+    """reduce(_transformed_block(psi, block_masks), block_masks) for each
+    block of ``block`` x-masks, by default the rows of psi.size // 2 complex
+    amplitudes that fit in BLOCK_AMPS, in mask order.  Threads are started
+    only when there are two blocks or more, and no more than there are blocks."""
     width = psi.size // 2
-    block = _block_rows(width, block)
+    if block is None:
+        block = max(1, BLOCK_AMPS // width)
     if block < 1 or workers < 1:
         raise ValueError(f"block and workers must be at least 1, got block={block}, "
                          f"workers={workers}")
@@ -178,22 +173,28 @@ def _moment(psi, masks, power, block, workers, weights=None):
         raise ValueError(f"{masks.size} x-masks of {width} transformed amplitudes exceed "
                          f"the work bound of 2^{math.log2(WORK_CAP):g} amplitudes")
 
-    def block_partials(start):
-        rows = _transformed_block(psi, masks[start:start + block])
-        rows *= rows  # |<X_a Z_b>|^2, in another order
-        return np.sum(rows ** (power // 2), axis=1)
+    def run(start):
+        block_masks = masks[start:start + block]
+        return reduce(_transformed_block(psi, block_masks), block_masks)
 
     starts = range(0, masks.size, block)
     workers = min(workers, len(starts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(block_partials, starts))
-    else:
-        partials = list(map(block_partials, starts))
-    sums = np.concatenate(partials)
-    if weights is not None:
-        sums *= weights
-    return math.fsum(sums.tolist())
+            return list(pool.map(run, starts))
+    return list(map(run, starts))
+
+
+def _moment(psi, masks, weights, power, block, workers):
+    """sum over the x-masks a in ``masks`` of weights[a] sum_b |<X_a Z_b>|^power,
+    folded with math.fsum in the order of ``masks``, so the result is the
+    same for any ``block`` and ``workers``."""
+    def partials(rows, _):
+        rows *= rows  # |<X_a Z_b>|^2, in another order
+        return np.sum(rows ** (power // 2), axis=1)
+
+    sums = np.concatenate(_blocks(psi, masks, partials, block, workers))
+    return math.fsum((sums * weights).tolist())
 
 
 def pauli_moment(state, power=4, *, block=None, workers=1):
@@ -206,7 +207,7 @@ def pauli_moment(state, power=4, *, block=None, workers=1):
     if power % 2:
         raise ValueError("power must be even")
     psi = state.amps
-    return _moment(psi, np.arange(psi.size, dtype=np.int64), power, block, workers)
+    return _moment(psi, np.arange(psi.size, dtype=np.int64), 1.0, power, block, workers)
 
 
 def _parity_restriction(psi):
@@ -256,23 +257,26 @@ def _symmetries(state):
 
 
 def _reduced_masks(L, translation, parity, reflection):
-    """The x-masks that stand for all 2^L, ascending, and their multiplicities
-    (None for 1): the even-weight masks under parity; under translation the
-    necklace representatives (the smallest rotation), weighted by orbit
-    size; and with reflection too the bracelet representatives (the smallest
-    rotation of the mask or of its mirror image), weighted by the size of the
-    orbit under rotations and mirrors."""
+    """The x-masks to enumerate, ascending, and their float weights: the
+    even-weight masks under parity; under translation the necklace
+    representatives (the smallest rotation), weighted by orbit size; and with
+    reflection too the bracelet representatives (the smallest rotation of the
+    mask or of its mirror image), weighted by the size of the orbit under
+    rotations and mirrors.  Under parity each mask a is returned as a >> 1,
+    its x-mask on phi, at twice the weight (module docstring)."""
     idx = np.arange(2**L, dtype=np.int64)
     keep = (np.bitwise_count(idx) & 1) == 0 if parity else np.ones(idx.size, dtype=bool)
-    if not translation:
-        return idx[keep], None
-    rep, _, size = _translation_orbits(L)
-    if reflection:
-        mirror = rep[_reflect_bits(idx, 0, L)]  # the necklace of the mirror image
-        size = np.where(mirror == rep, size, 2 * size)
-        rep = np.minimum(rep, mirror)
-    masks = idx[keep & (rep == idx)]
-    return masks, size[masks].astype(np.float64)
+    size = np.ones(idx.size)
+    if translation:
+        rep, _, size = _translation_orbits(L)
+        if reflection:
+            mirror = rep[_reflect_bits(idx, 0, L)]  # the necklace of the mirror image
+            size = np.where(mirror == rep, size, 2 * size)
+            rep = np.minimum(rep, mirror)
+        keep &= rep == idx
+    masks = idx[keep]
+    weights = size[masks].astype(np.float64)
+    return (masks >> 1, 2 * weights) if parity else (masks, weights)
 
 
 def sre_brute(state, *, block=None, workers=1):
@@ -293,11 +297,7 @@ def sre_brute(state, *, block=None, workers=1):
     psi, reductions = _symmetries(state)
     masks, weights = _reduced_masks(L, *(r in reductions
                                          for r in ("translation", "parity", "reflection")))
-    if "parity" in reductions:
-        # X_a on psi is X_(a >> 1) on phi, and each value stands for 2 z-masks
-        masks = masks >> 1
-        weights = 2 * (1 if weights is None else weights)
-    raw = _moment(psi, masks, 4, block, workers, weights)
+    raw = _moment(psi, masks, weights, 4, block, workers)
     method = "brute:" + "+".join(reductions) if reductions else "brute"
     value = -math.log2(raw / state.dim)
     return SreResult(value=value, raw_moment=raw, method=method)
@@ -330,15 +330,13 @@ def pauli_abs_table(state):
     L = state.n_sites
     if L > TABLE_SITE_CAP:
         raise ValueError(f"L={L} exceeds the table cap {TABLE_SITE_CAP}")
-    psi = state.amps
-    N = psi.size
-    block = _block_rows(N // 2, None)
-    out = np.empty((N, N))
-    for start in range(0, N, block):
-        rows = np.arange(start, min(start + block, N), dtype=np.int64)
-        table = np.take_along_axis(_transformed_block(psi, rows), _positions(rows, N), axis=1)
-        out[rows] = np.abs(table)
-    return out
+    N = state.dim
+
+    def magnitudes(rows, masks):
+        return np.abs(np.take_along_axis(rows, _positions(masks, N), axis=1))
+
+    return np.concatenate(_blocks(state.amps, np.arange(N, dtype=np.int64), magnitudes,
+                                  None, 1))
 
 
 def pauli_moment_profile(state, bins=None):

@@ -416,6 +416,16 @@ def test_workers_below_one_are_usage_errors(argv, workers, capsys):
     assert captured.out == "" and "--workers: must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("eps", ["0", "-1e-3", "nan", "inf"])
+def test_jump_eps_must_be_positive_and_finite(eps, capsys):
+    # 0 measured both sides at h*, and a negative eps swapped them
+    with pytest.raises(SystemExit) as exc:
+        main(["jump-scaling", "--L", "5", f"--eps={eps}"])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--eps: must be a positive finite number" in captured.err
+
+
 def test_json_refuses_non_finite_values(monkeypatch, capsys):
     with pytest.raises(ValueError):
         write_rows([{"x": math.nan}], ["x"], None, "json")

@@ -104,6 +104,10 @@ def test_work_bound_messages_follow_the_constant(monkeypatch):
         sm.sre_brute(sm.build_w(13, 1))
     with pytest.raises(ValueError, match=r"work bound of 2\^18 amplitudes"):
         sm.pauli_moment(random_state(11, RNG), 4)
+    # the magnitude table shares the bound: 2^5 x-masks of 2^4 amplitudes
+    monkeypatch.setattr(pauli, "WORK_CAP", 2**8)
+    with pytest.raises(ValueError, match=r"work bound of 2\^8 amplitudes"):
+        sm.pauli_abs_table(random_state(5, RNG))
 
 
 def test_sre_brute_small_w_values():

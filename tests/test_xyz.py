@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spinmagic as sm
-from spinmagic import xyz
+from spinmagic import cli, xyz
 from spinmagic.cli import EXIT_SOLVER, main
 from spinmagic.states import (
     StateVector,
@@ -202,6 +202,21 @@ def test_sector_states_are_labelled_eigenstates(L, jy, jz, h):
         assert np.linalg.norm(H @ state.amps - e * state.amps) <= 1e-9
         assert measure_momentum(state) == ell
         assert abs(abs(parity_expectation(state, "z")) - 1.0) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(L=st.sampled_from([5, 7, 9]), jy=couplings, jz=couplings, h=st.floats(0.0, 1.5))
+def test_ground_from_one_level_per_sector(L, jy, jz, h):
+    # lowest_eigs never cuts the ground cluster, so asking for one level picks
+    # the state that 2L + 2 levels pick
+    params = sm.ChainParams(L=L, jy=jy, jz=jz, h=h)
+    ell, state = cli.ground(params)
+    ref_ell, ref = pick_ground_state(sm.lowest_eigs(params, 2 * L + 2))
+    H = sm.hamiltonian_sparse(params)
+    energy, ref_energy = (np.vdot(v.amps, H @ v.amps).real for v in (state, ref))
+    assert ell == ref_ell
+    assert abs(energy - ref_energy) <= 1e-12 * abs(ref_energy)
+    assert sm.fidelity(state, ref) >= 1 - 1e-12
 
 
 def test_ground_state_is_eigenvector():
