@@ -71,10 +71,11 @@ def parse_ints(text):
     return _comma_list(text, int)
 
 
-def _is_negative_list(token):
-    """Whether ``token`` is a comma list led by a negative number, '-0.2,0.0'."""
-    head, comma, _ = token.partition(",")
-    if not (comma and head.startswith("-")):
+def _is_negative(token):
+    """Whether ``token`` is a negative number, '-1e-3', or a comma list led by
+    one, '-0.2,0.0'."""
+    head = token.partition(",")[0]
+    if not head.startswith("-"):
         return False
     try:
         float(head)
@@ -84,12 +85,14 @@ def _is_negative_list(token):
 
 
 def attach_negative_lists(argv):
-    """argv with each `--flag -0.2,0.0` written `--flag=-0.2,0.0`.  argparse
-    takes a token that starts with '-' for an option unless it is a single
-    negative number, so a comma list led by one would not reach its flag."""
+    """argv with each `--flag -1e-3` or `--flag -0.2,0.0` written
+    `--flag=-1e-3` or `--flag=-0.2,0.0`.  argparse takes a token that starts
+    with '-' for an option unless it looks like -1 or -0.5, so a negative
+    number in exponent form, or a comma list led by a negative number, would
+    not reach its flag."""
     out = []
     for token in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and _is_negative_list(token):
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _is_negative(token):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -219,11 +222,15 @@ def _fit_exponent(Ls, values):
 
 def cmd_jump_scaling(args):
     def point_row(L):
-        r = find_hstar(args.jy, args.jz, L, tol=args.tol)
+        # one set of sector blocks serves the search and both ground states
+        sectors = xyz.SectorBlocks(L, args.jy, args.jz)
+        r = find_hstar(args.jy, args.jz, L, tol=args.tol, sectors=sectors)
+        if r.note:  # no crossing in [0, H_MAX], so no side to measure
+            return {"hstar": r.hstar, "note": r.note}
         eps = args.eps * max(1.0, r.hstar)
         row = {"hstar": r.hstar}
         for side, h in (("below", r.hstar - eps), ("above", r.hstar + eps)):
-            ell, state = ground(ChainParams(L=L, jy=args.jy, jz=args.jz, h=h))
+            ell, state = pick_ground_state(sectors.lowest(h, 1))
             row[f"ell_{side}"] = ell
             row[f"m2_{side}"] = pauli.sre_brute(state, workers=args.workers).value
             row[f"s2_{side}"] = entanglement.entropy(state, 1, (L - 1) // 2)
@@ -236,7 +243,7 @@ def cmd_jump_scaling(args):
     cols = ["L", "hstar", "ell_below", "ell_above", "m2_below", "m2_above",
             "s2_below", "s2_above", "dm2", "ds2", "fit_dm2_exponent",
             "fit_ds2_exponent", "note"]
-    good = [r for r in rows if r.get("hstar") is not None]
+    good = [r for r in rows if r.get("dm2") is not None]  # a measured jump
     Ls = [r["L"] for r in good]
     if len(set(Ls)) >= 2:  # a line through one size is no power law
         rows.append({

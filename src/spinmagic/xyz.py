@@ -4,9 +4,10 @@ sector, and the critical field h* separating zero- from finite-momentum
 ground states.
 
 A sector block is built as H(h) = H0 + h diag(mag), with mag = sum_n sz_n at
-the orbit representatives, so the h* search builds its blocks once and finds
-h* as a Newton root of the sector gap; ``lowest_eigs`` uses the same builder
-and solver.
+the orbit representatives.  ``SectorBlocks`` holds the blocks of one chain,
+built once, and the lowest level solved in each sector at each field; it
+skips a sector that the concavity of its lowest level in h rules out.  The
+h* search runs on one such set, and ``lowest_eigs`` on a fresh one.
 
 H = sum_n [ Jx sx_n sx_{n+1} + Jy sy_n sy_{n+1} + Jz sz_n sz_{n+1} ]
     + h sum_n sz_n,      site L+1 = site 1.
@@ -142,9 +143,10 @@ def _sector_block(params, ell, parity):
 
 def _solve_sector(block, h, count):
     """Lowest min(count, n) eigenpairs of the sector block h0 + h diag(mag),
-    with the eigenvectors in the sector's basis.  Blocks up to DENSE_BLOCK_MAX
-    and near-complete spectra go to eigh, the rest to ARPACK from a fixed
-    start vector."""
+    with the eigenvectors in the sector's basis, and the residual norm
+    ||H v - E v|| of each pair.  Blocks up to DENSE_BLOCK_MAX and
+    near-complete spectra go to eigh, the rest to ARPACK from a fixed start
+    vector."""
     h0, mag = block
     n = mag.size
     k = min(count, n)
@@ -153,10 +155,14 @@ def _solve_sector(block, h, count):
         # costs more memory than the conversion costs time
         a = h0.toarray()
         a[np.diag_indices(n)] += h * mag
-        return eigh(a, subset_by_index=[0, k - 1], overwrite_a=True)
-    v0 = np.random.default_rng(EIGSH_SEED).standard_normal(n)
-    ncv = min(n - 1, max(2 * k + 10, 20))
-    return spla.eigsh(h0 + sp.diags(h * mag), k=k, which="SA", v0=v0, ncv=ncv, maxiter=20000)
+        vals, vecs = eigh(a, subset_by_index=[0, k - 1], overwrite_a=True)
+    else:
+        v0 = np.random.default_rng(EIGSH_SEED).standard_normal(n)
+        ncv = min(n - 1, max(2 * k + 10, 20))
+        vals, vecs = spla.eigsh(h0 + sp.diags(h * mag), k=k, which="SA", v0=v0, ncv=ncv,
+                                maxiter=20000)
+    residuals = np.linalg.norm(h0 @ vecs + (h * mag)[:, None] * vecs - vecs * vals, axis=0)
+    return vals, vecs, residuals
 
 
 def _cluster_starts(energies):
@@ -175,53 +181,142 @@ def _cluster_starts(energies):
     return starts, tol
 
 
-def lowest_eigs(params, count):
-    """Lowest ``count`` eigenpairs of H, each labelled by its momentum sector,
-    and more where the count ends inside the ground cluster: it is never cut.
+def _cluster_reach(energy):
+    """The energy below which a level joins the cluster that starts at
+    ``energy``; it grows with ``energy``, so at the lowest level solved so far
+    it bounds the ground cluster of the whole spectrum from above."""
+    return energy + DEGENERACY_RTOL * max(1.0, abs(energy))
 
-    H commutes with the translation T and the Z-parity, so it is solved in
-    each (ell, parity) block for ell >= 0; the ell < 0 levels are the complex
-    conjugates, since H is real.  Levels within DEGENERACY_RTOL of a cluster's
-    lowest level form one cluster; clusters come in ascending energy, and the
-    levels of a cluster in sector order (ell ascending, +ell before -ell,
-    parity +1 first), so a degenerate manifold comes out the same on every
-    run whatever the last bits of its energies, and ``energies`` ascends to
-    within that tolerance.  A block whose levels all lie inside the ground
-    cluster may hold more of it, so it is solved again for twice as many,
-    until a level lies above the cluster or the block is exhausted.  A later
-    cluster that ``count`` ends inside is cut, in sector order.
+
+class SectorBlocks:
+    """The (ell, Z-parity) sector blocks of the chain (L, jy, jz, jx), built
+    once, and the lowest level solved in each sector at each field so far.
+
+    E_s(h), the lowest level of sector s of H0 + h diag(mag), is concave in h:
+    it is the minimum over unit vectors v of the affine <v|H0|v> + h <v|mag|v>.
+    So between two solved fields its chord lies below it.  A solved level is
+    off by at most its residual ||H v - E v|| (taking it for the lowest level,
+    as every solve does), so the chord of the solved levels less twice the
+    larger residual of its two ends (once for the ends, once for a solve at
+    h) bounds what a solve at h would return.  A sector whose bound lies above
+    the lowest level solved at h cannot hold the minimum and is not solved.
+    A fresh instance knows no field, so it solves every sector.
     """
-    L = params.L
-    N = 2**L
-    if count < 1 or count >= N:
-        raise ValueError(f"count must be in [1, {N - 1}]")
-    blocks = {sector: _sector_block(params, *sector) for sector in _sectors(L)}
-    solved = {}  # (ell, parity) -> eigenvalues and eigenvectors in the sector basis
-    pending = dict.fromkeys(blocks, count)
-    while pending:
-        for sector, k in pending.items():
-            solved[sector] = _solve_sector(blocks[sector], params.h, k)
-        levels = [(e, m, parity, v) for (ell, parity), (vals, vecs) in solved.items()
-                  for e, v in zip(vals, vecs.T) for m in ((ell, -ell) if ell else (0,))]
-        starts, tol = _cluster_starts([level[0] for level in levels])
-        order = sorted(range(len(levels)), key=lambda i: (starts[i], i))
-        ground = starts[order[0]]
-        pending = {sector: 2 * vals.size for sector, (vals, vecs) in solved.items()
-                   if vals[-1] - ground < tol and vals.size < vecs.shape[0]}
-    degeneracy = sum(start == ground for start in starts)
-    keep = order[:max(count, degeneracy)]
-    states = []
-    for i in keep:  # embed the kept levels only, by a gather
-        _, ell, parity, v = levels[i]
-        col, amp, _, _ = _momentum_basis(L, abs(ell), parity)
-        amps = amp * v[col]
-        states.append(StateVector(L, amps.conj() if ell < 0 else amps))
-    return GroundManifold(
-        energies=np.array([levels[i][0] for i in keep]),
-        states=states,
-        momenta=[levels[i][1] for i in keep],
-        degeneracy=degeneracy,
-    )
+
+    def __init__(self, L, jy, jz, jx=1.0):
+        self.params = ChainParams(L=L, jy=jy, jz=jz, h=0.0, jx=jx)
+        self.blocks = {sector: _sector_block(self.params, *sector) for sector in _sectors(L)}
+        self.solved = {sector: [] for sector in self.blocks}  # (h, E, residual) per solve
+
+    def _bound(self, sector, h):
+        """A lower bound on the lowest level of ``sector`` at h, from the
+        nearest solved fields on either side of h (or at h); -inf where h is
+        not between two of them."""
+        points = self.solved[sector]
+        below = max((p for p in points if p[0] <= h), key=lambda p: p[0], default=None)
+        above = min((p for p in points if p[0] >= h), key=lambda p: p[0], default=None)
+        if below is None or above is None:
+            return -np.inf
+        (ha, ea, ra), (hb, eb, rb) = below, above
+        chord = ea if hb == ha else ea + (h - ha) * (eb - ea) / (hb - ha)
+        return chord - 2 * max(ra, rb)
+
+    def _solve(self, sector, h, count):
+        vals, vecs, residuals = _solve_sector(self.blocks[sector], h, count)
+        self.solved[sector].append((h, vals[0], residuals[0]))
+        return vals, vecs
+
+    def _solve_lowest(self, h, sectors, count, reach):
+        """{sector: (eigenvalues, eigenvectors)} of the lowest ``count`` levels
+        at h of each of ``sectors`` (in their order) whose lowest level may lie
+        below reach(E), E the lowest level solved so far: they are solved in
+        order of their bounds, so the rest are those whose bound lies above."""
+        bounds = {sector: self._bound(sector, h) for sector in sectors}
+        solved, best = {}, np.inf
+        for sector in sorted(sectors, key=bounds.__getitem__):
+            if bounds[sector] > reach(best):  # so are the bounds after it
+                break
+            solved[sector] = self._solve(sector, h, count)
+            best = min(best, solved[sector][0][0])
+        return {sector: solved[sector] for sector in sectors if sector in solved}
+
+    def minimizers(self, h):
+        """For zero (False) and finite (True) momentum, the sector with the
+        lowest level at h (the first in sector order on a tie), that level and
+        <mag> in its eigenvector, which is dE/dh (Hellmann-Feynman)."""
+        out = {}
+        for finite in (False, True):
+            sectors = [sector for sector in self.blocks if (sector[0] != 0) == finite]
+            levels = self._solve_lowest(h, sectors, 1, lambda energy: energy)
+            sector = min(levels, key=lambda sector: levels[sector][0][0])
+            vals, vecs = levels[sector]
+            v = vecs[:, 0]
+            out[finite] = (sector, vals[0], np.vdot(v, self.blocks[sector][1] * v).real)
+        return out
+
+    def lowest(self, h, count):
+        """Lowest ``count`` eigenpairs of H at field h, each labelled by its
+        momentum sector, and more where the count ends inside the ground
+        cluster: it is never cut.
+
+        H commutes with the translation T and the Z-parity, so it is solved in
+        each (ell, parity) block for ell >= 0; the ell < 0 levels are the
+        complex conjugates, since H is real.  Levels within DEGENERACY_RTOL of
+        a cluster's lowest level form one cluster; clusters come in ascending
+        energy, and the levels of a cluster in sector order (ell ascending,
+        +ell before -ell, parity +1 first), so a degenerate manifold comes out
+        the same on every run whatever the last bits of its energies, and
+        ``energies`` ascends to within that tolerance.  A block whose levels
+        all lie inside the ground cluster may hold more of it, so it is solved
+        again for twice as many, until a level lies above the cluster or the
+        block is exhausted.  A later cluster that ``count`` ends inside is
+        cut, in sector order.  For count = 1 only the ground cluster is kept,
+        so a sector whose bound lies above the reach of that cluster from the
+        lowest level solved so far is not solved.
+        """
+        L = self.params.L
+        N = 2**L
+        if count < 1 or count >= N:
+            raise ValueError(f"count must be in [1, {N - 1}]")
+        # count > 1 keeps levels above the ground cluster, so no sector is skipped
+        reach = _cluster_reach if count == 1 else (lambda energy: np.inf)
+        solved = self._solve_lowest(h, list(self.blocks), count, reach)
+        pending = True
+        while pending:
+            levels = [(e, m, parity, v) for (ell, parity), (vals, vecs) in solved.items()
+                      for e, v in zip(vals, vecs.T) for m in ((ell, -ell) if ell else (0,))]
+            starts, tol = _cluster_starts([level[0] for level in levels])
+            order = sorted(range(len(levels)), key=lambda i: (starts[i], i))
+            ground = starts[order[0]]
+            pending = {sector: 2 * vals.size for sector, (vals, vecs) in solved.items()
+                       if vals[-1] - ground < tol and vals.size < vecs.shape[0]}
+            # a solve for more levels may have raised the lowest one, and the
+            # reach of the ground cluster with it past a sector ruled out
+            pending.update((sector, count) for sector in self.blocks
+                           if sector not in solved and not self._bound(sector, h) > reach(ground))
+            for sector, k in pending.items():
+                solved[sector] = self._solve(sector, h, k)
+            solved = {sector: solved[sector] for sector in self.blocks if sector in solved}
+        degeneracy = sum(start == ground for start in starts)
+        keep = order[:max(count, degeneracy)]
+        states = []
+        for i in keep:  # embed the kept levels only, by a gather
+            _, ell, parity, v = levels[i]
+            col, amp, _, _ = _momentum_basis(L, abs(ell), parity)
+            amps = amp * v[col]
+            states.append(StateVector(L, amps.conj() if ell < 0 else amps))
+        return GroundManifold(
+            energies=np.array([levels[i][0] for i in keep]),
+            states=states,
+            momenta=[levels[i][1] for i in keep],
+            degeneracy=degeneracy,
+        )
+
+
+def lowest_eigs(params, count):
+    """Lowest ``count`` eigenpairs of H at params.h, as SectorBlocks.lowest
+    gives them on a fresh set of blocks, which solves every sector."""
+    return SectorBlocks(params.L, params.jy, params.jz, params.jx).lowest(params.h, count)
 
 
 def pick_ground_state(manifold):
@@ -231,25 +326,27 @@ def pick_ground_state(manifold):
     return manifold.momenta[best], manifold.states[best]
 
 
-def find_hstar(jy, jz, L, tol=1e-4):
+def find_hstar(jy, jz, L, tol=1e-4, sectors=None):
     """The critical field h* between finite-momentum (h < h*) and zero-momentum
     (h > h*) ground states: the root of the sector gap
     Delta(h) = min_{ell != 0} E_ell(h) - min_{ell = 0} E_ell(h), with E_ell(h)
     the lowest level of a sector; Delta < 0 is a finite-momentum ground state.
 
-    The sector blocks are built once.  An evaluation of Delta solves the
-    lowest level of every sector at one h, and dDelta/dh is <mag> of the
-    finite-momentum minimizer minus <mag> of the zero-momentum one
-    (Hellmann-Feynman).  Inside the sign bracket [lo, hi], at first
-    [0, H_MAX], a Newton step from the end with the smaller |Delta| is taken
-    if it lands strictly inside and is at most half the previous Newton step
-    (the first at most H_MAX / 2); otherwise the bracket is bisected.  So each
-    evaluation halves the bracket or the Newton step, and a search makes at
-    most 2 + 2 ceil(log2(H_MAX / tol)) evaluations.  It stops when a Newton
-    step is shorter than ``tol`` (h* is where it lands, ``bracket_width`` is
-    |step|; at a crossing of two levels Newton converges quadratically, so
-    the error is far below tol) or the bracket is at most ``tol`` wide (its
-    midpoint and width).
+    The search runs on ``sectors``, the SectorBlocks of (L, jy, jz), which it
+    builds if none are given; a caller that passes them in can solve at
+    other fields on the same blocks and solved levels.  An evaluation of
+    Delta takes the two minimizers of ``SectorBlocks.minimizers``, and
+    dDelta/dh is <mag> of the finite-momentum minimizer minus <mag> of the
+    zero-momentum one (Hellmann-Feynman).  Inside the sign bracket [lo, hi],
+    at first [0, H_MAX], a Newton step from the end with the smaller |Delta|
+    is taken if it lands strictly inside and is at most half the previous
+    Newton step (the first at most H_MAX / 2); otherwise the bracket is
+    bisected.  So each evaluation halves the bracket or the Newton step, and
+    a search makes at most 2 + 2 ceil(log2(H_MAX / tol)) evaluations.  It
+    stops when a Newton step is shorter than ``tol`` (h* is where it lands,
+    ``bracket_width`` is |step|; at a crossing of two levels Newton
+    converges quadratically, so the error is far below tol) or the bracket
+    is at most ``tol`` wide (its midpoint and width).
 
     For jz < -jy the finite-momentum phase is absent and h* = 0 is returned
     with a note; the same if the ground state has zero momentum at h = 0, and
@@ -259,18 +356,16 @@ def find_hstar(jy, jz, L, tol=1e-4):
         raise ValueError(f"find_hstar needs tol > 0, got {tol}")
     if jz < -jy:
         return HstarResult(jy, jz, L, 0.0, 0.0, note="no finite-momentum phase")
-    params = ChainParams(L=L, jy=jy, jz=jz, h=0.0)
-    blocks = [(ell != 0, _sector_block(params, ell, parity)) for ell, parity in _sectors(L)]
+    if sectors is None:
+        sectors = SectorBlocks(L, jy, jz)
+    elif sectors.params != ChainParams(L=L, jy=jy, jz=jz, h=0.0):
+        raise ValueError(f"the sector blocks of {sectors.params} are not those of "
+                         f"L={L}, jy={jy}, jz={jz}")
 
     def evaluate(h):
         """(h, Delta(h), dDelta/dh)."""
-        lowest = {}  # finite momentum? -> (E, <mag>) of the lowest sector level
-        for finite, block in blocks:
-            vals, vecs = _solve_sector(block, h, 1)
-            if finite not in lowest or vals[0] < lowest[finite][0]:
-                v = vecs[:, 0]
-                lowest[finite] = (vals[0], np.vdot(v, block[1] * v).real)
-        (e1, m1), (e0, m0) = lowest[True], lowest[False]
+        low = sectors.minimizers(h)
+        (_, e1, m1), (_, e0, m0) = low[True], low[False]
         return h, e1 - e0, m1 - m0
 
     lo, hi = evaluate(0.0), evaluate(H_MAX)

@@ -161,7 +161,21 @@ def test_negative_lists_need_no_equals_sign(capsys):
     assert spaced == attached
     assert spaced[0] == EXIT_OK and len(spaced[1].splitlines()) == 3
     assert cli.attach_negative_lists(["ratio", "--L", "-5,7", "--jy", "-0.3", "--h", "1"]) == [
-        "ratio", "--L=-5,7", "--jy", "-0.3", "--h", "1"]
+        "ratio", "--L=-5,7", "--jy=-0.3", "--h", "1"]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["sre", "--kind", "ground", "--L", "5"], "--jz", "-1e-3"),
+    (["sre", "--kind", "ground", "--L", "5"], "--h", "-2.5E-2"),
+    (["sre", "--kind", "phi", "--L", "5", "--ell", "1"], "--theta", "-1e-3"),
+    (["hstar-map", "--jy", "0.33", "--L", "5"], "--jz", "-1e-3,0.0"),
+], ids=["sre-jz", "sre-h", "sre-theta", "hstar-map-jz-list"])
+def test_negative_exponent_numbers_need_no_equals_sign(capsys, argv, flag, value):
+    # argparse alone takes only -1 and -0.5 for negative numbers, not -1e-3
+    spaced = run(argv + [flag, value], capsys)
+    attached = run(argv + [f"{flag}={value}"], capsys)
+    assert spaced == attached
+    assert spaced[0] == EXIT_OK and spaced[1].count("\n") >= 2
 
 
 BAD_LISTS = [(["jump-scaling"], "L", "7,abc"), (["jump-scaling"], "L", ","),
@@ -416,11 +430,13 @@ def test_workers_below_one_are_usage_errors(argv, workers, capsys):
     assert captured.out == "" and "--workers: must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("spaced", [False, True], ids=["attached", "spaced"])
 @pytest.mark.parametrize("eps", ["0", "-1e-3", "nan", "inf"])
-def test_jump_eps_must_be_positive_and_finite(eps, capsys):
-    # 0 measured both sides at h*, and a negative eps swapped them
+def test_jump_eps_must_be_positive_and_finite(eps, spaced, capsys):
+    # 0 measured both sides at h*, and a negative eps swapped them; written
+    # as a separate word, -1e-3 reaches --eps too
     with pytest.raises(SystemExit) as exc:
-        main(["jump-scaling", "--L", "5", f"--eps={eps}"])
+        main(["jump-scaling", "--L", "5"] + (["--eps", eps] if spaced else [f"--eps={eps}"]))
     assert exc.value.code == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and "--eps: must be a positive finite number" in captured.err
@@ -455,3 +471,20 @@ def test_jump_scaling_fits_only_two_sizes_or_more(capsys):
     assert len(captured.out.splitlines()) == 3 and "power-law fit" not in captured.out
     code, out = run(["jump-scaling", "--L", "5,7"], capsys)
     assert code == EXIT_OK and out.splitlines()[-1].endswith("power-law fit over the L sweep")
+
+
+def test_jump_scaling_without_a_crossing_writes_the_note(capsys):
+    # jz < -jy has no finite-momentum phase: h* = 0 and the note, no ground
+    # states on either side, no fit through the rounding noise of dm2 = 0
+    code, out = run(["jump-scaling", "--jy", "0.2", "--jz=-0.5", "--L", "7,9"], capsys)
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "L,hstar,ell_below,ell_above,m2_below,m2_above,s2_below,s2_above,dm2,ds2,"
+        "fit_dm2_exponent,fit_ds2_exponent,note",
+        "7,0,,,,,,,,,,,no finite-momentum phase",
+        "9,0,,,,,,,,,,,no finite-momentum phase",
+    ]
+    # points with a crossing still make the fit row
+    code, out = run(["jump-scaling", "--L", "5,7", "--format", "json"], capsys)
+    assert code == EXIT_OK
+    assert [r["note"] for r in json.loads(out)] == [None, None, "power-law fit over the L sweep"]

@@ -294,7 +294,7 @@ def test_hellmann_feynman_slope_matches_finite_difference(L, ell, parity):
     # the L = 13 block is above DENSE_BLOCK_MAX and goes through eigsh
     block = xyz._sector_block(sm.ChainParams(L, 0.33, 0.1, 0.0), ell, parity)
     h, dh = 0.6, 1e-4
-    _, vecs = xyz._solve_sector(block, h, 1)
+    _, vecs, _ = xyz._solve_sector(block, h, 1)
     v = vecs[:, 0]
     slope = np.vdot(v, block[1] * v).real
     up, down = (xyz._solve_sector(block, h + sign * dh, 1)[0][0] for sign in (1, -1))
@@ -303,11 +303,36 @@ def test_hellmann_feynman_slope_matches_finite_difference(L, ell, parity):
 
 @pytest.mark.parametrize("L", [7, 9, 11])
 def test_find_hstar_gap_evaluations(monkeypatch, L):
-    # one gap evaluation solves the L + 1 sectors; bisection needed 16 to tol 1e-4
+    # the ends h = 0 and H_MAX solve every sector; between them the chords
+    # rule out all but a few, and bisection needed 16 evaluations to tol 1e-4
     calls = counting_solve(monkeypatch)
     assert sm.find_hstar(0.33, 0.0, L).note == ""
-    assert len(calls) % (L + 1) == 0
-    assert len(calls) // (L + 1) <= 6
+    fields = list(dict.fromkeys(calls))
+    assert fields[:2] == [0.0, xyz.H_MAX]
+    assert calls.count(0.0) == calls.count(xyz.H_MAX) == L + 1
+    assert all(calls.count(h) <= 3 for h in fields[2:])
+    assert len(fields) <= 6
+
+
+def stand_in_sectors(monkeypatch, gap):
+    """One-state sector blocks whose finite-momentum levels are gap(h) and
+    zero-momentum levels 0; each block has mag = 1, so its vector carries the
+    slope of gap through <v|mag|v>, and each level is exact (residual 0).
+    Returns the set of fields solved at."""
+    fields = set()
+
+    def stand_in_block(params, ell, parity):
+        return (ell, parity), np.ones(1)
+
+    def stand_in_solve(block, h, count):
+        fields.add(h)
+        ell, parity = block[0]
+        value, slope = gap(h) if ell else (0.0, 0.0)
+        return np.array([value]), np.array([[np.sqrt(slope)]]), np.zeros(1)
+
+    monkeypatch.setattr(xyz, "_sector_block", stand_in_block)
+    monkeypatch.setattr(xyz, "_solve_sector", stand_in_solve)
+    return fields
 
 
 GAPS = {  # gap stand-ins with root 0.3: no smooth tangent there, or a flat one
@@ -320,28 +345,124 @@ GAPS = {  # gap stand-ins with root 0.3: no smooth tangent there, or a flat one
 @pytest.mark.parametrize("tol", [1e-4, 1e-8])
 @pytest.mark.parametrize("shape", sorted(GAPS))
 def test_find_hstar_safeguard_bounds_the_evaluations(monkeypatch, shape, tol):
-    # the finite-momentum sectors have Delta(h) = GAPS[shape](h - 0.3), the
-    # zero-momentum ones 0; each one-state block has mag = 1, so its vector
-    # carries the slope through <v|mag|v>
-    evaluations = []
-
-    def stand_in_block(params, ell, parity):
-        return (ell, parity), np.ones(1)
-
-    def stand_in_solve(block, h, count):
-        ell, parity = block[0]
-        if (ell, parity) == (0, 1):
-            evaluations.append(h)
-        value, slope = GAPS[shape](h - 0.3) if ell else (0.0, 0.0)
-        return np.array([value]), np.array([[np.sqrt(slope)]])
-
-    monkeypatch.setattr(xyz, "_sector_block", stand_in_block)
-    monkeypatch.setattr(xyz, "_solve_sector", stand_in_solve)
+    # the finite-momentum sectors have Delta(h) = GAPS[shape](h - 0.3); a
+    # sector the chords rule out is not solved, so an evaluation is a field
+    fields = stand_in_sectors(monkeypatch, lambda h: GAPS[shape](h - 0.3))
     r = sm.find_hstar(0.33, 0.0, 7, tol=tol)
     # a Newton step shorter than tol ends the search: at a simple root that
     # leaves an error far below tol, at the ninefold flat root up to 9 tol
     assert r.note == "" and abs(r.hstar - 0.3) <= (9 if shape == "flat" else 1) * tol
-    assert len(evaluations) <= 2 + 2 * math.ceil(math.log2(1.0 / tol))
+    assert len(fields) <= 2 + 2 * math.ceil(math.log2(1.0 / tol))
+
+
+def test_finite_momentum_up_to_h_max_is_a_note(monkeypatch, capsys):
+    # Delta(H_MAX) = -0.5 < 0: the gap has no root in the bracket
+    fields = stand_in_sectors(monkeypatch, lambda h: (h - 1.5, 1.0))
+    r = sm.find_hstar(0.33, 0.0, 7)
+    assert (r.hstar, r.bracket_width, r.note) == (xyz.H_MAX, 0.0, "finite momentum up to h_max")
+    assert fields == {0.0, xyz.H_MAX}
+    # jump-scaling writes the note, measures no side and exits 0
+    assert main(["jump-scaling", "--L", "7"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "7,1,,,,,,,,,,,finite momentum up to h_max"]
+
+
+def test_find_hstar_refuses_the_blocks_of_another_chain():
+    sectors = xyz.SectorBlocks(5, 0.33, 0.0)
+    with pytest.raises(ValueError, match="sector blocks"):
+        sm.find_hstar(0.33, 0.1, 5, sectors=sectors)
+    assert sm.find_hstar(0.33, 0.0, 5, sectors=sectors) == sm.find_hstar(0.33, 0.0, 5)
+
+
+def jump_point(L, jy, jz, eps=1e-3):
+    """h* and the ground manifolds at h* -+ eps max(1, h*) from one set of
+    sector blocks, as jump-scaling takes them."""
+    sectors = xyz.SectorBlocks(L, jy, jz)
+    r = sm.find_hstar(jy, jz, L, sectors=sectors)
+    shift = eps * max(1.0, r.hstar)
+    return r, [] if r.note else [sectors.lowest(h, 1) for h in (r.hstar - shift, r.hstar + shift)]
+
+
+def solve_off_by(size):
+    """The sector solve with each level moved by +-size (the sign taken from
+    the level's last bit) and its residual grown by size, which bounds
+    ||H v - E v|| for the moved level: a solver exactly as far off as it
+    reports."""
+    solve = xyz._solve_sector
+
+    def off(block, h, count):
+        vals, vecs, residuals = solve(block, h, count)
+        return vals + np.where(vals.view(np.int64) & 1, size, -size), vecs, residuals + size
+
+    return off
+
+
+def assert_pruning_changes_nothing(monkeypatch, L, jy, jz, size):
+    if size:
+        monkeypatch.setattr(xyz, "_solve_sector", solve_off_by(size))
+    visits = []  # (sector blocks, h, the bound of each sector) of every pruned solve
+    picks = {}  # (sector blocks, h) -> minimizers of a gap evaluation
+    solve_lowest, minimizers = xyz.SectorBlocks._solve_lowest, xyz.SectorBlocks.minimizers
+
+    def visited(self, h, sectors, count, reach):
+        visits.append((self, h, {sector: self._bound(sector, h) for sector in sectors}))
+        return solve_lowest(self, h, sectors, count, reach)
+
+    def picked(self, h):
+        picks[self, h] = minimizers(self, h)
+        return picks[self, h]
+
+    monkeypatch.setattr(xyz.SectorBlocks, "_solve_lowest", visited)
+    monkeypatch.setattr(xyz.SectorBlocks, "minimizers", picked)
+    r, grounds = jump_point(L, jy, jz)
+    for sectors, h, bounds in visits:  # every sector solved at every field visited
+        lowest = None  # the first lowest (sector, level, <mag>) of those visited
+        for sector, bound in bounds.items():
+            block = sectors.blocks[sector]
+            vals, vecs, _ = xyz._solve_sector(block, h, 1)
+            assert vals[0] >= bound
+            if lowest is None or vals[0] < lowest[1]:
+                v = vecs[:, 0]
+                lowest = (sector, vals[0], np.vdot(v, block[1] * v).real)
+        classes = {sector[0] != 0 for sector in bounds}
+        if len(classes) == 1:  # a gap evaluation, one momentum class at a time
+            assert picks[sectors, h][classes.pop()] == lowest
+    # a run that rules nothing out
+    monkeypatch.setattr(xyz.SectorBlocks, "_bound", lambda self, sector, h: -np.inf)
+    assert jump_point(L, jy, jz)[0] == r
+    for ground, ref in zip(grounds, jump_point(L, jy, jz)[1], strict=True):
+        assert np.array_equal(ground.energies, ref.energies)
+        assert (ground.momenta, ground.degeneracy) == (ref.momenta, ref.degeneracy)
+        for state, ref_state in zip(ground.states, ref.states, strict=True):
+            assert np.array_equal(state.amps, ref_state.amps)
+    return r
+
+
+# exact solves, and solves off by 1e-3, about the gap between the ground states
+# at h* -+ eps: without the residual margin the chords of those would rule
+# out sectors that hold the minimum
+OFF_BY = [0.0, 1e-3]
+
+
+@settings(max_examples=25, deadline=None)
+@given(L=st.sampled_from([5, 7, 9]), jy=st.floats(-0.9, 0.9), above=st.floats(0.005, 0.35),
+       size=st.sampled_from(OFF_BY))
+@example(L=7, jy=0.33, above=0.33, size=1e-3)
+# a solve for two levels moves the lowest level of the ground sector (the
+# stand-in's sign follows the level's last bit), and the ground cluster with it
+@example(L=9, jy=0.29504188058536795, above=0.1328535301448362, size=1e-3)
+def test_pruning_changes_no_pick(L, jy, above, size):
+    jz = -jy + above
+    assume(abs(jz) < 0.95)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_pruning_changes_nothing(monkeypatch, L, jy, jz, size)
+
+
+@pytest.mark.parametrize("size", OFF_BY)
+def test_pruning_changes_no_pick_on_arpack_blocks(monkeypatch, size):
+    # the L = 13 blocks are above DENSE_BLOCK_MAX, so the margins are ARPACK residuals
+    assert xyz._momentum_basis(13, 1, 1)[2].size > xyz.DENSE_BLOCK_MAX
+    assert assert_pruning_changes_nothing(monkeypatch, 13, 0.33, 0.0, size).note == ""
 
 
 def test_find_hstar_absent_phase():
