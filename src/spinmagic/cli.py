@@ -108,7 +108,7 @@ def positive_int(text):
 
 
 def positive_float(text):
-    """argparse type of --eps: a finite float above 0."""
+    """argparse type of --eps and of the h* search's --tol: a finite float above 0."""
     value = float(text)
     if not 0 < value < math.inf:  # False for NaN too
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {value}")
@@ -131,9 +131,9 @@ def load_config(path):
 
 
 def ground(params):
-    """(momentum, state) of the ground state; one level per sector holds its
-    whole cluster, since lowest_eigs never cuts the ground cluster."""
-    return pick_ground_state(lowest_eigs(params, 1))
+    """(momentum, state) of the ground state: the +p member of the ground
+    cluster that lowest_eigs returns."""
+    return pick_ground_state(lowest_eigs(params))
 
 
 def _guarded(point_row, point):
@@ -230,7 +230,7 @@ def cmd_jump_scaling(args):
         eps = args.eps * max(1.0, r.hstar)
         row = {"hstar": r.hstar}
         for side, h in (("below", r.hstar - eps), ("above", r.hstar + eps)):
-            ell, state = pick_ground_state(sectors.lowest(h, 1))
+            ell, state = pick_ground_state(sectors.lowest(h))
             row[f"ell_{side}"] = ell
             row[f"m2_{side}"] = pauli.sre_brute(state, workers=args.workers).value
             row[f"s2_{side}"] = entanglement.entropy(state, 1, (L - 1) // 2)
@@ -266,9 +266,9 @@ def cmd_ratio(args):
         ell0, gtf = ground(tf)
         if ell0 == 0:
             return {"note": "zero-momentum ground state (h >= h*?)"}
-        nf_man = lowest_eigs(xyz.nonfrustrated_counterpart(tf), 1)
+        _, gnf = ground(xyz.nonfrustrated_counterpart(tf))
         m2_tf = pauli.sre_brute(gtf, workers=args.workers).value
-        m2_nf = pauli.sre_brute(nf_man.states[0], workers=args.workers).value
+        m2_nf = pauli.sre_brute(gnf, workers=args.workers).value
         m2_w = closed_forms.m2_w_closed(L, ell0)
         R = m2_tf / (m2_nf + m2_w)
         return {"ell0": ell0, "m2_tf": m2_tf, "m2_nf": m2_nf,
@@ -448,7 +448,7 @@ def build_parser():
     sp.add_argument("--jy", type=parse_floats, required=True, help="comma-separated Jy values")
     sp.add_argument("--jz", type=parse_floats, required=True, help="comma-separated Jz values")
     sp.add_argument("--L", type=int, default=15)
-    sp.add_argument("--tol", type=float, default=1e-3)
+    sp.add_argument("--tol", type=positive_float, default=1e-3)
     common(sp, workers="processes over the grid points")
     sp.set_defaults(func=cmd_hstar_map)
 
@@ -457,7 +457,7 @@ def build_parser():
     sp.add_argument("--jz", type=float, default=0.0)
     sp.add_argument("--L", type=parse_ints, required=True, help="comma-separated odd sizes")
     sp.add_argument("--eps", type=positive_float, default=1e-3)
-    sp.add_argument("--tol", type=float, default=1e-4)
+    sp.add_argument("--tol", type=positive_float, default=1e-4)
     common(sp, workers=threads)
     sp.set_defaults(func=cmd_jump_scaling)
 

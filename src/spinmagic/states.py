@@ -85,8 +85,7 @@ def _translation_orbits(L):
         lower = rotated < rep
         rep = np.where(lower, rotated, rep)
         shift[lower] = L - k
-    for k in range(L - 1, 0, -1):
-        period[_rotate_bits(idx, k, L) == idx] = k
+        period[(rotated == idx) & (period == L)] = k  # the first k that fixes s
     for table in (rep, shift, period):
         table.flags.writeable = False
     return rep, shift, period

@@ -1,7 +1,6 @@
 """The XYZ ring with an odd number of sites (frustrated boundary conditions):
-Hamiltonian, low-energy spectrum solved per (momentum, Z-parity)
-sector, and the critical field h* separating zero- from finite-momentum
-ground states.
+Hamiltonian, ground manifold solved per (momentum, Z-parity) sector, and the
+critical field h* separating zero- from finite-momentum ground states.
 
 A sector block is built as H(h) = H0 + h diag(mag), with mag = sum_n sz_n at
 the orbit representatives.  ``SectorBlocks`` holds the blocks of one chain,
@@ -20,7 +19,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
-# translate stays reachable as xyz.translate, where perfbench traces it
+# not used here: the perfbench tracer patches states.translate in every
+# namespace, and only its own test reads xyz.translate
 from .states import StateVector, _translation_orbits, translate  # noqa: F401
 
 DEGENERACY_RTOL = 1e-9
@@ -48,10 +48,9 @@ class ChainParams:
 
 @dataclass(frozen=True)
 class GroundManifold:
-    energies: np.ndarray  # clusters ascending: the requested levels, the ground cluster whole
+    energies: np.ndarray  # the levels within DEGENERACY_RTOL of the lowest, in sector order
     states: list  # StateVector per level, a momentum and Z-parity eigenstate
     momenta: list  # momentum index of the sector each state came from
-    degeneracy: int  # levels within DEGENERACY_RTOL of the lowest
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ def _sector_block(params, ell, parity):
 
 def _solve_sector(block, h, count):
     """Lowest min(count, n) eigenpairs of the sector block h0 + h diag(mag),
-    with the eigenvectors in the sector's basis, and the residual norm
+    ascending, with the eigenvectors in the sector's basis, and the residual norm
     ||H v - E v|| of each pair.  Blocks up to DENSE_BLOCK_MAX and
     near-complete spectra go to eigh, the rest to ARPACK from a fixed start
     vector."""
@@ -161,24 +160,11 @@ def _solve_sector(block, h, count):
         ncv = min(n - 1, max(2 * k + 10, 20))
         vals, vecs = spla.eigsh(h0 + sp.diags(h * mag), k=k, which="SA", v0=v0, ncv=ncv,
                                 maxiter=20000)
+        # on a complex block eigsh runs eigs, which leaves the levels unsorted
+        order = np.argsort(vals, kind="stable")
+        vals, vecs = vals[order], vecs[:, order]
     residuals = np.linalg.norm(h0 @ vecs + (h * mag)[:, None] * vecs - vecs * vals, axis=0)
     return vals, vecs, residuals
-
-
-def _cluster_starts(energies):
-    """For each level, the lowest energy of its cluster: sorted by energy, a
-    level within DEGENERACY_RTOL (relative to the lowest level) of the
-    current cluster's lowest level joins it, and any other starts a new one.
-    Also that tolerance."""
-    by_energy = sorted(range(len(energies)), key=energies.__getitem__)
-    tol = DEGENERACY_RTOL * max(1.0, abs(energies[by_energy[0]]))
-    starts = [0.0] * len(energies)
-    start = -np.inf
-    for i in by_energy:
-        if energies[i] - start >= tol:
-            start = energies[i]
-        starts[i] = start
-    return starts, tol
 
 
 def _cluster_reach(energy):
@@ -226,17 +212,17 @@ class SectorBlocks:
         self.solved[sector].append((h, vals[0], residuals[0]))
         return vals, vecs
 
-    def _solve_lowest(self, h, sectors, count, reach):
-        """{sector: (eigenvalues, eigenvectors)} of the lowest ``count`` levels
-        at h of each of ``sectors`` (in their order) whose lowest level may lie
-        below reach(E), E the lowest level solved so far: they are solved in
-        order of their bounds, so the rest are those whose bound lies above."""
+    def _solve_lowest(self, h, sectors, reach):
+        """{sector: (eigenvalues, eigenvectors)} of the lowest level at h of
+        each of ``sectors`` (in their order) whose lowest level may lie below
+        reach(E), E the lowest level solved so far: they are solved in order
+        of their bounds, so the rest are those whose bound lies above."""
         bounds = {sector: self._bound(sector, h) for sector in sectors}
         solved, best = {}, np.inf
         for sector in sorted(sectors, key=bounds.__getitem__):
             if bounds[sector] > reach(best):  # so are the bounds after it
                 break
-            solved[sector] = self._solve(sector, h, count)
+            solved[sector] = self._solve(sector, h, 1)
             best = min(best, solved[sector][0][0])
         return {sector: solved[sector] for sector in sectors if sector in solved}
 
@@ -247,82 +233,68 @@ class SectorBlocks:
         out = {}
         for finite in (False, True):
             sectors = [sector for sector in self.blocks if (sector[0] != 0) == finite]
-            levels = self._solve_lowest(h, sectors, 1, lambda energy: energy)
+            levels = self._solve_lowest(h, sectors, lambda energy: energy)
             sector = min(levels, key=lambda sector: levels[sector][0][0])
             vals, vecs = levels[sector]
             v = vecs[:, 0]
             out[finite] = (sector, vals[0], np.vdot(v, self.blocks[sector][1] * v).real)
         return out
 
-    def lowest(self, h, count):
-        """Lowest ``count`` eigenpairs of H at field h, each labelled by its
-        momentum sector, and more where the count ends inside the ground
-        cluster: it is never cut.
+    def lowest(self, h):
+        """The ground cluster of H at field h: the levels e with
+        e - E0 < DEGENERACY_RTOL max(1, |E0|), E0 the lowest level, each
+        labelled by its momentum sector.
 
         H commutes with the translation T and the Z-parity, so it is solved in
         each (ell, parity) block for ell >= 0; the ell < 0 levels are the
-        complex conjugates, since H is real.  Levels within DEGENERACY_RTOL of
-        a cluster's lowest level form one cluster; clusters come in ascending
-        energy, and the levels of a cluster in sector order (ell ascending,
-        +ell before -ell, parity +1 first), so a degenerate manifold comes out
-        the same on every run whatever the last bits of its energies, and
-        ``energies`` ascends to within that tolerance.  A block whose levels
-        all lie inside the ground cluster may hold more of it, so it is solved
+        complex conjugates, since H is real.  The levels come in sector order
+        (ell ascending, +ell before -ell, parity +1 first), so a degenerate
+        manifold comes out the same on every run whatever the last bits of its
+        energies.  A sector whose bound lies above the reach of the cluster
+        from the lowest level solved so far is not solved.  A block whose
+        levels all lie inside the cluster may hold more of it, so it is solved
         again for twice as many, until a level lies above the cluster or the
-        block is exhausted.  A later cluster that ``count`` ends inside is
-        cut, in sector order.  For count = 1 only the ground cluster is kept,
-        so a sector whose bound lies above the reach of that cluster from the
-        lowest level solved so far is not solved.
+        block is exhausted.
         """
-        L = self.params.L
-        N = 2**L
-        if count < 1 or count >= N:
-            raise ValueError(f"count must be in [1, {N - 1}]")
-        # count > 1 keeps levels above the ground cluster, so no sector is skipped
-        reach = _cluster_reach if count == 1 else (lambda energy: np.inf)
-        solved = self._solve_lowest(h, list(self.blocks), count, reach)
+        solved = self._solve_lowest(h, list(self.blocks), _cluster_reach)
         pending = True
         while pending:
-            levels = [(e, m, parity, v) for (ell, parity), (vals, vecs) in solved.items()
-                      for e, v in zip(vals, vecs.T) for m in ((ell, -ell) if ell else (0,))]
-            starts, tol = _cluster_starts([level[0] for level in levels])
-            order = sorted(range(len(levels)), key=lambda i: (starts[i], i))
-            ground = starts[order[0]]
+            ground = min(vals[0] for vals, _ in solved.values())
+            tol = DEGENERACY_RTOL * max(1.0, abs(ground))
             pending = {sector: 2 * vals.size for sector, (vals, vecs) in solved.items()
                        if vals[-1] - ground < tol and vals.size < vecs.shape[0]}
             # a solve for more levels may have raised the lowest one, and the
-            # reach of the ground cluster with it past a sector ruled out
-            pending.update((sector, count) for sector in self.blocks
-                           if sector not in solved and not self._bound(sector, h) > reach(ground))
+            # reach of the cluster with it past a sector ruled out
+            pending.update((sector, 1) for sector in self.blocks if sector not in solved
+                           and not self._bound(sector, h) > _cluster_reach(ground))
             for sector, k in pending.items():
                 solved[sector] = self._solve(sector, h, k)
-            solved = {sector: solved[sector] for sector in self.blocks if sector in solved}
-        degeneracy = sum(start == ground for start in starts)
-        keep = order[:max(count, degeneracy)]
-        states = []
-        for i in keep:  # embed the kept levels only, by a gather
-            _, ell, parity, v = levels[i]
-            col, amp, _, _ = _momentum_basis(L, abs(ell), parity)
-            amps = amp * v[col]
-            states.append(StateVector(L, amps.conj() if ell < 0 else amps))
-        return GroundManifold(
-            energies=np.array([levels[i][0] for i in keep]),
-            states=states,
-            momenta=[levels[i][1] for i in keep],
-            degeneracy=degeneracy,
-        )
+        energies, states, momenta = [], [], []
+        for ell, parity in (sector for sector in self.blocks if sector in solved):
+            vals, vecs = solved[ell, parity]
+            inside = vals - ground < tol
+            if not inside.any():
+                continue
+            col, amp, _, _ = _momentum_basis(self.params.L, ell, parity)
+            for e, v in zip(vals[inside], vecs.T[inside]):
+                amps = amp * v[col]  # embedded by a gather
+                for m in (ell, -ell) if ell else (0,):
+                    energies.append(e)
+                    states.append(StateVector(self.params.L, amps.conj() if m < 0 else amps))
+                    momenta.append(m)
+        return GroundManifold(energies=np.array(energies), states=states, momenta=momenta)
 
 
-def lowest_eigs(params, count):
-    """Lowest ``count`` eigenpairs of H at params.h, as SectorBlocks.lowest
-    gives them on a fresh set of blocks, which solves every sector."""
-    return SectorBlocks(params.L, params.jy, params.jz, params.jx).lowest(params.h, count)
+def lowest_eigs(params):
+    """The ground cluster of H at params.h, as SectorBlocks.lowest gives it on
+    a fresh set of blocks, which solves every sector."""
+    return SectorBlocks(params.L, params.jy, params.jz, params.jx).lowest(params.h)
 
 
 def pick_ground_state(manifold):
     """The ground-cluster state with the largest momentum index (the +p
     member of a degenerate pair), and that index."""
-    best = max(range(manifold.degeneracy), key=lambda i: manifold.momenta[i])
+    best = max(range(len(manifold.states)), key=manifold.momenta.__getitem__)
     return manifold.momenta[best], manifold.states[best]
 
 

@@ -47,8 +47,7 @@ def ground_jump_row(L):
     eps = 1e-3
     vals = {}
     for side, h in (("below", hs - eps), ("above", hs + eps)):
-        man = sm.lowest_eigs(sm.ChainParams(L=L, jy=JY, jz=JZ, h=h), 6)
-        ell, state = pick_ground_state(man)
+        ell, state = pick_ground_state(sm.lowest_eigs(sm.ChainParams(L=L, jy=JY, jz=JZ, h=h)))
         vals[side] = (
             ell,
             sm.sre_brute(state, workers=4).value,
@@ -161,17 +160,17 @@ def test_criterion_06_classical_point_spectrum():
     ok = True
     details = []
     for L in (5, 7, 9, 11):
-        man = sm.lowest_eigs(sm.ChainParams(L=L, jy=0.0, jz=0.0, h=0.0), 2 * L + 2)
+        man = sm.lowest_eigs(sm.ChainParams(L=L, jy=0.0, jz=0.0, h=0.0))
         counts = {}
-        for ell in man.momenta[: man.degeneracy]:
+        for ell in man.momenta:
             counts[ell] = counts.get(ell, 0) + 1
         good = (
             abs(man.energies[0] - (2.0 - L)) <= 1e-9
-            and man.degeneracy == 2 * L
+            and len(man.states) == 2 * L
             and counts == {ell: 2 for ell in ells(L)}
         )
         ok = ok and good
-        details.append(f"L={L}: E0={man.energies[0]:.6f}, deg={man.degeneracy}")
+        details.append(f"L={L}: E0={man.energies[0]:.6f}, deg={len(man.states)}")
     report(6, "classical point: E0 = 2-L, degeneracy 2L, each momentum twice", ok,
            "; ".join(details))
 
@@ -181,16 +180,14 @@ def test_criterion_07_transition_phenomenology():
     details = []
     for L in ODD_7_15:
         hs = hstar(L)
-        man_b = sm.lowest_eigs(sm.ChainParams(L=L, jy=JY, jz=JZ, h=max(hs - 1e-3, 0.0)), 6)
-        ms_below = man_b.momenta[:man_b.degeneracy]
-        man_a = sm.lowest_eigs(sm.ChainParams(L=L, jy=JY, jz=JZ, h=hs + 1e-3), 6)
-        ms_above = man_a.momenta[:man_a.degeneracy]
+        ms_below = sm.lowest_eigs(sm.ChainParams(L=L, jy=JY, jz=JZ, h=max(hs - 1e-3, 0.0))).momenta
+        ms_above = sm.lowest_eigs(sm.ChainParams(L=L, jy=JY, jz=JZ, h=hs + 1e-3)).momenta
         pair = (
-            man_b.degeneracy == 2
+            len(ms_below) == 2
             and sorted(ms_below) == [-max(ms_below), max(ms_below)]
             and max(ms_below) > 0
         )
-        unique_zero = man_a.degeneracy == 1 and ms_above == [0]
+        unique_zero = ms_above == [0]
         ok = ok and hs > 0.0 and pair and unique_zero
         details.append(f"L={L}: h*={hs:.5f}")
     dm2s, ds2s = [], []
@@ -224,11 +221,10 @@ def test_criterion_08_decomposition_ratio():
     away = []
     for L in (7, 9, 11, 13):
         tf = sm.ChainParams(L=L, jy=JY, jz=JZ, h=0.5)
-        man = sm.lowest_eigs(tf, 6)
-        ell0, gtf = pick_ground_state(man)
-        nf = sm.lowest_eigs(sm.nonfrustrated_counterpart(tf), 4)
+        ell0, gtf = pick_ground_state(sm.lowest_eigs(tf))
+        _, gnf = pick_ground_state(sm.lowest_eigs(sm.nonfrustrated_counterpart(tf)))
         R = sm.sre_brute(gtf, workers=4).value / (
-            sm.sre_brute(nf.states[0], workers=4).value + sm.m2_w_closed(L, ell0)
+            sm.sre_brute(gnf, workers=4).value + sm.m2_w_closed(L, ell0)
         )
         away.append(abs(1.0 - R))
     decreasing = all(b < a for a, b in zip(away, away[1:]))

@@ -366,7 +366,7 @@ def test_invalid_state_parameters_exit_solver(capsys):
     np.linalg.LinAlgError("eigenvalue algorithm did not converge"),
 ])
 def test_solver_failure_exit_code(monkeypatch, capsys, failure):
-    def failing_solver(params, count):
+    def failing_solver(params):
         raise failure
 
     monkeypatch.setattr(cli, "lowest_eigs", failing_solver)
@@ -434,12 +434,14 @@ def test_workers_below_one_are_usage_errors(argv, workers, capsys):
 @pytest.mark.parametrize("eps", ["0", "-1e-3", "nan", "inf"])
 def test_jump_eps_must_be_positive_and_finite(eps, spaced, capsys):
     # 0 measured both sides at h*, and a negative eps swapped them; written
-    # as a separate word, -1e-3 reaches --eps too
-    with pytest.raises(SystemExit) as exc:
-        main(["jump-scaling", "--L", "5"] + (["--eps", eps] if spaced else [f"--eps={eps}"]))
-    assert exc.value.code == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == "" and "--eps: must be a positive finite number" in captured.err
+    # as a separate word, -1e-3 reaches --eps too.  The search's --tol is
+    # checked alike: at inf it stopped on the first bracket, h* = 0.5
+    for flag in ("--eps", "--tol"):
+        with pytest.raises(SystemExit) as exc:
+            main(["jump-scaling", "--L", "5"] + ([flag, eps] if spaced else [f"{flag}={eps}"]))
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{flag}: must be a positive finite number" in captured.err
 
 
 def test_json_refuses_non_finite_values(monkeypatch, capsys):

@@ -251,7 +251,7 @@ def test_named_states_fold_and_take_bracelets(L):
     cases += [(sm.build_omega(L, ell), "translation+parity+reflection") for ell in ells]
     cases += [(sm.build_phi(L, ell, 0.3), "parity") for ell in ells if ell]
     for h, zero in ((0.5, False), (1.5, True)):  # below and above h*
-        ell, state = pick_ground_state(lowest_eigs(ChainParams(L, 0.33, 0.0, h), 6))
+        ell, state = pick_ground_state(lowest_eigs(ChainParams(L, 0.33, 0.0, h)))
         assert (ell == 0) == zero
         cases.append((state, "translation+parity+reflection"))
     for state, method in cases:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import spinmagic as sm
 from spinmagic import cli, xyz
-from spinmagic.cli import EXIT_SOLVER, main
+from spinmagic.cli import EXIT_USAGE, main
 from spinmagic.states import (
     StateVector,
     measure_momentum,
@@ -130,13 +130,11 @@ def test_single_site_field_limit():
 @pytest.mark.parametrize("L", [5, 7])
 def test_classical_point_ground_manifold(L):
     params = sm.ChainParams(L=L, jy=0.0, jz=0.0, h=0.0)
-    man = sm.lowest_eigs(params, 2 * L + 2)
+    man = sm.lowest_eigs(params)
     assert man.energies[0] == pytest.approx(2.0 - L, abs=1e-10)
-    assert man.degeneracy == 2 * L
-    # only the ground cluster is kept whole: the next one is cut at the count
-    assert len(man.energies) == len(man.states) == 2 * L + 2
+    assert len(man.energies) == len(man.states) == 2 * L
     counts = {}
-    for ell in man.momenta[: 2 * L]:
+    for ell in man.momenta:
         counts[ell] = counts.get(ell, 0) + 1
     assert counts == {ell: 2 for ell in range(-(L - 1) // 2, (L - 1) // 2 + 1)}
 
@@ -144,23 +142,21 @@ def test_classical_point_ground_manifold(L):
 @pytest.mark.parametrize("L", [5, 7])
 def test_lowest_cluster_is_kept_whole(L):
     # one level of each sector lies in the 2L-fold classical cluster
-    man = sm.lowest_eigs(sm.ChainParams(L=L, jy=0.0, jz=0.0, h=0.0), 1)
-    assert man.degeneracy == len(man.energies) == len(man.states) == 2 * L
+    man = sm.lowest_eigs(sm.ChainParams(L=L, jy=0.0, jz=0.0, h=0.0))
+    assert len(man.energies) == len(man.states) == 2 * L
     assert np.allclose(man.energies, 2.0 - L, rtol=0, atol=1e-10)
-    # H = 0 is one cluster: asked for one level, every block is solved again
-    # until it is exhausted
-    flat = sm.lowest_eigs(sm.ChainParams(L=L, jy=0.0, jz=0.0, h=0.0, jx=0.0), 1)
-    assert flat.degeneracy == len(flat.energies) == 2**L
+    # H = 0 is one cluster: every block is solved again until it is exhausted
+    flat = sm.lowest_eigs(sm.ChainParams(L=L, jy=0.0, jz=0.0, h=0.0, jx=0.0))
+    assert len(flat.energies) == len(flat.states) == 2**L
     assert sorted(flat.momenta) == sorted(measure_momentum(s) for s in flat.states)
 
 
 def test_degenerate_manifold_is_the_same_in_fresh_processes():
     # at the classical point every L = 13 sector block goes through eigsh and
     # the 2L-fold ground cluster is exactly degenerate, so its order comes from
-    # the sector labels, not from the last bits of the energies; 6 levels are
-    # asked for, and the whole cluster of 26 comes back
-    code = ("import spinmagic as sm; m = sm.lowest_eigs(sm.ChainParams(13, 0, 0, 0), 6); "
-            "print(m.degeneracy, m.momenta)")
+    # the sector labels, not from the last bits of the energies
+    code = ("import spinmagic as sm; m = sm.lowest_eigs(sm.ChainParams(13, 0, 0, 0)); "
+            "print(len(m.states), m.momenta)")
     env = {**os.environ, "PYTHONPATH": str(Path(sm.__file__).parents[1])}
     runs = [subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            text=True, check=True).stdout for _ in range(3)]
@@ -170,12 +166,20 @@ def test_degenerate_manifold_is_the_same_in_fresh_processes():
 
 def test_dense_and_iterative_solvers_agree(monkeypatch):
     params = sm.ChainParams(L=7, jy=0.33, jz=0.0, h=0.5)
-    dense = sm.lowest_eigs(params, 4)
+    blocks = {sector: xyz._sector_block(params, *sector) for sector in xyz._sectors(7)}
+    dense = {sector: xyz._solve_sector(block, 0.5, 4) for sector, block in blocks.items()}
+    man = sm.lowest_eigs(params)
     monkeypatch.setattr(xyz, "DENSE_BLOCK_MAX", 0)  # every sector through eigsh
-    sparse = sm.lowest_eigs(params, 4)
-    assert np.allclose(dense.energies, sparse.energies, atol=1e-9)
-    for a, b in zip(dense.momenta, sparse.momenta):
-        assert a == b
+    for sector, block in blocks.items():
+        n = block[1].size
+        assert n - 1 > 4  # so eigsh takes the block, not eigh for a near-complete spectrum
+        vals, vecs, residuals = xyz._solve_sector(block, 0.5, 4)
+        assert np.allclose(vals, dense[sector][0], rtol=0, atol=1e-9)
+        assert np.all(residuals <= 1e-9) and np.all(dense[sector][2] <= 1e-9)
+        assert np.allclose(vecs.conj().T @ vecs, np.eye(4), atol=1e-9)
+    sparse = sm.lowest_eigs(params)
+    assert np.allclose(man.energies, sparse.energies, rtol=0, atol=1e-9)
+    assert man.momenta == sparse.momenta
 
 
 couplings = st.floats(-0.95, 0.95, allow_nan=False)
@@ -183,59 +187,65 @@ couplings = st.floats(-0.95, 0.95, allow_nan=False)
 
 @settings(max_examples=30)
 @given(L=st.sampled_from([5, 7, 9]), jy=couplings, jz=couplings, h=st.floats(0.0, 1.5))
-@example(L=5, jy=0.0, jz=0.0, h=1e-9)  # sector order puts levels 2.2e-9 out of ascent
+@example(L=5, jy=0.0, jz=0.0, h=1e-9)  # near-degenerate levels in different sectors
 def test_sector_states_are_labelled_eigenstates(L, jy, jz, h):
-    # L = 9 has orbits of period 3, whose states lie in the ell = 0, +-3 sectors
+    # every level of every sector block, the ell != 0 ones twice (once for
+    # -ell), is the whole spectrum of H; L = 9 has orbits of period 3, whose
+    # states lie in the ell = 0, +-3 sectors
     params = sm.ChainParams(L=L, jy=jy, jz=jz, h=h)
     H = sm.hamiltonian_sparse(params)
     full = np.linalg.eigvalsh(H.toarray())
-    # the levels of a DEGENERACY_RTOL cluster come in sector order, so the
-    # energies ascend only to within that tolerance; the whole ground cluster
-    # comes back, so there may be more levels than asked for
-    atol = 1e-10 + xyz.DEGENERACY_RTOL * max(1.0, abs(full[0]))
-    lowest = sm.lowest_eigs(params, 6).energies
-    assert lowest.size >= 6
-    assert np.allclose(lowest, full[:lowest.size], rtol=0, atol=atol)
-    man = sm.lowest_eigs(params, 2**L - 1)
-    assert np.allclose(man.energies, full[:man.energies.size], rtol=0, atol=atol)
-    for e, ell, state in zip(man.energies, man.momenta, man.states):
-        assert np.linalg.norm(H @ state.amps - e * state.amps) <= 1e-9
-        assert measure_momentum(state) == ell
-        assert abs(abs(parity_expectation(state, "z")) - 1.0) <= 1e-9
+    levels = []
+    for ell, parity in xyz._sectors(L):
+        block = xyz._sector_block(params, ell, parity)  # H0, the field is h diag(mag)
+        vals, vecs, residuals = xyz._solve_sector(block, h, block[1].size)
+        assert np.all(residuals <= 1e-9)
+        col, amp, _, _ = xyz._momentum_basis(L, ell, parity)
+        for e, v in zip(vals, vecs.T):
+            for m in (ell, -ell) if ell else (0,):
+                amps = amp * v[col]
+                state = StateVector(L, amps.conj() if m < 0 else amps)
+                assert np.linalg.norm(H @ state.amps - e * state.amps) <= 1e-9
+                assert measure_momentum(state) == m
+                assert abs(abs(parity_expectation(state, "z")) - 1.0) <= 1e-9
+                levels.append(e)
+    assert np.allclose(np.sort(levels), full, rtol=0, atol=1e-10)
 
 
 @settings(max_examples=30, deadline=None)
 @given(L=st.sampled_from([5, 7, 9]), jy=couplings, jz=couplings, h=st.floats(0.0, 1.5))
+# the field spreads the 2L classical levels over 4e-9; 7 lie within the 3e-9 tolerance
+@example(L=5, jy=0.0, jz=0.0, h=1e-9)
 def test_ground_from_one_level_per_sector(L, jy, jz, h):
-    # lowest_eigs never cuts the ground cluster, so asking for one level picks
-    # the state that 2L + 2 levels pick
+    # one level per sector, and more of a block whose levels all lie inside
+    # the cluster, give the ground cluster of the whole spectrum
     params = sm.ChainParams(L=L, jy=jy, jz=jz, h=h)
-    ell, state = cli.ground(params)
-    ref_ell, ref = pick_ground_state(sm.lowest_eigs(params, 2 * L + 2))
     H = sm.hamiltonian_sparse(params)
-    energy, ref_energy = (np.vdot(v.amps, H @ v.amps).real for v in (state, ref))
-    assert ell == ref_ell
-    assert abs(energy - ref_energy) <= 1e-12 * abs(ref_energy)
-    assert sm.fidelity(state, ref) >= 1 - 1e-12
+    full = np.linalg.eigvalsh(H.toarray())
+    size = np.count_nonzero(full - full[0] < xyz.DEGENERACY_RTOL * max(1.0, abs(full[0])))
+    man = sm.lowest_eigs(params)
+    assert len(man.energies) == len(man.states) == len(man.momenta) == size
+    assert np.allclose(np.sort(man.energies), full[:size], rtol=0, atol=1e-10)
+    ell, state = cli.ground(params)
+    assert ell == max(man.momenta) and measure_momentum(state) == ell
+    assert np.linalg.norm(H @ state.amps - full[0] * state.amps) <= 1e-9
 
 
 def test_ground_state_is_eigenvector():
     params = sm.ChainParams(L=7, jy=0.33, jz=0.0, h=0.5)
-    man = sm.lowest_eigs(params, 4)
+    man = sm.lowest_eigs(params)
     ell, state = pick_ground_state(man)
     hpsi = sm.hamiltonian_sparse(params) @ state.amps
     assert np.allclose(hpsi, man.energies[0] * state.amps, atol=1e-9)
-    assert ell == max(m for m in man.momenta[: man.degeneracy] if m is not None)
+    assert ell == max(man.momenta)
 
 
 def test_momentum_pair_below_hstar_and_zero_above():
-    man = sm.lowest_eigs(sm.ChainParams(L=7, jy=0.33, jz=0.0, h=0.5), 6)
-    ms_below = man.momenta[:man.degeneracy]
-    assert sorted(ms_below) == [-1, 1]
-    man = sm.lowest_eigs(sm.ChainParams(L=7, jy=0.33, jz=0.0, h=0.99), 6)
-    ms_above = man.momenta[:man.degeneracy]
-    assert ms_above == [0]
-    assert man.degeneracy == 1
+    man = sm.lowest_eigs(sm.ChainParams(L=7, jy=0.33, jz=0.0, h=0.5))
+    assert sorted(man.momenta) == [-1, 1]
+    man = sm.lowest_eigs(sm.ChainParams(L=7, jy=0.33, jz=0.0, h=0.99))
+    assert man.momenta == [0]
+    assert len(man.states) == 1
 
 
 def test_find_hstar_frozen_values():
@@ -265,10 +275,12 @@ def test_find_hstar_rejects_nonpositive_tol(monkeypatch, capsys, tol):
     counting_solve(monkeypatch, limit=100)
     with pytest.raises(ValueError, match="tol"):
         sm.find_hstar(0.33, 0.0, 5, tol=tol)
-    # the CLI writes the failure as a row and exits 3
-    code = main(["hstar-map", "--jy", "0.33", "--jz", "0.0", "--L", "5", "--tol", str(tol)])
-    assert code == EXIT_SOLVER
-    assert "solver failure" in capsys.readouterr().out
+    # the CLI refuses the flag before any search: a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["hstar-map", "--jy", "0.33", "--jz", "0.0", "--L", "5", "--tol", str(tol)])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tol: must be a positive finite number" in captured.err
 
 
 @settings(max_examples=40)
@@ -283,7 +295,7 @@ def test_find_hstar_brackets_the_public_predicate(L, jy, above):
         return
 
     def finite_momentum(h):
-        return sm.lowest_eigs(sm.ChainParams(L, jy, jz, h), 1).momenta[0] != 0
+        return sm.lowest_eigs(sm.ChainParams(L, jy, jz, h)).momenta[0] != 0
 
     assert finite_momentum(r.hstar - tol)
     assert not finite_momentum(r.hstar + tol)
@@ -380,7 +392,7 @@ def jump_point(L, jy, jz, eps=1e-3):
     sectors = xyz.SectorBlocks(L, jy, jz)
     r = sm.find_hstar(jy, jz, L, sectors=sectors)
     shift = eps * max(1.0, r.hstar)
-    return r, [] if r.note else [sectors.lowest(h, 1) for h in (r.hstar - shift, r.hstar + shift)]
+    return r, [] if r.note else [sectors.lowest(h) for h in (r.hstar - shift, r.hstar + shift)]
 
 
 def solve_off_by(size):
@@ -404,9 +416,9 @@ def assert_pruning_changes_nothing(monkeypatch, L, jy, jz, size):
     picks = {}  # (sector blocks, h) -> minimizers of a gap evaluation
     solve_lowest, minimizers = xyz.SectorBlocks._solve_lowest, xyz.SectorBlocks.minimizers
 
-    def visited(self, h, sectors, count, reach):
+    def visited(self, h, sectors, reach):
         visits.append((self, h, {sector: self._bound(sector, h) for sector in sectors}))
-        return solve_lowest(self, h, sectors, count, reach)
+        return solve_lowest(self, h, sectors, reach)
 
     def picked(self, h):
         picks[self, h] = minimizers(self, h)
@@ -432,7 +444,7 @@ def assert_pruning_changes_nothing(monkeypatch, L, jy, jz, size):
     assert jump_point(L, jy, jz)[0] == r
     for ground, ref in zip(grounds, jump_point(L, jy, jz)[1], strict=True):
         assert np.array_equal(ground.energies, ref.energies)
-        assert (ground.momenta, ground.degeneracy) == (ref.momenta, ref.degeneracy)
+        assert ground.momenta == ref.momenta
         for state, ref_state in zip(ground.states, ref.states, strict=True):
             assert np.array_equal(state.amps, ref_state.amps)
     return r
@@ -477,6 +489,6 @@ def test_nonfrustrated_counterpart():
     assert (nf.jx, nf.jy, nf.jz, nf.h, nf.L) == (-1.0, -0.33, 0.1, 0.5, 7)
     # on an odd ring the sign flip is not a sublattice rotation, so the
     # counterpart relieves the frustration and sits strictly lower
-    e_tf = sm.lowest_eigs(params, 1).energies[0]
-    e_nf = sm.lowest_eigs(nf, 1).energies[0]
+    e_tf = sm.lowest_eigs(params).energies[0]
+    e_nf = sm.lowest_eigs(nf).energies[0]
     assert e_nf < e_tf
