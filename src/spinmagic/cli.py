@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackError
 
 from . import closed_forms, entanglement, pauli, wstates, xyz
-from .clifford import apply_circuit, build_circuit_s
+from .clifford import apply_circuit, build_circuit_s, verify_clifford
 from .states import fidelity, random_state
 from .xyz import ChainParams, find_hstar, lowest_eigs, pick_ground_state
 
@@ -348,6 +348,8 @@ def cmd_verify(args):
 
     for L in (3, 5, 7):
         circ = build_circuit_s(L)
+        # W and omega share M2 only because S is Clifford
+        check(f"clifford circuit S is Clifford L={L}", 0.0 if verify_clifford(circ, L) else 1.0, 0)
         worst = 0.0
         for ell in range(-(L - 1) // 2, (L - 1) // 2 + 1):
             img = apply_circuit(wstates.build_w(L, ell), circ)

@@ -44,11 +44,13 @@ class ChainParams:
             raise ValueError(f"L must be odd and >= 3, got {self.L}")
         if not (abs(self.jy) < 1.0 and abs(self.jz) < 1.0):  # also rejects NaN
             raise ValueError("|Jy| and |Jz| must be < 1 (Jx sets the scale)")
+        if not abs(self.h) < np.inf:  # NaN too
+            raise ValueError(f"the field h must be finite, got {self.h}")
 
 
 @dataclass(frozen=True)
 class GroundManifold:
-    energies: np.ndarray  # the levels within DEGENERACY_RTOL of the lowest, in sector order
+    energies: np.ndarray  # the levels below the cluster reach of the lowest, in sector order
     states: list  # StateVector per level, a momentum and Z-parity eigenstate
     momenta: list  # momentum index of the sector each state came from
 
@@ -184,9 +186,9 @@ class SectorBlocks:
     off by at most its residual ||H v - E v|| (taking it for the lowest level,
     as every solve does), so the chord of the solved levels less twice the
     larger residual of its two ends (once for the ends, once for a solve at
-    h) bounds what a solve at h would return.  A sector whose bound lies above
-    the lowest level solved at h cannot hold the minimum and is not solved.
-    A fresh instance knows no field, so it solves every sector.
+    h) bounds what a solve at h would return.  A sector is not solved where its
+    bound lies above the cluster reach of the lowest level solved at h, in the
+    h* search and the ground cluster alike; a fresh instance solves them all.
     """
 
     def __init__(self, L, jy, jz, jx=1.0):
@@ -212,15 +214,15 @@ class SectorBlocks:
         self.solved[sector].append((h, vals[0], residuals[0]))
         return vals, vecs
 
-    def _solve_lowest(self, h, sectors, reach):
+    def _solve_lowest(self, h, sectors):
         """{sector: (eigenvalues, eigenvectors)} of the lowest level at h of
         each of ``sectors`` (in their order) whose lowest level may lie below
-        reach(E), E the lowest level solved so far: they are solved in order
-        of their bounds, so the rest are those whose bound lies above."""
+        the cluster reach of the lowest level solved so far: they are solved in
+        order of their bounds, so the rest are those whose bound lies above."""
         bounds = {sector: self._bound(sector, h) for sector in sectors}
         solved, best = {}, np.inf
         for sector in sorted(sectors, key=bounds.__getitem__):
-            if bounds[sector] > reach(best):  # so are the bounds after it
+            if bounds[sector] > _cluster_reach(best):  # so are the bounds after it
                 break
             solved[sector] = self._solve(sector, h, 1)
             best = min(best, solved[sector][0][0])
@@ -229,11 +231,13 @@ class SectorBlocks:
     def minimizers(self, h):
         """For zero (False) and finite (True) momentum, the sector with the
         lowest level at h (the first in sector order on a tie), that level and
-        <mag> in its eigenvector, which is dE/dh (Hellmann-Feynman)."""
+        <mag> in its eigenvector, which is dE/dh (Hellmann-Feynman).  A sector
+        solved only for a bound within the cluster reach changes no pick: its
+        level lies at or above that bound, which lies above the lowest level."""
         out = {}
         for finite in (False, True):
             sectors = [sector for sector in self.blocks if (sector[0] != 0) == finite]
-            levels = self._solve_lowest(h, sectors, lambda energy: energy)
+            levels = self._solve_lowest(h, sectors)
             sector = min(levels, key=lambda sector: levels[sector][0][0])
             vals, vecs = levels[sector]
             v = vecs[:, 0]
@@ -241,38 +245,33 @@ class SectorBlocks:
         return out
 
     def lowest(self, h):
-        """The ground cluster of H at field h: the levels e with
-        e - E0 < DEGENERACY_RTOL max(1, |E0|), E0 the lowest level, each
-        labelled by its momentum sector.
+        """The ground cluster of H at field h: the levels below
+        _cluster_reach(E0), E0 the lowest level, each labelled by its sector.
 
         H commutes with the translation T and the Z-parity, so it is solved in
         each (ell, parity) block for ell >= 0; the ell < 0 levels are the
         complex conjugates, since H is real.  The levels come in sector order
         (ell ascending, +ell before -ell, parity +1 first), so a degenerate
-        manifold comes out the same on every run whatever the last bits of its
-        energies.  A sector whose bound lies above the reach of the cluster
-        from the lowest level solved so far is not solved.  A block whose
-        levels all lie inside the cluster may hold more of it, so it is solved
-        again for twice as many, until a level lies above the cluster or the
-        block is exhausted.
+        manifold does not depend on the last bits of its energies.  A block
+        whose levels all lie below the reach may hold more of the cluster, so
+        it is solved again for twice as many, until one lies above or the block
+        is exhausted.  That may raise E0 and the reach, so each pass also
+        solves a skipped sector whose bound the new reach admits.
         """
-        solved = self._solve_lowest(h, list(self.blocks), _cluster_reach)
+        solved = self._solve_lowest(h, list(self.blocks))
         pending = True
         while pending:
-            ground = min(vals[0] for vals, _ in solved.values())
-            tol = DEGENERACY_RTOL * max(1.0, abs(ground))
+            reach = _cluster_reach(min(vals[0] for vals, _ in solved.values()))
             pending = {sector: 2 * vals.size for sector, (vals, vecs) in solved.items()
-                       if vals[-1] - ground < tol and vals.size < vecs.shape[0]}
-            # a solve for more levels may have raised the lowest one, and the
-            # reach of the cluster with it past a sector ruled out
+                       if vals[-1] < reach and vals.size < vecs.shape[0]}
             pending.update((sector, 1) for sector in self.blocks if sector not in solved
-                           and not self._bound(sector, h) > _cluster_reach(ground))
+                           and not self._bound(sector, h) > reach)
             for sector, k in pending.items():
                 solved[sector] = self._solve(sector, h, k)
         energies, states, momenta = [], [], []
         for ell, parity in (sector for sector in self.blocks if sector in solved):
             vals, vecs = solved[ell, parity]
-            inside = vals - ground < tol
+            inside = vals < reach
             if not inside.any():
                 continue
             col, amp, _, _ = _momentum_basis(self.params.L, ell, parity)
@@ -320,19 +319,20 @@ def find_hstar(jy, jz, L, tol=1e-4, sectors=None):
     converges quadratically, so the error is far below tol) or the bracket
     is at most ``tol`` wide (its midpoint and width).
 
-    For jz < -jy the finite-momentum phase is absent and h* = 0 is returned
-    with a note; the same if the ground state has zero momentum at h = 0, and
-    h* = H_MAX with a note if it keeps finite momentum up to H_MAX.
+    An invalid chain raises ValueError before any answer.  For jz < -jy the
+    finite-momentum phase is absent and h* = 0 is returned with a note; the
+    same if the ground state has zero momentum at h = 0, and h* = H_MAX with a
+    note if it keeps finite momentum up to H_MAX.
     """
     if not tol > 0:  # NaN too; at tol <= 0 the search never stops
         raise ValueError(f"find_hstar needs tol > 0, got {tol}")
+    params = ChainParams(L=L, jy=jy, jz=jz, h=0.0)
     if jz < -jy:
         return HstarResult(jy, jz, L, 0.0, 0.0, note="no finite-momentum phase")
     if sectors is None:
         sectors = SectorBlocks(L, jy, jz)
-    elif sectors.params != ChainParams(L=L, jy=jy, jz=jz, h=0.0):
-        raise ValueError(f"the sector blocks of {sectors.params} are not those of "
-                         f"L={L}, jy={jy}, jz={jz}")
+    elif sectors.params != params:
+        raise ValueError(f"the sector blocks of {sectors.params} are not those of {params}")
 
     def evaluate(h):
         """(h, Delta(h), dDelta/dh)."""

@@ -322,6 +322,7 @@ def _fake_hstar(jy, jz, L, tol):
 
 ODD = "solver failure: L must be odd and >= 3, got"
 ZERO = "zero-momentum ground state (h >= h*?)"
+COUPLINGS = "solver failure: |Jy| and |Jz| must be < 1 (Jx sets the scale)"
 
 
 @pytest.mark.parametrize("argv, rows, count", [
@@ -338,9 +339,17 @@ ZERO = "zero-momentum ground state (h >= h*?)"
       (1, "0.29999999999999999,0,5,,,solver failure: no sign change in the bracket",
        {"jy": 0.3, "jz": 0.0, "L": 5,
         "note": "solver failure: no sign change in the bracket"})], 2),
-], ids=["jump-even-L", "ratio-even-L", "ratio-zero-momentum", "hstar-map-failed-search"])
+    # jz < -jy has no finite-momentum phase, but the chain is checked first
+    (["hstar-map", "--jy", "0.3", "--jz=-0.5", "--L", "4"],
+     [(0, "0.29999999999999999,-0.5,4,,," + ODD + " 4",
+       {"jy": 0.3, "jz": -0.5, "L": 4, "note": ODD + " 4"})], 1),
+    (["hstar-map", "--jy", "0.3", "--jz=-5", "--L", "5"],
+     [(0, "0.29999999999999999,-5,5,,," + COUPLINGS,
+       {"jy": 0.3, "jz": -5.0, "L": 5, "note": COUPLINGS})], 1),
+], ids=["jump-even-L", "ratio-even-L", "ratio-zero-momentum", "hstar-map-failed-search",
+        "hstar-map-even-L-no-phase", "hstar-map-bad-coupling-no-phase"])
 def test_failure_rows_are_pinned(monkeypatch, capsys, argv, rows, count):
-    if argv[0] == "hstar-map":  # a search that fails at one grid point
+    if argv[:3] == ["hstar-map", "--jy", "0.1,0.3"]:  # a search that fails at one grid point
         monkeypatch.setattr(cli, "find_hstar", _fake_hstar)
     code, csv_out = run(argv, capsys)
     assert code == EXIT_SOLVER
@@ -411,6 +420,15 @@ def test_nan_inputs_are_rejected(capsys):
     assert "error:" in capsys.readouterr().err
     code, _ = run(["sre", "--kind", "w", "--L", "3", "--tol", "nan"], capsys)
     assert code == EXIT_TOLERANCE
+    # a non-finite field is refused by the chain, before it reaches scipy
+    for h in ("nan", "inf", "-inf"):
+        assert main(["sre", "--kind", "ground", "--L", "5", "--h", h]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the field h must be finite, got {h}\n"
+        code, out = run(["ratio", "--L", "5", "--h", h, "--format", "json"], capsys)
+        assert code == EXIT_SOLVER
+        assert json.loads(out)[0]["note"] == f"solver failure: the field h must be finite, got {h}"
 
 
 def test_workers_only_on_parallel_commands():
@@ -460,6 +478,8 @@ def test_verify_passes(capsys):
     assert code == EXIT_OK
     assert any("reduced vs full SRE kernel" in line for line in checks)
     assert any("Pauli kernel vs single strings L=5" in line for line in checks)
+    for L in (3, 5, 7):
+        assert any(f"clifford circuit S is Clifford L={L}" in line for line in checks)
     assert checks and all(line.startswith("PASS") for line in checks)
 
 

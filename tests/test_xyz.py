@@ -31,6 +31,9 @@ def test_chain_params_validation():
         sm.ChainParams(L=5, jy=1.0, jz=0.0, h=0.0)
     with pytest.raises(ValueError):
         sm.ChainParams(L=5, jy=0.3, jz=float("nan"), h=0.0)
+    for h in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="the field h must be finite"):
+            sm.ChainParams(L=5, jy=0.3, jz=0.0, h=h)
 
 
 def test_hamiltonian_is_hermitian_and_real():
@@ -313,6 +316,36 @@ def test_hellmann_feynman_slope_matches_finite_difference(L, ell, parity):
     assert abs(slope - (up - down) / (2 * dh)) <= 1e-6
 
 
+# sector solves of find_hstar at L = 5, 7, 9, 11
+SEARCH_SOLVES = {
+    (0.0, 0.0): [12, 16, 51, 24],
+    (0.1, 0.0): [20, 25, 29, 37],
+    (0.33, 0.0): [16, 20, 24, 28],
+    (0.5, 0.3): [12, 16, 20, 24],
+    (-0.3, 0.5): [18, 22, 27, 33],
+    (0.2, -0.1): [20, 25, 32, 38],
+    (0.0, 0.2): [18, 24, 30, 42],
+}
+
+
+def test_sector_solve_counts_are_pinned(monkeypatch, capsys):
+    # a change to which sectors the chords rule out shows here first
+    calls = counting_solve(monkeypatch)
+    counts = {}
+    for jy, jz in SEARCH_SOLVES:
+        counts[jy, jz] = []
+        for L in (5, 7, 9, 11):
+            calls.clear()
+            sm.find_hstar(jy, jz, L)
+            counts[jy, jz].append(len(calls))
+    assert counts == SEARCH_SOLVES
+    # the search and both ground states of each size on one set of blocks
+    calls.clear()
+    assert main(["jump-scaling", "--L", "7,9,11"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == 87
+
+
 @pytest.mark.parametrize("L", [7, 9, 11])
 def test_find_hstar_gap_evaluations(monkeypatch, L):
     # the ends h = 0 and H_MAX solve every sector; between them the chords
@@ -395,6 +428,13 @@ def jump_point(L, jy, jz, eps=1e-3):
     return r, [] if r.note else [sectors.lowest(h) for h in (r.hstar - shift, r.hstar + shift)]
 
 
+def assert_same_manifold(man, ref):
+    assert np.array_equal(man.energies, ref.energies)
+    assert man.momenta == ref.momenta
+    for state, ref_state in zip(man.states, ref.states, strict=True):
+        assert np.array_equal(state.amps, ref_state.amps)
+
+
 def solve_off_by(size):
     """The sector solve with each level moved by +-size (the sign taken from
     the level's last bit) and its residual grown by size, which bounds
@@ -416,9 +456,9 @@ def assert_pruning_changes_nothing(monkeypatch, L, jy, jz, size):
     picks = {}  # (sector blocks, h) -> minimizers of a gap evaluation
     solve_lowest, minimizers = xyz.SectorBlocks._solve_lowest, xyz.SectorBlocks.minimizers
 
-    def visited(self, h, sectors, reach):
+    def visited(self, h, sectors):
         visits.append((self, h, {sector: self._bound(sector, h) for sector in sectors}))
-        return solve_lowest(self, h, sectors, reach)
+        return solve_lowest(self, h, sectors)
 
     def picked(self, h):
         picks[self, h] = minimizers(self, h)
@@ -443,10 +483,7 @@ def assert_pruning_changes_nothing(monkeypatch, L, jy, jz, size):
     monkeypatch.setattr(xyz.SectorBlocks, "_bound", lambda self, sector, h: -np.inf)
     assert jump_point(L, jy, jz)[0] == r
     for ground, ref in zip(grounds, jump_point(L, jy, jz)[1], strict=True):
-        assert np.array_equal(ground.energies, ref.energies)
-        assert ground.momenta == ref.momenta
-        for state, ref_state in zip(ground.states, ref.states, strict=True):
-            assert np.array_equal(state.amps, ref_state.amps)
+        assert_same_manifold(ground, ref)
     return r
 
 
@@ -477,10 +514,61 @@ def test_pruning_changes_no_pick_on_arpack_blocks(monkeypatch, size):
     assert assert_pruning_changes_nothing(monkeypatch, 13, 0.33, 0.0, size).note == ""
 
 
+def raised_on_resolve(size):
+    """The sector solve with the lowest level of a two-level solve raised by
+    size and its residual grown by as much: a re-solve for more levels of a
+    block that lifts the level the first solve had found."""
+    solve = xyz._solve_sector
+
+    def raised(block, h, count):
+        vals, vecs, residuals = solve(block, h, count)
+        if count == 2:
+            lift = np.where(np.arange(vals.size) == 0, size, 0.0)
+            return vals + lift, vecs, residuals + lift
+        return vals, vecs, residuals
+
+    return raised
+
+
+@pytest.mark.parametrize("size", [1e-3, 0.5])
+@pytest.mark.parametrize("L", [7, 9])
+def test_lowest_rechecks_skipped_sectors_after_a_resolve(monkeypatch, L, size):
+    # below h* the ground pair comes from one sector, whose one solved level
+    # lies inside the cluster, so it is solved again for two; the lift moves
+    # the lowest level, and the reach with it.  A reach kept from the first pass found
+    # no level inside it (an empty manifold); at a lift of 0.5 the new reach
+    # admits a sector that the first pass ruled out.
+    monkeypatch.setattr(xyz, "_solve_sector", raised_on_resolve(size))
+    sectors = xyz.SectorBlocks(L, 0.33, 0.0)
+    h = sm.find_hstar(0.33, 0.0, L, sectors=sectors).hstar - 1e-3
+    solves = []  # (sector, level count) of every solve of the ground search
+    solve = xyz.SectorBlocks._solve
+
+    def logged(self, sector, h, count):
+        solves.append((sector, count))
+        return solve(self, sector, h, count)
+
+    monkeypatch.setattr(xyz.SectorBlocks, "_solve", logged)
+    man = sectors.lowest(h)
+    assert len(man.states) > 0
+    if size == 0.5:
+        first = [count for _, count in solves].index(2)
+        before = {sector for sector, _ in solves[:first]}
+        assert any(sector not in before for sector, _ in solves[first:])
+    # a run that rules nothing out
+    monkeypatch.setattr(xyz.SectorBlocks, "_bound", lambda self, sector, h: -np.inf)
+    assert_same_manifold(man, xyz.SectorBlocks(L, 0.33, 0.0).lowest(h))
+
+
 def test_find_hstar_absent_phase():
     r = sm.find_hstar(0.2, -0.5, 7)
     assert r.hstar == 0.0
     assert r.note != ""
+    # the answer comes without a solve, but only for a valid chain
+    with pytest.raises(ValueError, match="L must be odd and >= 3, got 2"):
+        sm.find_hstar(0.3, -0.5, 2)
+    with pytest.raises(ValueError, match=r"\|Jy\| and \|Jz\| must be < 1"):
+        sm.find_hstar(0.3, -5.0, 5)
 
 
 def test_nonfrustrated_counterpart():
