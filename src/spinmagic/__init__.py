@@ -4,7 +4,6 @@ superpositions, and the topologically frustrated XYZ ring."""
 from .states import (
     NotTranslationEigenstate,
     StateVector,
-    apply_pauli,
     fidelity,
     make_x_product,
     measure_momentum,
@@ -39,6 +38,7 @@ from .clifford import (
     apply_circuit,
     apply_circuit_inverse,
     apply_gate,
+    apply_pauli,
     build_circuit_s,
     circuit_from_text,
     circuit_to_text,

@@ -2,8 +2,8 @@
 JSON table (fixed float format, fixed row order, fixed eigensolver seed).
 
 Exit codes: 0 success, 2 tolerance breach in a cross-check, 3 solver failure
-(including a non-finite value in a JSON table), 4 usage error (a bad flag or
-config value, as argparse reports it).
+(including a non-finite value in a JSON table), 4 usage error (a bad flag,
+config key or value, as argparse reports it).
 """
 
 import argparse
@@ -163,13 +163,26 @@ def state_for(args):
     return state, ell0
 
 
-DEFAULT_METHODS = {"w": "brute,structured,closed", "omega": "brute,closed",
-                   "phi": "brute", "ground": "brute"}
+METHODS = ("brute", "structured", "closed")
+DEFAULT_METHODS = {"w": METHODS, "omega": ("brute", "closed"),
+                   "phi": ("brute",), "ground": ("brute",)}
+
+
+def _method(name):
+    name = name.strip()
+    if name not in METHODS:
+        raise argparse.ArgumentTypeError(f"unknown method {name!r}, expected one of {METHODS}")
+    return name
+
+
+def parse_methods(text):
+    """argparse type of --method: a comma list of names from METHODS."""
+    return _comma_list(text, _method)
 
 
 def cmd_sre(args):
-    methods = [m.strip() for m in (args.method or DEFAULT_METHODS[args.kind]).split(",")]
-    known = ("brute", "structured", "closed") if args.kind in ("w", "omega") else ("brute",)
+    methods = args.method or DEFAULT_METHODS[args.kind]
+    known = METHODS if args.kind in ("w", "omega") else ("brute",)
     for m in methods:  # omega, W's Clifford image, shares W's M2
         if m not in known:
             raise ValueError(f"method {m!r} is not one of {known} for --kind {args.kind}")
@@ -439,7 +452,7 @@ def build_parser():
 
     sp = sub.add_parser("sre", help="stabilizer Renyi entropy of a named state")
     state_flags(sp, "w", 0)
-    sp.add_argument("--method", default=None,
+    sp.add_argument("--method", type=parse_methods, default=None,
                     help="comma list from {brute, structured, closed}; the last "
                          "two only for --kind w or omega; default depends on --kind")
     sp.add_argument("--tol", type=float, default=AGREEMENT_TOL)
@@ -486,28 +499,21 @@ def build_parser():
 
 
 def config_flags(argv):
-    """The flags that argv's --config file stands for, each mapped to its
-    key: the line `key = value` is the flag `--key=value`."""
+    """The flags that argv's --config file stands for: the line
+    `key = value` is the flag `--key=value`."""
     pre = Parser(prog="spinmagic", add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
-    return {} if path is None else {f"--{k}={v}": k for k, v in load_config(path).items()}
+    return [] if path is None else [f"--{k}={v}" for k, v in load_config(path).items()]
 
 
 def main(argv=None):
     argv = attach_negative_lists(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        flags = config_flags(argv)
         # argv[0] names the subcommand; the file's flags go right after it, so
         # argparse checks them like typed flags and the explicit ones win
-        args, extras = parser.parse_known_args(argv[:1] + list(flags) + argv[1:])
-        unknown = sorted(flags[e] for e in extras if e in flags)
-        if unknown:
-            print(f"error: unknown config keys {unknown}", file=sys.stderr)
-            return EXIT_SOLVER
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args = parser.parse_args(argv[:1] + config_flags(argv) + argv[1:])
         return args.func(args)
     except (*SOLVER_ERRORS, OSError) as exc:  # OSError: a --config or --out path
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,9 @@
 generic gate application, and a gate-level Clifford check.
 
 The two-site gate C(j, l) = exp[i pi/4 (1 - sigma^x_j)(1 - sigma^z_l)] is
-built literally from its exponential (control in the x basis on j, phase on
-the z value of l); it is not the computational-basis CNOT.
+built literally from its exponential.  The exponent is i pi times the
+projector onto |->_j |1>_l, so C(j, l) = 1 - 2 |-><-|_j |1><1|_l is the
+computational-basis CNOT with control l and target j.
 """
 
 from dataclasses import dataclass
@@ -19,14 +20,14 @@ _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _ID = np.eye(2, dtype=complex)
 CXZ_MATRIX = expm(1j * np.pi / 4 * np.kron(_ID - _SX, _ID - _SZ))
 
-# The unitary of each gate kind on its sites, row index = sum_i 2**(k-1-i) b_i
-# for sites (s_1, ..., s_k).  PARITYZ is the product of Z on every site, so
-# its entry is that single-site factor.
+# The unitary of each gate kind on its k = log2(size) sites, row index
+# = sum_i 2**(k-1-i) b_i for sites (s_1, ..., s_k)
 GATE_MATRICES = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "X": _SX,
+    "Y": np.array([[0, -1j], [1j, 0]]),
     "Z": _SZ,
     "CXZ": CXZ_MATRIX,
-    "PARITYZ": _SZ,
 }
 
 # entrywise tolerance of the signed-Pauli test on a conjugated generator
@@ -35,19 +36,19 @@ PAULI_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Gate:
-    """One circuit element: kind in {'H', 'CXZ', 'Z', 'PARITYZ'}."""
+    """One circuit element: a kind of GATE_MATRICES on its distinct sites."""
 
     kind: str
-    sites: tuple = ()
+    sites: tuple
 
     def __post_init__(self):
-        arity = {"H": 1, "CXZ": 2, "Z": 1, "PARITYZ": 0}
-        if self.kind not in arity:
+        if self.kind not in GATE_MATRICES:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.sites) != arity[self.kind]:
-            raise ValueError(f"{self.kind} takes {arity[self.kind]} site(s)")
-        if self.kind == "CXZ" and self.sites[0] == self.sites[1]:
-            raise ValueError("CXZ control and target must differ")
+        arity = len(GATE_MATRICES[self.kind]).bit_length() - 1
+        if len(self.sites) != arity:
+            raise ValueError(f"{self.kind} takes {arity} site(s)")
+        if len(set(self.sites)) != arity:
+            raise ValueError(f"a gate's sites are distinct, got {self.sites}")
 
 
 def apply_gate(state, gate):
@@ -55,9 +56,6 @@ def apply_gate(state, gate):
     L - j of the C-order (2,)*L reshape of the amplitudes."""
     L = state.n_sites
     _check_sites(gate, L)
-    if gate.kind == "PARITYZ":
-        sign = 1.0 - 2.0 * (np.bitwise_count(np.arange(state.dim)) & 1)
-        return StateVector(L, sign * state.amps)
     k = len(gate.sites)
     u = GATE_MATRICES[gate.kind].reshape((2,) * (2 * k))
     axes = [L - s for s in gate.sites]
@@ -69,6 +67,13 @@ def _check_sites(gate, L):
     for s in gate.sites:
         if not 1 <= s <= L:
             raise ValueError(f"gate {gate} touches site {s} outside [1, {L}]")
+
+
+def apply_pauli(state, site, which):
+    """Apply a single-site Pauli operator; ``which`` is 'x', 'y' or 'z'."""
+    if which not in ("x", "y", "z"):
+        raise ValueError(f"unknown Pauli axis {which!r}")
+    return apply_gate(state, Gate(which.upper(), (site,)))
 
 
 def apply_circuit(state, circuit):
@@ -89,7 +94,7 @@ def build_circuit_s(L):
     """Gate list (application order) of the W -> omega Clifford circuit:
 
     S = prod_j C(L, L-j) (prod_j sigma^z_{2j-1}) H(L) sigma^z_L
-        prod_j C(j, j+1) Pi^z
+        prod_j C(j, j+1) Pi^z,   Pi^z = prod_j sigma^z_j
 
     The rightmost factor acts first.  The C(j, j+1) ladder runs ascending,
     C(1, 2) first: that ordering realizes the W -> omega mapping with
@@ -98,7 +103,7 @@ def build_circuit_s(L):
     if L < 3 or L % 2 == 0:
         raise ValueError(f"L must be odd and >= 3, got {L}")
     M = (L - 1) // 2
-    gates = [Gate("PARITYZ")]
+    gates = [Gate("Z", (j,)) for j in range(1, L + 1)]
     gates += [Gate("CXZ", (j, j + 1)) for j in range(1, L)]
     gates += [Gate("Z", (L,)), Gate("H", (L,))]
     gates += [Gate("Z", (2 * j - 1,)) for j in range(1, M + 1)]
@@ -158,10 +163,10 @@ def verify_clifford(circuit, L):
 
     A gate on sites s acts as u (x) identity, which maps each Pauli string
     to a phase times a Pauli string whenever u does on s; the Clifford group
-    is closed under products, and PARITYZ is a product of Z gates.  So one
-    check of each kind's 1- or 2-site matrix proves the whole circuit
-    Clifford, at any L.  (The converse need not hold: non-Clifford gates can
-    multiply to a Clifford.)  Raises ValueError for a gate outside [1, L].
+    is closed under products.  So one check of each kind's 1- or 2-site
+    matrix proves the whole circuit Clifford, at any L.  (The converse need
+    not hold: non-Clifford gates can multiply to a Clifford.)  Raises
+    ValueError for a gate outside [1, L].
     """
     for gate in circuit:
         _check_sites(gate, L)

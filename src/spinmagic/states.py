@@ -113,24 +113,6 @@ def make_x_product(L, signs):
     return StateVector(L, amps.astype(np.complex128))
 
 
-def apply_pauli(state, site, which):
-    """Apply a single-site Pauli operator; ``which`` is 'x', 'y' or 'z'."""
-    L = state.n_sites
-    b = 1 << _require_site(site, L)
-    psi = state.amps
-    idx = np.arange(psi.size, dtype=np.int64)
-    bit = ((idx & b) != 0)
-    if which == "x":
-        out = psi[idx ^ b]
-    elif which == "z":
-        out = np.where(bit, -psi, psi)
-    elif which == "y":
-        out = 1j * np.where(bit, 1.0, -1.0) * psi[idx ^ b]
-    else:
-        raise ValueError(f"unknown Pauli axis {which!r}")
-    return StateVector(L, out)
-
-
 def translate(state, steps=1):
     """Shift the content of every site by ``steps`` towards larger site index."""
     L = state.n_sites

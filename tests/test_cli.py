@@ -33,6 +33,7 @@ def test_fmt_and_parsers():
     assert fmt(7) == "7"
     assert parse_floats("0.1,0.2,") == [0.1, 0.2]
     assert parse_ints("3,5") == [3, 5]
+    assert cli.parse_methods("brute,, closed,") == ["brute", "closed"]
 
 
 def test_sre_w_csv_agreement(capsys):
@@ -74,9 +75,15 @@ def test_sre_tolerance_breach_exit_code(capsys):
     assert code == EXIT_TOLERANCE
 
 
-def test_bad_method_exit_code(capsys):
-    code, _ = run(["sre", "--kind", "w", "--L", "3", "--method", "bogus"], capsys)
-    assert code == EXIT_SOLVER
+@pytest.mark.parametrize("method, message", [("bogus", "unknown method 'bogus'"),
+                                             ("brute,bogus", "unknown method 'bogus'"),
+                                             (",", "expected a non-empty")])
+def test_bad_method_exit_code(capsys, method, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["sre", "--kind", "w", "--L", "3", "--method", method])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"argument --method: {message}" in captured.err
 
 
 @pytest.mark.parametrize("argv", [["--kind", "phi", "--ell", "1", "--method", "brute,closed"],
@@ -106,11 +113,12 @@ def test_output_file_and_config(tmp_path, capsys):
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     # `me` names no flag, though it is a prefix of --method
-    for line in ("banana = 1", "me = brute"):
+    for line, flag in (("banana = 1", "--banana=1"), ("me = brute", "--me=brute")):
         cfg.write_text(line + "\n")
-        code = main(["sre", "--L", "3", "--config", str(cfg)])
-        assert code == EXIT_SOLVER
-        assert "unknown config keys" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["sre", "--L", "3", "--config", str(cfg)])
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_flag_prefixes_are_usage_errors(capsys):
@@ -472,8 +480,9 @@ def test_json_refuses_non_finite_values(monkeypatch, capsys):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
-def test_verify_passes(capsys):
-    code, out = run(["verify"], capsys)
+def test_verify_passes(tmp_path, capsys):
+    table = tmp_path / "verify.json"
+    code, out = run(["verify", "--out", str(table), "--format", "json"], capsys)
     checks = [line for line in out.splitlines() if not line.startswith("NOTE")]
     assert code == EXIT_OK
     assert any("reduced vs full SRE kernel" in line for line in checks)
@@ -481,6 +490,9 @@ def test_verify_passes(capsys):
     for L in (3, 5, 7):
         assert any(f"clifford circuit S is Clifford L={L}" in line for line in checks)
     assert checks and all(line.startswith("PASS") for line in checks)
+    rows = json.loads(table.read_text())
+    assert len(rows) == len(checks) == 24
+    assert all(row["status"] == "PASS" for row in rows)
 
 
 def test_jump_scaling_fits_only_two_sizes_or_more(capsys):
@@ -491,6 +503,7 @@ def test_jump_scaling_fits_only_two_sizes_or_more(capsys):
     captured = capsys.readouterr()
     assert caught == [] and captured.err == ""
     assert len(captured.out.splitlines()) == 3 and "power-law fit" not in captured.out
+    assert cli._fit_exponent([5, 7], [0.1, 0.0]) is None  # no log of a nonpositive value
     code, out = run(["jump-scaling", "--L", "5,7"], capsys)
     assert code == EXIT_OK and out.splitlines()[-1].endswith("power-law fit over the L sweep")
 

@@ -23,8 +23,6 @@ def embedded_matrix(gate, L):
     """The gate's matrix kron-embedded in L sites (site j on bit j-1, so the
     leftmost kron factor is site L)."""
     u = GATE_MATRICES[gate.kind]
-    if gate.kind == "PARITYZ":
-        return reduce(np.kron, [u] * L)
     k = len(gate.sites)
     full = np.zeros((2**L, 2**L), dtype=complex)
     for r, c in itertools.product(range(2**k), repeat=2):
@@ -37,15 +35,25 @@ def embedded_matrix(gate, L):
     return full
 
 
+def arity(kind):
+    return len(GATE_MATRICES[kind]).bit_length() - 1
+
+
 def test_cxz_matrix_is_unitary_involution():
     assert np.allclose(CXZ_MATRIX @ CXZ_MATRIX.conj().T, np.eye(4), atol=1e-12)
     assert np.allclose(CXZ_MATRIX @ CXZ_MATRIX, np.eye(4), atol=1e-12)
 
 
+def test_cxz_is_the_cnot_with_control_l_and_target_j():
+    # row 2*b_j + b_l: where b_l = 1, b_j flips, so |01> and |11> swap
+    cnot = np.eye(4)[[0, 3, 2, 1]]
+    assert np.max(np.abs(CXZ_MATRIX - cnot)) <= 1e-15
+
+
 def test_gate_validation():
     with pytest.raises(ValueError):
         Gate("H", (1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sites are distinct"):
         Gate("CXZ", (2, 2))
     with pytest.raises(ValueError):
         Gate("BOGUS", (1,))
@@ -60,16 +68,21 @@ def test_h_gate_action():
 
 
 def test_parityz_gate_signs():
-    s = random_state(3, RNG)
-    out = sm.apply_gate(s, Gate("PARITYZ"))
-    idx = np.arange(8)
-    sign = 1.0 - 2.0 * (np.bitwise_count(idx) & 1)
+    # the first L gates of S are Pi^z: Z on every site, the sign (-1)^|s|
+    L = 5
+    s = random_state(L, RNG)
+    out = sm.apply_circuit(s, sm.build_circuit_s(L)[:L])
+    sign = 1.0 - 2.0 * (np.bitwise_count(np.arange(2**L)) & 1)
     assert np.allclose(out.amps, sign * s.amps)
 
 
 def test_gates_are_involutions_and_unitary():
+    # apply_circuit_inverse rests on every kind of the table squaring to 1
     s = random_state(3, RNG)
-    for g in (Gate("H", (2,)), Gate("Z", (1,)), Gate("PARITYZ"), Gate("CXZ", (1, 3))):
+    for kind, u in GATE_MATRICES.items():
+        assert np.allclose(u @ u.conj().T, np.eye(len(u)), atol=1e-12), kind
+        assert np.allclose(u @ u, np.eye(len(u)), atol=1e-12), kind
+        g = Gate(kind, (2, 3)[:arity(kind)])
         once = sm.apply_gate(s, g)
         assert np.vdot(once.amps, once.amps).real == pytest.approx(1.0, abs=1e-12)
         twice = sm.apply_gate(once, g)
@@ -86,7 +99,7 @@ def test_circuit_inverse_undoes_circuit():
 def test_circuit_gate_count():
     for L in (3, 5, 7):
         M = (L - 1) // 2
-        assert len(sm.build_circuit_s(L)) == 2 * (L - 1) + M + 3
+        assert len(sm.build_circuit_s(L)) == 3 * L + M
 
 
 @pytest.mark.parametrize("L", [3, 5, 7])
@@ -98,10 +111,11 @@ def test_circuit_maps_w_to_omega(L):
 
 
 def test_desc_ordering_does_not_realize_the_mapping():
-    circ = sm.build_circuit_s(5)
-    circ[1:5] = reversed(circ[1:5])  # the C(j, j+1) ladder, C(4, 5) first
-    img = sm.apply_circuit(sm.build_w(5, 1), circ)
-    assert sm.fidelity(img, sm.build_omega(5, 1)) < 0.99
+    L = 5
+    circ = sm.build_circuit_s(L)
+    circ[L:2 * L - 1] = reversed(circ[L:2 * L - 1])  # the C(j, j+1) ladder, C(4, 5) first
+    img = sm.apply_circuit(sm.build_w(L, 1), circ)
+    assert sm.fidelity(img, sm.build_omega(L, 1)) < 0.99
 
 
 def test_circuit_preserves_sre():
@@ -147,9 +161,8 @@ def test_conjugation_detects_non_clifford():
 
 def test_apply_gate_matches_kron_embedding():
     L = 3
-    gates = [Gate("PARITYZ")]
-    gates += [Gate(kind, (j,)) for kind in ("H", "Z") for j in range(1, L + 1)]
-    gates += [Gate("CXZ", pair) for pair in itertools.permutations(range(1, L + 1), 2)]
+    gates = [Gate(kind, sites) for kind in GATE_MATRICES
+             for sites in itertools.permutations(range(1, L + 1), arity(kind))]
     s = random_state(L, RNG)
     for g in gates:
         assert np.allclose(sm.apply_gate(s, g).amps, embedded_matrix(g, L) @ s.amps,
@@ -159,14 +172,12 @@ def test_apply_gate_matches_kron_embedding():
 @st.composite
 def circuits(draw):
     L = draw(st.sampled_from([2, 3, 4, 5]))
-    site = st.integers(1, L)
-    gate = st.one_of(
-        st.just(Gate("PARITYZ")),
-        st.builds(lambda kind, j: Gate(kind, (j,)), st.sampled_from(["H", "Z"]), site),
-        st.lists(site, min_size=2, max_size=2, unique=True).map(
-            lambda pair: Gate("CXZ", tuple(pair))),
-    )
-    return L, draw(st.lists(gate, max_size=12))
+
+    def gate(kind):
+        return st.lists(st.integers(1, L), min_size=arity(kind), max_size=arity(kind),
+                        unique=True).map(lambda sites: Gate(kind, tuple(sites)))
+
+    return L, draw(st.lists(st.sampled_from(list(GATE_MATRICES)).flatmap(gate), max_size=12))
 
 
 @given(circuits(), st.integers(0, 2**32 - 1))

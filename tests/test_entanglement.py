@@ -23,6 +23,10 @@ def test_reduced_density_validation():
         sm.reduced_density(s, 1, 5)
     with pytest.raises(ValueError):
         sm.reduced_density(s, 0, 2)
+    with pytest.raises(ValueError, match=r"over the 2\^14 cap"):
+        sm.reduced_density(sm.make_x_product(17, [1] * 17), 1, 15)
+    with pytest.raises(ValueError, match="unknown measure"):
+        sm.entropy(s, 1, 2, measure="renyi3")
 
 
 def test_reduced_density_is_hermitian_psd():

@@ -95,6 +95,8 @@ def test_moment_caps_and_parity_check():
         sm.pauli_moment(random_state(16, np.random.default_rng(16)), 4)
     with pytest.raises(ValueError):
         sm.pauli_moment(random_state(3, RNG), 3)
+    with pytest.raises(ValueError, match="exceeds the table cap"):
+        sm.pauli_abs_table(sm.make_x_product(11, [1] * 11))
 
 
 def test_work_bound_messages_follow_the_constant(monkeypatch):

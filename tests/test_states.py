@@ -53,6 +53,18 @@ def test_pauli_y_on_zero():
     assert np.allclose(y.amps, [0.0, 1j])
 
 
+def test_pauli_y_is_i_x_z():
+    for L in (3, 5):
+        s = random_state(L, RNG)
+        for site in range(1, L + 1):
+            xz = sm.apply_pauli(sm.apply_pauli(s, site, "z"), site, "x")
+            assert np.array_equal(sm.apply_pauli(s, site, "y").amps, 1j * xz.amps)
+    # 'h' names a gate of the table but no Pauli axis
+    for which in ("h", "X", "w"):
+        with pytest.raises(ValueError, match="unknown Pauli axis"):
+            sm.apply_pauli(s, 1, which)
+
+
 @pytest.mark.parametrize("L", [3, 5, 7])
 def test_translate_eigenvalue_on_w(L):
     for ell in range(-(L - 1) // 2, (L - 1) // 2 + 1):
