@@ -7,6 +7,7 @@ config key or value, as argparse reports it).
 """
 
 import argparse
+import csv
 import functools
 import json
 import math
@@ -44,15 +45,19 @@ def write_rows(rows, columns, out, fmt_name):
         # a NaN or infinity has no JSON spelling: refuse it as a failed solve
         text = json.dumps([{c: r.get(c) for c in columns} for r in rows], indent=1,
                           allow_nan=False) + "\n"
+
+        def emit(f):
+            f.write(text)
     else:
-        lines = [",".join(columns)]
-        lines += [",".join(fmt(r.get(c)) for c in columns) for r in rows]
-        text = "\n".join(lines) + "\n"
+        def emit(f):  # a field is quoted only where it holds a comma, quote or newline
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([fmt(r.get(c)) for c in columns] for r in rows)
     if out in (None, "-"):
-        sys.stdout.write(text)
+        emit(sys.stdout)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+            emit(f)
 
 
 def _comma_list(text, kind):
@@ -113,21 +118,6 @@ def positive_float(text):
     if not 0 < value < math.inf:  # False for NaN too
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {value}")
     return value
-
-
-def load_config(path):
-    """Flat key = value file, '#' comments."""
-    values = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
 
 
 def ground(params):
@@ -499,12 +489,22 @@ def build_parser():
 
 
 def config_flags(argv):
-    """The flags that argv's --config file stands for: the line
-    `key = value` is the flag `--key=value`."""
+    """The flags that argv's --config file stands for, one per line that is
+    not blank or a '#' comment: `key = value` is the flag `--key=value`, and
+    a line without '=' the flag `--line`, which argparse rejects."""
     pre = Parser(prog="spinmagic", add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
-    return [] if path is None else [f"--{k}={v}" for k, v in load_config(path).items()]
+    if path is None:
+        return []
+    flags = []
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            line = line.split("#", 1)[0].strip()
+            if line:
+                key, eq, value = line.partition("=")
+                flags.append(f"--{key.strip().replace('-', '_')}{eq}{value.strip()}")
+    return flags
 
 
 def main(argv=None):

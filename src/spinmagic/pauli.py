@@ -63,8 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (StateVector, _reflect_bits, _translation_orbits, momentum_of, reflect,
-                     translate)
+from .states import _reflect_bits, _rotate_bits, _translation_orbits, momentum_of
 
 # complex amplitudes that one enumeration may transform: 2^(L-1) per x-mask,
 # or 2^(L-2) on the Z-parity restriction
@@ -230,58 +229,51 @@ def _is_symmetric(psi, image):
     return np.linalg.norm(image - np.vdot(psi, image) * psi) <= SYM_TOL
 
 
-def _symmetries(state):
-    """The amplitudes to enumerate, of L - 1 sites under "parity" (the
-    restriction phi) and L otherwise; and the reductions they admit, in the
-    order applied, a subset of ("hadamard", "translation", "parity",
-    "reflection")."""
+def _plan(state):
+    """What ``sre_brute`` enumerates, read off the amplitude array alone:
+    psi (phi, on L - 1 sites, under "parity"), the x-masks, ascending, with
+    float weights, and the reductions taken, in order, a subset of
+    ("hadamard", "translation", "parity", "reflection").  T psi and R K psi
+    are the gathers psi[rotate(t, -1)] and conj(psi[mirror]), mirror being
+    the mirror about site 1, an involution, which also gives each mask's
+    mirror-image necklace rep[mirror].  The masks are the even-weight ones
+    under parity, and under translation the necklace or, with reflection, the
+    bracelet representatives, weighted by orbit size; under parity a mask a
+    is returned as a >> 1 at twice the weight (module docstring)."""
+    L = state.n_sites
     psi = state.amps
-    reductions = []
+    idx = np.arange(psi.size, dtype=np.int64)
     phi = _parity_restriction(psi)
+    hadamard = False
     if phi is None:
-        image = fwht(psi.copy()) / math.sqrt(psi.size)  # H^{(x)L} psi
-        phi = _parity_restriction(image)
-        if phi is not None:
-            reductions.append("hadamard")
-    # H^{(x)L} commutes with T, R and K, so the symmetries of state hold for psi
-    translation = _is_symmetric(state.amps, translate(state).amps)
-    if translation:
-        reductions.append("translation")
-    if phi is not None:
-        psi = phi
-        reductions.append("parity")
-    if translation and _is_symmetric(
-            state.amps, reflect(StateVector(state.n_sites, state.amps.conj()), 1).amps):
-        reductions.append("reflection")
-    return psi, reductions
-
-
-def _reduced_masks(L, translation, parity, reflection):
-    """The x-masks to enumerate, ascending, and their float weights: the
-    even-weight masks under parity; under translation the necklace
-    representatives (the smallest rotation), weighted by orbit size; and with
-    reflection too the bracelet representatives (the smallest rotation of the
-    mask or of its mirror image), weighted by the size of the orbit under
-    rotations and mirrors.  Under parity each mask a is returned as a >> 1,
-    its x-mask on phi, at twice the weight (module docstring)."""
-    idx = np.arange(2**L, dtype=np.int64)
+        phi = _parity_restriction(fwht(psi.copy()) / math.sqrt(psi.size))  # H^{(x)L} psi
+        hadamard = phi is not None
+    parity = phi is not None
+    # H^{(x)L} commutes with T, R and K, so the symmetries of psi hold for phi
+    translation = _is_symmetric(psi, psi[_rotate_bits(idx, -1, L)])
     keep = (np.bitwise_count(idx) & 1) == 0 if parity else np.ones(idx.size, dtype=bool)
-    size = np.ones(idx.size)
+    size, reflection = np.ones(idx.size), False
     if translation:
         rep, _, size = _translation_orbits(L)
+        mirror = _reflect_bits(idx, 0, L)
+        reflection = _is_symmetric(psi, psi[mirror].conj())
         if reflection:
-            mirror = rep[_reflect_bits(idx, 0, L)]  # the necklace of the mirror image
-            size = np.where(mirror == rep, size, 2 * size)
-            rep = np.minimum(rep, mirror)
+            mirrored = rep[mirror]  # the necklace of the mirror image
+            size = np.where(mirrored == rep, size, 2 * size)
+            rep = np.minimum(rep, mirrored)
         keep &= rep == idx
     masks = idx[keep]
     weights = size[masks].astype(np.float64)
-    return (masks >> 1, 2 * weights) if parity else (masks, weights)
+    if parity:
+        psi, masks, weights = phi, masks >> 1, 2 * weights
+    flags = {"hadamard": hadamard, "translation": translation, "parity": parity,
+             "reflection": reflection}
+    return psi, masks, weights, [name for name, taken in flags.items() if taken]
 
 
 def sre_brute(state, *, block=None, workers=1):
-    """Exact alpha=2 stabilizer Renyi entropy by Pauli enumeration, over the
-    x-masks left independent by the symmetries the state is found to have.
+    """Exact alpha=2 stabilizer Renyi entropy by Pauli enumeration of what
+    ``_plan`` leaves by the symmetries the state is found to have.
 
     ``method`` is "brute" for full enumeration and otherwise names the
     reductions, e.g. "brute:hadamard+translation+parity+reflection".  No
@@ -294,9 +286,7 @@ def sre_brute(state, *, block=None, workers=1):
     if 2 ** (2 * L - 4) > WORK_CAP * L:
         raise ValueError(f"L={L}: even the fewest x-masks exceed the work bound "
                          f"of 2^{math.log2(WORK_CAP):g} amplitudes")
-    psi, reductions = _symmetries(state)
-    masks, weights = _reduced_masks(L, *(r in reductions
-                                         for r in ("translation", "parity", "reflection")))
+    psi, masks, weights, reductions = _plan(state)
     raw = _moment(psi, masks, weights, 4, block, workers)
     method = "brute:" + "+".join(reductions) if reductions else "brute"
     value = -math.log2(raw / state.dim)

@@ -131,13 +131,11 @@ def _reflect_bits(idx, c, L):
 
 
 def reflect(state, center):
-    """Mirror the chain about ``center``: site j -> 2*center - j (mod L)."""
+    """Mirror the chain about ``center``: site j -> 2*center - j (mod L).  The
+    bit map is an involution, so the amplitude at t comes from its mirror."""
     L = state.n_sites
     c = _require_site(center, L)
-    dest = _reflect_bits(np.arange(state.dim, dtype=np.int64), c, L)
-    out = np.empty_like(state.amps)
-    out[dest] = state.amps
-    return StateVector(L, out)
+    return StateVector(L, state.amps[_reflect_bits(np.arange(state.dim, dtype=np.int64), c, L)])
 
 
 def measure_momentum(state, tol=1e-8):

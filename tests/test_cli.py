@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import warnings
@@ -14,8 +15,8 @@ from spinmagic.cli import (
     EXIT_TOLERANCE,
     EXIT_USAGE,
     fmt,
+    config_flags,
     write_rows,
-    load_config,
     main,
     parse_floats,
     parse_ints,
@@ -112,13 +113,17 @@ def test_output_file_and_config(tmp_path, capsys):
 
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    # `me` names no flag, though it is a prefix of --method
-    for line, flag in (("banana = 1", "--banana=1"), ("me = brute", "--me=brute")):
+    # `me` names no flag, though it is a prefix of --method; a line without
+    # `=` is a bare flag, unknown or missing its value
+    for line, error in (("banana = 1", "unrecognized arguments: --banana=1"),
+                        ("me = brute", "unrecognized arguments: --me=brute"),
+                        ("banana", "unrecognized arguments: --banana"),
+                        ("L", "argument --L: expected one argument")):
         cfg.write_text(line + "\n")
         with pytest.raises(SystemExit) as exc:
             main(["sre", "--L", "3", "--config", str(cfg)])
         assert exc.value.code == EXIT_USAGE
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
 
 
 def test_flag_prefixes_are_usage_errors(capsys):
@@ -209,10 +214,12 @@ def test_malformed_and_empty_lists_are_usage_errors(tmp_path, capsys, argv, key,
     assert captured.out == "" and f"argument --{key}: " in captured.err
 
 
-def test_load_config_parsing(tmp_path):
+def test_config_flags_parsing(tmp_path):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("# header\nL = 7\njump-eps = 0.1\n")
-    assert load_config(str(cfg)) == {"L": "7", "jump_eps": "0.1"}
+    cfg.write_text("# header\nL = 7\njump-eps = 0.1  # trailing\n\nbanana\n")
+    assert config_flags(["sre", "--config", str(cfg)]) == ["--L=7", "--jump_eps=0.1",
+                                                           "--banana"]
+    assert config_flags(["sre", "--L", "3"]) == []
 
 
 def test_ent_profile_amplitude_row(capsys):
@@ -336,8 +343,9 @@ COUPLINGS = "solver failure: |Jy| and |Jz| must be < 1 (Jx sets the scale)"
 @pytest.mark.parametrize("argv, rows, count", [
     # row index, CSV line, non-null JSON fields
     (["jump-scaling", "--L", "5,8"],
-     [(1, "8,,,,,,,,,,,," + ODD + " 8", {"L": 8, "note": ODD + " 8"})], 2),
-    (["ratio", "--L", "6,7"], [(0, "6,,,,,,," + ODD + " 6", {"L": 6, "note": ODD + " 6"})], 2),
+     [(1, '8,,,,,,,,,,,,"' + ODD + ' 8"', {"L": 8, "note": ODD + " 8"})], 2),
+    (["ratio", "--L", "6,7"],
+     [(0, '6,,,,,,,"' + ODD + ' 6"', {"L": 6, "note": ODD + " 6"})], 2),
     (["ratio", "--L", "5,7", "--h", "2.0"],
      [(0, "5,,,,,,," + ZERO, {"L": 5, "note": ZERO}),
       (1, "7,,,,,,," + ZERO, {"L": 7, "note": ZERO})], 2),
@@ -349,7 +357,7 @@ COUPLINGS = "solver failure: |Jy| and |Jz| must be < 1 (Jx sets the scale)"
         "note": "solver failure: no sign change in the bracket"})], 2),
     # jz < -jy has no finite-momentum phase, but the chain is checked first
     (["hstar-map", "--jy", "0.3", "--jz=-0.5", "--L", "4"],
-     [(0, "0.29999999999999999,-0.5,4,,," + ODD + " 4",
+     [(0, '0.29999999999999999,-0.5,4,,,"' + ODD + ' 4"',
        {"jy": 0.3, "jz": -0.5, "L": 4, "note": ODD + " 4"})], 1),
     (["hstar-map", "--jy", "0.3", "--jz=-5", "--L", "5"],
      [(0, "0.29999999999999999,-5,5,,," + COUPLINGS,
@@ -367,7 +375,9 @@ def test_failure_rows_are_pinned(monkeypatch, capsys, argv, rows, count):
     assert code == EXIT_SOLVER
     table = json.loads(json_out)
     assert len(table) == count
-    header = lines[0].split(",")
+    # a note that holds a comma is quoted, so every line has the header's width
+    header, *body = csv.reader(lines)
+    assert all(len(fields) == len(header) for fields in body)
     for i, line, fields in rows:
         assert lines[i + 1] == line
         assert table[i] == {c: fields.get(c) for c in header}

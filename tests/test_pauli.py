@@ -352,8 +352,8 @@ def test_site_caps(monkeypatch):
 
 def test_work_bound_raises_before_enumeration(monkeypatch):
     detected = []
-    symmetries = pauli._symmetries
-    monkeypatch.setattr(pauli, "_symmetries", lambda s: detected.append(s) or symmetries(s))
+    plan = pauli._plan
+    monkeypatch.setattr(pauli, "_plan", lambda s: detected.append(s) or plan(s))
     monkeypatch.setattr(pauli, "_transformed_block",
                         lambda psi, masks: pytest.fail("enumerated"))
     # L = 17 without symmetry: refused after detection, by the mask count

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinmagic as sm
-from spinmagic.states import (NotTranslationEigenstate, StateVector, _rotate_bits,
-                              _translation_orbits, random_state)
+from spinmagic.states import (NotTranslationEigenstate, StateVector, _reflect_bits,
+                              _rotate_bits, _translation_orbits, random_state)
 
 RNG = np.random.default_rng(11)
 
@@ -111,6 +111,21 @@ def test_translation_orbits_are_read_only():
 def test_reflect_involution():
     s = random_state(5, RNG)
     assert sm.fidelity(sm.reflect(sm.reflect(s, 3), 3), s) == pytest.approx(1.0, abs=1e-14)
+    # moving each amplitude to its image index (a scatter) equals reading it
+    # from its pre-image (a gather), bit for bit: the exact SRE checks T and
+    # R K as gathers
+    for L in range(1, 10):
+        s = random_state(L, RNG)
+        idx = np.arange(s.dim, dtype=np.int64)
+        for c in range(1, L + 1):
+            mirrored = np.empty_like(s.amps)
+            mirrored[_reflect_bits(idx, c - 1, L)] = s.amps
+            assert np.array_equal(sm.reflect(s, c).amps, mirrored)
+            assert np.array_equal(mirrored, s.amps[_reflect_bits(idx, c - 1, L)])
+        shifted = np.empty_like(s.amps)
+        shifted[_rotate_bits(idx, 1, L)] = s.amps
+        assert np.array_equal(sm.translate(s).amps, shifted)
+        assert np.array_equal(shifted, s.amps[_rotate_bits(idx, -1, L)])
 
 
 def test_reflect_fixes_w0():
