@@ -7,15 +7,14 @@ config key or value, as argparse reports it).
 """
 
 import argparse
+import concurrent.futures
 import csv
 import functools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError
 
 from . import closed_forms, entanglement, pauli, wstates, xyz
 from .clifford import apply_circuit, build_circuit_s, verify_clifford
@@ -27,8 +26,9 @@ EXIT_TOLERANCE = 2
 EXIT_SOLVER = 3
 EXIT_USAGE = 4
 
-# what a bad input, a failed solve or an oversized array raises; a bug surfaces
-SOLVER_ERRORS = (ValueError, ArpackError, np.linalg.LinAlgError, MemoryError)
+# what a bad input, a failed solve or an oversized array raises (xyz raises an
+# ARPACK failure as LinAlgError); a bug surfaces
+SOLVER_ERRORS = (ValueError, np.linalg.LinAlgError, MemoryError)
 
 AGREEMENT_TOL = 1e-8
 
@@ -143,12 +143,15 @@ def _exit_code(rows, result):  # a sweep point without its result failed
 
 def state_for(args):
     """The state named by args.kind, and its momentum index."""
+    ell = args.ell
+    if ell is None:  # phi has no ell = 0 member
+        ell = 1 if args.kind == "phi" else 0
     if args.kind == "w":
-        return wstates.build_w(args.L, args.ell), args.ell
+        return wstates.build_w(args.L, ell), ell
     if args.kind == "omega":
-        return wstates.build_omega(args.L, args.ell), args.ell
+        return wstates.build_omega(args.L, ell), ell
     if args.kind == "phi":
-        return wstates.build_phi(args.L, args.ell, args.theta), args.ell
+        return wstates.build_phi(args.L, ell, args.theta), ell
     ell0, state = ground(ChainParams(L=args.L, jy=args.jy, jz=args.jz, h=args.h))
     return state, ell0
 
@@ -203,7 +206,11 @@ def cmd_hstar_map(args):
     point = functools.partial(_guarded, _hstar_row)  # module-level, so it pickles
     workers = min(args.workers, len(points))  # a pool forks all its workers up front
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # scipy loads on the first solve: load it here, once, so that the
+        # forked workers inherit it instead of each importing it again
+        import scipy.linalg  # noqa: F401
+        import scipy.sparse.linalg  # noqa: F401
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(point, points))  # order preserved
     else:
         rows = list(map(point, points))
@@ -441,7 +448,7 @@ def build_parser():
         sp.add_argument("--h", type=float, default=0.0)
 
     sp = sub.add_parser("sre", help="stabilizer Renyi entropy of a named state")
-    state_flags(sp, "w", 0)
+    state_flags(sp, "w", None)  # state_for picks the default ell of the kind
     sp.add_argument("--method", type=parse_methods, default=None,
                     help="comma list from {brute, structured, closed}; the last "
                          "two only for --kind w or omega; default depends on --kind")

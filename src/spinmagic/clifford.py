@@ -1,24 +1,23 @@
 """The Clifford circuit mapping phased W-states onto kink superpositions,
 generic gate application, and a gate-level Clifford check.
 
-The two-site gate C(j, l) = exp[i pi/4 (1 - sigma^x_j)(1 - sigma^z_l)] is
-built literally from its exponential.  The exponent is i pi times the
-projector onto |->_j |1>_l, so C(j, l) = 1 - 2 |-><-|_j |1><1|_l is the
-computational-basis CNOT with control l and target j.
+The two-site gate C(j, l) = exp[i pi/4 (1 - sigma^x_j)(1 - sigma^z_l)] has
+the exponent i pi P, with P = |-><-|_j |1><1|_l a projector, so
+exp(i pi P) = 1 - 2P exactly: C(j, l) is the computational-basis CNOT with
+control l and target j, and is written down as that 0/1 matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .states import StateVector
 
-# 4x4 unitary of C(j, l) in the (bit_j, bit_l) product basis, row = 2*bj + bl
+# 4x4 unitary of C(j, l) in the (bit_j, bit_l) product basis, row = 2*bj + bl:
+# 1 - 2P flips bit_j where bit_l = 1, swapping rows 01 and 11
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-_ID = np.eye(2, dtype=complex)
-CXZ_MATRIX = expm(1j * np.pi / 4 * np.kron(_ID - _SX, _ID - _SZ))
+CXZ_MATRIX = np.eye(4, dtype=complex)[[0, 3, 2, 1]]
 
 # The unitary of each gate kind on its k = log2(size) sites, row index
 # = sum_i 2**(k-1-i) b_i for sites (s_1, ..., s_k)

@@ -1,6 +1,8 @@
 """The XYZ ring with an odd number of sites (frustrated boundary conditions):
 Hamiltonian, ground manifold solved per (momentum, Z-parity) sector, and the
 critical field h* separating zero- from finite-momentum ground states.
+Scipy's sparse matrices and solvers are imported by the functions that build
+or solve a block, so importing the package loads numpy alone.
 
 A sector block is built as H(h) = H0 + h diag(mag), with mag = sum_n sz_n at
 the orbit representatives.  ``SectorBlocks`` holds the blocks of one chain,
@@ -15,9 +17,6 @@ H = sum_n [ Jx sx_n sx_{n+1} + Jy sy_n sy_{n+1} + Jz sz_n sz_{n+1} ]
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigh
 
 # not used here: the perfbench tracer patches states.translate in every
 # namespace, and only its own test reads xyz.translate
@@ -86,6 +85,8 @@ def _bond_tables(params, idx):
 
 def hamiltonian_sparse(params):
     """Sparse CSR matrix of H; (L+1) 2^L nonzeros, real symmetric."""
+    import scipy.sparse as sp
+
     N = 2 ** params.L
     idx = np.arange(N, dtype=np.int64)
     diag, mag, masks, coeffs = _bond_tables(params, idx)
@@ -130,6 +131,8 @@ def _sector_block(params, ell, parity):
     """H in the n-dimensional (ell, Z-parity) sector as H(h) = h0 + h diag(mag):
     the h-independent part h0 (COO, whose duplicates the solvers sum) and the
     magnetization sum_n sz_n of the n representatives, which T conserves."""
+    import scipy.sparse as sp
+
     col, amp, reps, period = _momentum_basis(params.L, ell, parity)
     n = reps.size
     # [T, H] = 0 gives <r', ell|H|r, ell> = sqrt(R_r) <r', ell|H|r>, so each
@@ -147,7 +150,12 @@ def _solve_sector(block, h, count):
     ascending, with the eigenvectors in the sector's basis, and the residual norm
     ||H v - E v|| of each pair.  Blocks up to DENSE_BLOCK_MAX and
     near-complete spectra go to eigh, the rest to ARPACK from a fixed start
-    vector."""
+    vector; an ARPACK failure is raised as np.linalg.LinAlgError with its
+    message."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    from scipy.linalg import eigh
+
     h0, mag = block
     n = mag.size
     k = min(count, n)
@@ -160,8 +168,11 @@ def _solve_sector(block, h, count):
     else:
         v0 = np.random.default_rng(EIGSH_SEED).standard_normal(n)
         ncv = min(n - 1, max(2 * k + 10, 20))
-        vals, vecs = spla.eigsh(h0 + sp.diags(h * mag), k=k, which="SA", v0=v0, ncv=ncv,
-                                maxiter=20000)
+        try:
+            vals, vecs = spla.eigsh(h0 + sp.diags(h * mag), k=k, which="SA", v0=v0, ncv=ncv,
+                                    maxiter=20000)
+        except spla.ArpackError as exc:
+            raise np.linalg.LinAlgError(str(exc)) from exc
         # on a complex block eigsh runs eigs, which leaves the levels unsorted
         order = np.argsort(vals, kind="stable")
         vals, vecs = vals[order], vecs[:, order]

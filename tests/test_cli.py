@@ -1,12 +1,18 @@
+import concurrent.futures
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
+import scipy.linalg
+import scipy.sparse.linalg
 
 from spinmagic import cli, xyz
 from spinmagic.cli import (
@@ -306,7 +312,7 @@ def test_hstar_map_pool_sized_by_grid(monkeypatch, capsys):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     code, out = run(["hstar-map", "--jy", "0.33", "--jz", "0.0,0.1", "--L", "5",
                      "--tol", "1e-2", "--workers", "8"], capsys)
     assert code == EXIT_OK
@@ -388,19 +394,68 @@ def test_invalid_state_parameters_exit_solver(capsys):
     assert code == EXIT_SOLVER
 
 
-@pytest.mark.parametrize("failure", [
-    ArpackNoConvergence("ARPACK error -1: No convergence", [], []),
-    np.linalg.LinAlgError("eigenvalue algorithm did not converge"),
-])
-def test_solver_failure_exit_code(monkeypatch, capsys, failure):
-    def failing_solver(params):
-        raise failure
+def _arpack_fails(monkeypatch):
+    """Make every ARPACK solve fail; an L whose blocks (of dimension about
+    2^L / 2L = 315) exceed DENSE_BLOCK_MAX, so go to ARPACK, and the message."""
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("No convergence", [], [])
 
-    monkeypatch.setattr(cli, "lowest_eigs", failing_solver)
-    code = main(["sre", "--kind", "ground", "--L", "5"])
-    err = capsys.readouterr().err
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    return 13, "ARPACK error -1: No convergence"
+
+
+def _lapack_fails(monkeypatch):
+    """Make every dense solve fail; an L whose blocks are dense, and the message."""
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalue algorithm did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_convergence)
+    return 5, "eigenvalue algorithm did not converge"
+
+
+@pytest.mark.parametrize("failure", [_arpack_fails, _lapack_fails])
+def test_solver_failure_exit_code(monkeypatch, capsys, failure):
+    # the real solver fails inside scipy, which xyz imports on first use
+    L, message = failure(monkeypatch)
+    code = main(["sre", "--kind", "ground", "--L", str(L)])
+    captured = capsys.readouterr()
     assert code == EXIT_SOLVER
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    code, out = run(["jump-scaling", "--L", str(L), "--format", "json"], capsys)
+    assert code == EXIT_SOLVER
+    assert json.loads(out)[0]["note"] == f"solver failure: {message}"
+
+
+def test_phi_defaults_to_ell_one(capsys):
+    # phi has no ell = 0 member, so sre gives it ell = 1 without --ell, as ent-profile does
+    code, out = run(["sre", "--kind", "phi", "--L", "11", "--format", "json"], capsys)
+    assert code == EXIT_OK
+    assert [row["ell"] for row in json.loads(out)] == [1]
+    assert main(["sre", "--kind", "phi", "--L", "11", "--ell", "0"]) == EXIT_SOLVER
+    assert capsys.readouterr().err == "error: phi(p, theta) requires ell != 0\n"
+    code, out = run(["sre", "--kind", "w", "--L", "5", "--format", "json"], capsys)
+    assert code == EXIT_OK and {row["ell"] for row in json.loads(out)} == {0}
+
+
+def _modules_after(code):
+    """The scipy modules, and whether concurrent.futures.process, are loaded
+    after ``code`` runs in a fresh interpreter."""
+    code += ("\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+             " 'concurrent.futures.process' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return out.splitlines()[-1]
+
+
+def test_import_and_pauli_commands_load_no_scipy():
+    # scipy is loaded by the XYZ solver alone, and the process pool by hstar-map
+    assert _modules_after("import spinmagic, spinmagic.cli") == "[] False"
+    assert _modules_after("from spinmagic import cli; cli.main(['sre', '--kind', 'w', "
+                          "'--L', '5'])") == "[] False"
+    ground = _modules_after("from spinmagic import cli; cli.main(['sre', '--kind', 'ground', "
+                            "'--L', '5'])")
+    assert "'scipy.sparse.linalg'" in ground
 
 
 def _out_of_memory(*args, **kwargs):

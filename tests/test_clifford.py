@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import spinmagic as sm
 from spinmagic.clifford import CXZ_MATRIX, GATE_MATRICES, Gate, conjugation_offenders
@@ -47,7 +48,12 @@ def test_cxz_matrix_is_unitary_involution():
 def test_cxz_is_the_cnot_with_control_l_and_target_j():
     # row 2*b_j + b_l: where b_l = 1, b_j flips, so |01> and |11> swap
     cnot = np.eye(4)[[0, 3, 2, 1]]
-    assert np.max(np.abs(CXZ_MATRIX - cnot)) <= 1e-15
+    assert np.array_equal(CXZ_MATRIX, cnot)
+    # the definition, exp[i pi/4 (1 - sigma^x_j)(1 - sigma^z_l)]
+    one = np.eye(2)
+    sx, sz = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+    defined = expm(1j * np.pi / 4 * np.kron(one - sx, one - sz))
+    assert np.max(np.abs(CXZ_MATRIX - defined)) <= 1e-15
 
 
 def test_gate_validation():
