@@ -97,19 +97,19 @@ def pauli_expectation(state, x_mask, z_mask):
 
 
 def fwht(rows):
-    """In-place +-1 (Walsh-Hadamard) transform along the last axis."""
+    """+-1 (Walsh-Hadamard) transform along the last axis, self-sorting: pass j
+    writes x[..., 2i] +- x[..., 2i+1] to y[..., i] and y[..., i + n/2], then
+    swaps x and y, so it acts on bit j of the input index as radix-2 stage
+    h = 2^j does, with the same sums bit for bit, in two loops of n/2 where a
+    radix-2 stage loops over h.  x starts as ``rows``, y as a new array like
+    it; both are overwritten, and the one holding the result is returned."""
     n = rows.shape[-1]
-    h = 1
-    while h < n:
-        rows = rows.reshape(rows.shape[:-1] + (n // (2 * h), 2, h))
-        u = rows[..., 0, :].copy()
-        v = rows[..., 1, :]
-        # in place: fresh block-sized temporaries cost page faults per block
-        np.add(u, v, out=rows[..., 0, :])
-        np.subtract(u, v, out=v)
-        rows = rows.reshape(rows.shape[:-3] + (n,))
-        h *= 2
-    return rows
+    x, y = rows, np.empty_like(rows)
+    for _ in range(n.bit_length() - 1):
+        np.add(x[..., 0::2], x[..., 1::2], out=y[..., :n // 2])
+        np.subtract(x[..., 0::2], x[..., 1::2], out=y[..., n // 2:])
+        x, y = y, x
+    return x
 
 
 def _fold_bits(masks, size):
@@ -142,8 +142,7 @@ def _transformed_block(psi, masks):
         p = psi.real**2 + psi.imag**2
         lo, hi = p[idx], p[idx ^ (size // 2)]
         g[zero] = (lo + hi) + 1j * (lo - hi)
-    fwht(g)
-    return g.view(np.float64)
+    return fwht(g).view(np.float64)
 
 
 def _positions(masks, size):
@@ -190,7 +189,7 @@ def _moment(psi, masks, weights, power, block, workers):
     same for any ``block`` and ``workers``."""
     def partials(rows, _):
         rows *= rows  # |<X_a Z_b>|^2, in another order
-        return np.sum(rows ** (power // 2), axis=1)
+        return np.sum(rows ** (power // 2) if power > 2 else rows, axis=1)
 
     sums = np.concatenate(_blocks(psi, masks, partials, block, workers))
     return math.fsum((sums * weights).tolist())

@@ -14,13 +14,47 @@ from spinmagic.xyz import ChainParams, lowest_eigs, pick_ground_state
 RNG = np.random.default_rng(23)
 
 
-def test_fwht_matches_matrix():
+def radix2_fwht(rows):
+    """The in-place radix-2 butterfly: stage h replaces the entries u, v whose
+    indices differ in bit log2 h by u + v and u - v."""
+    n = rows.shape[-1]
+    h = 1
+    while h < n:
+        rows = rows.reshape(rows.shape[:-1] + (n // (2 * h), 2, h))
+        u = rows[..., 0, :].copy()
+        v = rows[..., 1, :]
+        np.add(u, v, out=rows[..., 0, :])
+        np.subtract(u, v, out=v)
+        rows = rows.reshape(rows.shape[:-3] + (n,))
+        h *= 2
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 512])
+def test_fwht_matches_matrix(n):
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    idx = np.arange(8)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    idx = np.arange(n)
     H = 1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1)
     out = fwht(v.copy())
     assert np.allclose(out, H @ v, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 12), lead=st.sampled_from([(), (1,), (3,), (2, 3)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_fwht_is_bit_identical_to_radix2(k, lead, seed):
+    rng = np.random.default_rng(seed)
+    shape = lead + (2**k,)
+    rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    given_rows = rows.copy()
+    out = fwht(given_rows)
+    assert out.shape == shape
+    assert np.array_equal(out, radix2_fwht(rows.copy()))
+    # each pass swaps the buffers: an even pass count ends in the given rows
+    assert np.shares_memory(out, given_rows) == (k % 2 == 0)
+    twice = fwht(out.copy())
+    assert np.max(np.abs(twice / 2**k - rows)) <= 1e-12
 
 
 def test_pauli_expectation_basic_strings():
@@ -316,6 +350,24 @@ def test_reduced_kernel_deterministic_across_workers_and_blocks(route):
     for block in (8, 64):
         for workers in (1, 2, 3):
             assert sm.sre_brute(state, block=block, workers=workers) == ref
+
+
+def test_raw_moments_are_pinned_on_every_route():
+    """The kernel's raw moments bit for bit, one state per reduction route:
+    a change that moves one of them by an ulp fails here."""
+    rand = random_state(11, np.random.default_rng(5))
+    cases = [
+        (sm.build_w(13, 1), "brute:hadamard+translation+parity+reflection",
+         "0x1.0c77c900597d4p+8"),
+        (sm.build_omega(13, 2), "brute:translation+parity+reflection",
+         "0x1.0c77c900597d8p+8"),
+        (sm.build_phi(13, 1, 0.3), "brute:parity", "0x1.4cc9d1286eedcp+9"),
+        (rand, "brute", "0x1.ffc2b841e230ap+1"),
+    ]
+    for state, method, raw in cases:
+        result = sm.sre_brute(state)
+        assert (result.method, result.raw_moment.hex()) == (method, raw)
+    assert sm.pauli_moment(rand, 2).hex() == "0x1.ffffffffffffep+10"
 
 
 def test_named_states_take_their_reductions():
