@@ -366,6 +366,20 @@ def cmd_verify(args):
             worst = max(worst, 1.0 - fidelity(img, wstates.build_omega(L, ell)))
         check(f"clifford W->omega mapping L={L}", worst, 1e-10)
 
+    for L in (5, 7):  # the real sector blocks (dense at these L), each ell != 0 one twice
+        worst = 0.0
+        for jy, jz, h in ((0.33, 0.0, 0.5), (-0.4, 0.6, 1.2), (0.8, -0.3, -0.7)):
+            params = ChainParams(L, jy, jz, h)
+            levels = []
+            for ell, parity in xyz._sectors(L):
+                block = xyz._sector_block(params, ell, parity)
+                if not np.array_equal(block[0], block[0].T):
+                    worst = math.inf
+                levels += [*xyz._solve_sector(block, h, block[1].size)[0]] * (2 if ell else 1)
+            full = np.linalg.eigvalsh(xyz.hamiltonian_sparse(params).toarray())
+            worst = max(worst, float(np.max(np.abs(np.sort(levels) - full))))
+        check(f"sector blocks vs full H L={L}", worst, 1e-10)
+
     for L in (5, 7):
         worst = 0.0
         for a in range(2, L - 1):

@@ -1,11 +1,14 @@
 """The XYZ ring with an odd number of sites (frustrated boundary conditions):
 Hamiltonian, ground manifold solved per (momentum, Z-parity) sector, and the
 critical field h* separating zero- from finite-momentum ground states.
-Scipy's sparse matrices and solvers are imported by the functions that build
-or solve a block, so importing the package loads numpy alone.
+Scipy is imported by the functions that build or solve a block, so importing
+the package loads numpy alone, and the dense blocks of L <= 11 load
+scipy.linalg alone.
 
-A sector block is built as H(h) = H0 + h diag(mag), with mag = sum_n sz_n at
-the orbit representatives.  ``SectorBlocks`` holds the blocks of one chain,
+A sector block is real symmetric, in a basis of the sector made invariant
+under the mirror times complex conjugation, and is built as
+H(h) = H0 + h diag(mag), with mag = sum_n sz_n at the orbit
+representatives.  ``SectorBlocks`` holds the blocks of one chain,
 built once, and the lowest level solved in each sector at each field; it
 skips a sector that the concavity of its lowest level in h rules out.  The
 h* search runs on one such set, and ``lowest_eigs`` on a fresh one.
@@ -20,12 +23,13 @@ import numpy as np
 
 # not used here: the perfbench tracer patches states.translate in every
 # namespace, and only its own test reads xyz.translate
-from .states import StateVector, _translation_orbits, translate  # noqa: F401
+from .states import StateVector, _reflect_bits, _translation_orbits, translate  # noqa: F401
 
 DEGENERACY_RTOL = 1e-9
 EIGSH_SEED = 20240917
-# sector blocks up to this dimension use dense eigh: for 1-6 levels on one core
-# it beats eigsh on complex blocks of dimension 165 (L = 12), not 315 (L = 13)
+# sector blocks up to this dimension are held dense and solved by eigh.  For 1-2
+# levels of the real blocks on one core, eigh and eigsh both take 2-4 ms at
+# n = 315 (L = 13); at n = 1091 (L = 15) eigh takes 105-115 ms, eigsh 4-12 ms
 DENSE_BLOCK_MAX = 256
 H_MAX = 1.0  # the upper end of the sign bracket that the h* search starts from
 
@@ -96,24 +100,32 @@ def hamiltonian_sparse(params):
     return sp.csr_matrix((data, (rows, cols)), shape=(N, N))
 
 
+def _admits(L, ell, parity, reps, period):
+    """Which orbit representatives, of the given periods, hold a column of the
+    (ell, Z-parity) sector: an orbit of period R admits ell only if
+    ell R = 0 (mod L)."""
+    return ((ell * period) % L == 0) & (np.where(np.bitwise_count(reps) & 1, -1, 1) == parity)
+
+
 def _momentum_basis(L, ell, parity):
     """The isometry V (2^L, n) onto the (ell, Z-parity) sector, stored by rows:
     V[s, col[s]] = amp[s] and amp = 0 off the sector, since each basis state
     lies in one translation orbit.  Also the orbit representatives r (smallest
     index of each orbit) and the periods R of the n columns.  Built per call
-    from the cached orbit table of L, so no sector outlives its caller.
+    from the cached orbit table of L, so no sector outlives its caller; it
+    embeds the states of a solve.
 
     Column r is the momentum state sum_{j<R} e^{2 pi i ell j / L} T^j |r> / sqrt(R),
-    with T|psi> = e^{-ip}|psi>.  An orbit of period R admits ell only if
-    ell R = 0 (mod L); otherwise its state vanishes and has no column.
+    with T|psi> = e^{-ip}|psi>.  An orbit whose period does not admit ell has
+    no state in the sector, so no column.
     """
-    idx = np.arange(2**L, dtype=np.int64)
     rep, shift, period = _translation_orbits(L)  # s = T^shift rep
-    live = ((ell * period) % L == 0) & (np.where(np.bitwise_count(idx) & 1, -1, 1) == parity)
-    reps = idx[live & (rep == idx)]
-    col = np.zeros(idx.size, dtype=np.int32)
+    reps = np.flatnonzero(rep == np.arange(rep.size))
+    reps = reps[_admits(L, ell, parity, reps, period[reps])]
+    col = np.zeros(rep.size, dtype=np.int32)
     col[reps] = np.arange(reps.size)
     col = col[rep]
+    live = reps[col] == rep
     # e^{2 pi i ell j / L} for j < L, which has period R in j when ell R = 0 (mod L)
     phases = np.exp(2j * np.pi * ell * np.arange(L) / L)
     amp = np.where(live, phases[shift % period] / np.sqrt(period), 0)
@@ -122,50 +134,132 @@ def _momentum_basis(L, ell, parity):
     return col, amp, reps, period[reps]
 
 
+def _orbit_rows(params):
+    """H at the orbit representatives of the chain, which its sector blocks
+    share: the representatives r (ascending) and their periods; the orbit of
+    mirror r (its position in r) and its shift ``turn``; and
+    H|r> = sum_j coeff[j] T^shift[j] |r[target[j]]>, each (L + 1, len(r)),
+    with j = 0 the diagonal and j = 1..L the bond flips.  Read from the
+    cached orbit table of L."""
+    rep, shift, period = _translation_orbits(params.L)
+    reps = np.flatnonzero(rep == np.arange(rep.size))
+    position = np.zeros(rep.size, dtype=np.int64)
+    position[reps] = np.arange(reps.size)
+    diag, _, masks, coeffs = _bond_tables(params, reps)
+    flipped = reps ^ np.concatenate([[0], masks])[:, None]
+    mirror = _reflect_bits(reps, 0, params.L)
+    return (reps, period[reps], position[rep[mirror]], shift[mirror], position[rep[flipped]],
+            shift[flipped], np.concatenate([diag[None], coeffs]))
+
+
 def _sectors(L):
     """The (ell, Z-parity) sectors with ell >= 0, in the order that breaks ties."""
     return [(ell, parity) for ell in range((L - 1) // 2 + 1) for parity in (1, -1)]
 
 
-def _sector_block(params, ell, parity):
-    """H in the n-dimensional (ell, Z-parity) sector as H(h) = h0 + h diag(mag):
-    the h-independent part h0 (COO, whose duplicates the solvers sum) and the
-    magnetization sum_n sz_n of the n representatives, which T conserves."""
-    import scipy.sparse as sp
+def _sector_block(params, ell, parity, orbit_rows=None):
+    """H in the n-dimensional (ell, Z-parity) sector as H(h) = h0 + h diag(mag)
+    in a real basis: ``(h0, mag, back)`` with h0 real symmetric (a dense array
+    up to DENSE_BLOCK_MAX, CSR with int32 indices above), mag = sum_n sz_n at
+    the n representatives, and ``back`` = (partner, alpha, beta), which takes a
+    vector y of the real basis to v = alpha y + beta y[partner] in the
+    momentum basis of ``_momentum_basis`` (None at ell = 0, whose momentum
+    basis is real already).  Built from ``orbit_rows``, the _orbit_rows of
+    the chain, which are computed if not given.
 
-    col, amp, reps, period = _momentum_basis(params.L, ell, parity)
+    R K, the mirror about site 1 times complex conjugation, commutes with H,
+    T and the Z-parity: R K|c> = phase_c |c'>, with c' the column of
+    rep(mirror r_c) and phase_c = e^{-i theta d}, theta = 2 pi ell / L and
+    d = shift[mirror r_c].  So H is real in the basis of R K-invariant
+    vectors half_c |c>, with half_c = e^{-i theta d / 2}, where c' = c, and
+    u = (|c> + R K|c>) / sqrt2 and u' = i (|c> - R K|c>) / sqrt2 for a pair
+    c < c'.  The mirror conserves sum_n sz_n, so mag is equal on partners and
+    diag(mag) stays diagonal.  H u = (z + R K z) / sqrt2 with z = H|c>, and
+    u' is u for i|c>, so both columns of a pair come from the rows of c
+    alone.  An R K-invariant x has the coordinates sqrt2 Re x_a and
+    sqrt2 Im x_a on a pair a < b, and conj(half_a) x_a, which is real, on a
+    column of its own; so each entry of z is read off where it adds to x_a,
+    conjugated if it lies at b.  Each entry is computed once, from the source
+    whose pair comes first, and mirrored, so h0 equals its transpose bit for
+    bit.
+    """
+    L = params.L
+    every, periods, mirror, turn, target, shift, coeff = orbit_rows or _orbit_rows(params)
+    inside = np.flatnonzero(_admits(L, ell, parity, every, periods))
+    reps, period = every[inside], periods[inside]
     n = reps.size
-    # [T, H] = 0 gives <r', ell|H|r, ell> = sqrt(R_r) <r', ell|H|r>, so each
+    column = np.full(every.size, -1)
+    column[inside] = np.arange(n)
+    if ell:
+        partner = column[mirror[inside]]
+        roots = np.exp(1j * np.pi * np.arange(2 * L) / L)  # e^{i pi m / L}
+        phase = roots[(-2 * ell * turn[inside]) % (2 * L)]
+        half = roots[(-ell * turn[inside]) % (2 * L)]
+        own, first = partner == np.arange(n), np.arange(n) < partner
+        sources = np.flatnonzero(own | first)
+    else:
+        sources = np.arange(n)
+    # [T, H] = 0 gives <k, ell|H|c, ell> = sqrt(R_c) <k, ell|H|r_c>, so a
     # column needs H at its representative only
-    diag, mag, masks, coeffs = _bond_tables(params, reps)
-    flipped = reps ^ masks[:, None]
-    rows = np.concatenate([np.arange(n), col[flipped].ravel()])
-    data = np.concatenate([diag, (np.sqrt(period) * coeffs * amp[flipped].conj()).ravel()])
-    cols = np.tile(np.arange(n), masks.size + 1)
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)), mag
+    target, shift, coeff = (table[:, inside[sources]] for table in (target, shift, coeff))
+    k = column[target]
+    live = k >= 0  # an orbit whose period admits ell has a column
+    k, cols = k[live], np.broadcast_to(sources, live.shape)[live]
+    val = coeff[live] * np.sqrt(period[cols] / period[k])
+    # h0 = K + K^T: K holds one of each pair of mirrored entries, the diagonal halved
+    a = np.minimum(k, partner[k]) if ell else k  # the first column of k's pair
+    lower = a >= cols  # the pair of rows at or below the source's pair of columns
+    k, cols, a, val = k[lower], cols[lower], a[lower], val[lower]
+    if ell:
+        # w: what z_k = val e^{-i theta shift} adds to x_a, a column of its own
+        # weighted by sqrt2 for sqrt2 Re, and its source q = half_c |c> / sqrt2
+        gain = np.where(own, np.sqrt(2) * half.conj(), np.where(first, 1, phase.conj()))
+        w = (val * roots[(-2 * ell * shift[live][lower]) % (2 * L)]
+             * gain[k] * np.where(own, half / np.sqrt(2), 1)[cols])
+        sign = np.where(own, 0, np.where(first, 1, -1))[k]  # Im x_a, conjugated at b
+        b = np.maximum(k, partner[k])
+        # u' of a pair, less its entry (c, c'), the mirror of (c', c)
+        pair = first[cols]
+        twin = pair & (a > cols)
+        rows = np.concatenate([a, b, a[twin], b[pair]])
+        data = np.concatenate([w.real, sign * w.imag, -w.imag[twin], (sign * w.real)[pair]])
+        cols = np.concatenate([cols, cols, partner[cols[twin]], partner[cols[pair]]])
+        back = (partner, np.where(own, half, np.where(first, 1, -1j * phase) / np.sqrt(2)),
+                np.where(own, 0, np.where(first, 1j, phase) / np.sqrt(2)))
+    else:
+        rows, data, back = k, val, None
+    data[rows == cols] *= 0.5
+    if n <= DENSE_BLOCK_MAX:
+        h0 = np.bincount(rows * n + cols, weights=data, minlength=n * n).reshape(n, n)
+        h0 = h0 + h0.T
+    else:
+        import scipy.sparse as sp
+
+        h0 = sp.csr_matrix((data, (rows, cols)), shape=(n, n))  # sums the duplicates
+        h0 = (h0 + h0.T).copy()  # CSR; the copy drops the spare room of the sum
+    return h0, L - 2.0 * np.bitwise_count(reps), back
 
 
 def _solve_sector(block, h, count):
     """Lowest min(count, n) eigenpairs of the sector block h0 + h diag(mag),
-    ascending, with the eigenvectors in the sector's basis, and the residual norm
-    ||H v - E v|| of each pair.  Blocks up to DENSE_BLOCK_MAX and
-    near-complete spectra go to eigh, the rest to ARPACK from a fixed start
-    vector; an ARPACK failure is raised as np.linalg.LinAlgError with its
-    message."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-    from scipy.linalg import eigh
-
-    h0, mag = block
+    ascending, with the eigenvectors in the sector's momentum basis, and the
+    residual norm ||H v - E v|| of each pair.  Dense blocks and near-complete
+    spectra go to eigh, CSR blocks to ARPACK's real symmetric Lanczos from a
+    fixed start vector; an ARPACK failure is raised as np.linalg.LinAlgError
+    with its message."""
+    h0, mag, back = block
     n = mag.size
     k = min(count, n)
-    if n <= DENSE_BLOCK_MAX or k >= n - 1:
-        # densified per solve: holding the L + 1 dense blocks of a search
-        # costs more memory than the conversion costs time
-        a = h0.toarray()
-        a[np.diag_indices(n)] += h * mag
-        vals, vecs = eigh(a, subset_by_index=[0, k - 1], overwrite_a=True)
+    if isinstance(h0, np.ndarray) or k >= n - 1:
+        from scipy.linalg import eigh
+
+        a = h0.copy() if isinstance(h0, np.ndarray) else h0.toarray()
+        a.flat[:: n + 1] += h * mag
+        vals, vecs = eigh(a, subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)
     else:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         v0 = np.random.default_rng(EIGSH_SEED).standard_normal(n)
         ncv = min(n - 1, max(2 * k + 10, 20))
         try:
@@ -173,10 +267,10 @@ def _solve_sector(block, h, count):
                                     maxiter=20000)
         except spla.ArpackError as exc:
             raise np.linalg.LinAlgError(str(exc)) from exc
-        # on a complex block eigsh runs eigs, which leaves the levels unsorted
-        order = np.argsort(vals, kind="stable")
-        vals, vecs = vals[order], vecs[:, order]
     residuals = np.linalg.norm(h0 @ vecs + (h * mag)[:, None] * vecs - vecs * vals, axis=0)
+    if back is not None:
+        partner, alpha, beta = back
+        vecs = alpha[:, None] * vecs + beta[:, None] * vecs[partner]
     return vals, vecs, residuals
 
 
@@ -204,7 +298,9 @@ class SectorBlocks:
 
     def __init__(self, L, jy, jz, jx=1.0):
         self.params = ChainParams(L=L, jy=jy, jz=jz, h=0.0, jx=jx)
-        self.blocks = {sector: _sector_block(self.params, *sector) for sector in _sectors(L)}
+        orbit_rows = _orbit_rows(self.params)
+        self.blocks = {sector: _sector_block(self.params, *sector, orbit_rows)
+                       for sector in _sectors(L)}
         self.solved = {sector: [] for sector in self.blocks}  # (h, E, residual) per solve
 
     def _bound(self, sector, h):
@@ -241,15 +337,18 @@ class SectorBlocks:
 
     def minimizers(self, h):
         """For zero (False) and finite (True) momentum, the sector with the
-        lowest level at h (the first in sector order on a tie), that level and
-        <mag> in its eigenvector, which is dE/dh (Hellmann-Feynman).  A sector
-        solved only for a bound within the cluster reach changes no pick: its
-        level lies at or above that bound, which lies above the lowest level."""
+        lowest level at h, that level and <mag> in its eigenvector, which is
+        dE/dh (Hellmann-Feynman).  Levels within the cluster reach of the
+        lowest tie, and a tie goes to the first in sector order, so a
+        degenerate pair is not told apart by the last bits of its levels.  A
+        sector skipped for its bound holds no such level: it lies at or above
+        that bound, which lies above the reach."""
         out = {}
         for finite in (False, True):
             sectors = [sector for sector in self.blocks if (sector[0] != 0) == finite]
-            levels = self._solve_lowest(h, sectors)
-            sector = min(levels, key=lambda sector: levels[sector][0][0])
+            levels = self._solve_lowest(h, sectors)  # in sector order
+            reach = _cluster_reach(min(vals[0] for vals, _ in levels.values()))
+            sector = next(sector for sector in levels if levels[sector][0][0] < reach)
             vals, vecs = levels[sector]
             v = vecs[:, 0]
             out[finite] = (sector, vals[0], np.vdot(v, self.blocks[sector][1] * v).real)
@@ -332,8 +431,9 @@ def find_hstar(jy, jz, L, tol=1e-4, sectors=None):
 
     An invalid chain raises ValueError before any answer.  For jz < -jy the
     finite-momentum phase is absent and h* = 0 is returned with a note; the
-    same if the ground state has zero momentum at h = 0, and h* = H_MAX with a
-    note if it keeps finite momentum up to H_MAX.
+    same if the ground state has zero momentum at h = 0 (a gap that ties
+    within the cluster reach there included), and h* = H_MAX with a note if
+    it keeps finite momentum up to H_MAX.
     """
     if not tol > 0:  # NaN too; at tol <= 0 the search never stops
         raise ValueError(f"find_hstar needs tol > 0, got {tol}")
@@ -345,13 +445,16 @@ def find_hstar(jy, jz, L, tol=1e-4, sectors=None):
     elif sectors.params != params:
         raise ValueError(f"the sector blocks of {sectors.params} are not those of {params}")
 
-    def evaluate(h):
-        """(h, Delta(h), dDelta/dh)."""
+    def evaluate(h, end=False):
+        """(h, Delta(h), dDelta/dh).  At an end of the bracket, two levels that
+        tie within the cluster reach read Delta = 0, which gives the tie to
+        zero momentum, as the sector order does, not to the rounding."""
         low = sectors.minimizers(h)
         (_, e1, m1), (_, e0, m0) = low[True], low[False]
-        return h, e1 - e0, m1 - m0
+        tie = end and max(e0, e1) < _cluster_reach(min(e0, e1))
+        return h, 0.0 if tie else e1 - e0, m1 - m0
 
-    lo, hi = evaluate(0.0), evaluate(H_MAX)
+    lo, hi = evaluate(0.0, end=True), evaluate(H_MAX, end=True)
     if not lo[1] < 0:
         return HstarResult(jy, jz, L, 0.0, 0.0, note="zero-momentum ground state at h=0")
     if hi[1] < 0:

@@ -453,9 +453,10 @@ def test_import_and_pauli_commands_load_no_scipy():
     assert _modules_after("import spinmagic, spinmagic.cli") == "[] False"
     assert _modules_after("from spinmagic import cli; cli.main(['sre', '--kind', 'w', "
                           "'--L', '5'])") == "[] False"
+    # the L = 5 sector blocks are dense, so their solves load scipy.linalg alone
     ground = _modules_after("from spinmagic import cli; cli.main(['sre', '--kind', 'ground', "
                             "'--L', '5'])")
-    assert "'scipy.sparse.linalg'" in ground
+    assert "'scipy.linalg'" in ground and "'scipy.sparse'" not in ground
 
 
 def _out_of_memory(*args, **kwargs):
@@ -468,8 +469,8 @@ def test_memory_errors_are_solver_failures(monkeypatch, capsys):
     assert main(["sre", "--kind", "w", "--L", "41"]) == EXIT_SOLVER
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: Unable to allocate")
-    # the sector basis is the first array of an eigensolve
-    monkeypatch.setattr(xyz, "_momentum_basis", _out_of_memory)
+    # H at the orbit representatives is the first array of an eigensolve
+    monkeypatch.setattr(xyz, "_orbit_rows", _out_of_memory)
     code, out = run(["hstar-map", "--jy", "0.3", "--jz", "0", "--L", "41", "--format", "json"],
                     capsys)
     assert code == EXIT_SOLVER
@@ -554,9 +555,11 @@ def test_verify_passes(tmp_path, capsys):
     assert any("Pauli kernel vs single strings L=5" in line for line in checks)
     for L in (3, 5, 7):
         assert any(f"clifford circuit S is Clifford L={L}" in line for line in checks)
+    for L in (5, 7):
+        assert any(f"sector blocks vs full H L={L}" in line for line in checks)
     assert checks and all(line.startswith("PASS") for line in checks)
     rows = json.loads(table.read_text())
-    assert len(rows) == len(checks) == 24
+    assert len(rows) == len(checks) == 26
     assert all(row["status"] == "PASS" for row in rows)
 
 

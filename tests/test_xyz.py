@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,10 @@ from spinmagic import cli, xyz
 from spinmagic.cli import EXIT_USAGE, main
 from spinmagic.states import (
     StateVector,
+    _reflect_bits,
+    _translation_orbits,
     measure_momentum,
+    momentum_of,
     parity_expectation,
     random_state,
     translate,
@@ -172,11 +176,14 @@ def test_dense_and_iterative_solvers_agree(monkeypatch):
     blocks = {sector: xyz._sector_block(params, *sector) for sector in xyz._sectors(7)}
     dense = {sector: xyz._solve_sector(block, 0.5, 4) for sector, block in blocks.items()}
     man = sm.lowest_eigs(params)
-    monkeypatch.setattr(xyz, "DENSE_BLOCK_MAX", 0)  # every sector through eigsh
+    monkeypatch.setattr(xyz, "DENSE_BLOCK_MAX", 0)  # every block CSR, solved by eigsh
     for sector, block in blocks.items():
         n = block[1].size
         assert n - 1 > 4  # so eigsh takes the block, not eigh for a near-complete spectrum
-        vals, vecs, residuals = xyz._solve_sector(block, 0.5, 4)
+        sparse = xyz._sector_block(params, *sector)
+        assert not isinstance(sparse[0], np.ndarray)
+        assert np.array_equal(sparse[0].toarray(), block[0])
+        vals, vecs, residuals = xyz._solve_sector(sparse, 0.5, 4)
         assert np.allclose(vals, dense[sector][0], rtol=0, atol=1e-9)
         assert np.all(residuals <= 1e-9) and np.all(dense[sector][2] <= 1e-9)
         assert np.allclose(vecs.conj().T @ vecs, np.eye(4), atol=1e-9)
@@ -188,27 +195,43 @@ def test_dense_and_iterative_solvers_agree(monkeypatch):
 couplings = st.floats(-0.95, 0.95, allow_nan=False)
 
 
-@settings(max_examples=30)
+@settings(max_examples=30, deadline=None)
 @given(L=st.sampled_from([5, 7, 9]), jy=couplings, jz=couplings, h=st.floats(0.0, 1.5))
 @example(L=5, jy=0.0, jz=0.0, h=1e-9)  # near-degenerate levels in different sectors
+@example(L=9, jy=0.0, jz=0.0, h=0.0)  # every sector holds a level of the classical cluster
 def test_sector_states_are_labelled_eigenstates(L, jy, jz, h):
     # every level of every sector block, the ell != 0 ones twice (once for
     # -ell), is the whole spectrum of H; L = 9 has orbits of period 3, whose
-    # states lie in the ell = 0, +-3 sectors
+    # states lie in the ell = 0, +-3 sectors.  Each block is real symmetric
+    # with the spectrum of V^dagger H V, the complex block in its sector's
+    # momentum basis, and R K pairs its columns, which have equal mag
     params = sm.ChainParams(L=L, jy=jy, jz=jz, h=h)
     H = sm.hamiltonian_sparse(params)
     full = np.linalg.eigvalsh(H.toarray())
+    rep = _translation_orbits(L)[0]
     levels = []
     for ell, parity in xyz._sectors(L):
         block = xyz._sector_block(params, ell, parity)  # H0, the field is h diag(mag)
-        vals, vecs, residuals = xyz._solve_sector(block, h, block[1].size)
-        assert np.all(residuals <= 1e-9)
-        col, amp, _, _ = xyz._momentum_basis(L, ell, parity)
+        h0, mag, back = block
+        assert h0.dtype == np.float64 and np.array_equal(h0, h0.T)
+        vals, vecs, residuals = xyz._solve_sector(block, h, mag.size)
+        assert np.all(residuals <= 1e-10)
+        col, amp, reps, _ = xyz._momentum_basis(L, ell, parity)
+        V = scipy.sparse.csr_matrix((amp, (np.arange(2**L), col)), shape=(2**L, reps.size))
+        expected = np.linalg.eigvalsh((V.conj().T @ H @ V).toarray())
+        assert np.max(np.abs(vals - expected)) <= 1e-12 * np.max(np.abs(expected))
+        mirrored = rep[_reflect_bits(reps, 0, L)]
+        partner = np.searchsorted(reps, mirrored)
+        assert np.array_equal(reps[partner], mirrored) and np.array_equal(mag[partner], mag)
+        assert back is None if ell == 0 else np.array_equal(back[0], partner)
         for e, v in zip(vals, vecs.T):
             for m in (ell, -ell) if ell else (0,):
                 amps = amp * v[col]
                 state = StateVector(L, amps.conj() if m < 0 else amps)
-                assert np.linalg.norm(H @ state.amps - e * state.amps) <= 1e-9
+                assert np.linalg.norm(H @ state.amps - e * state.amps) <= 1e-10
+                turned = translate(state, 1).amps
+                assert np.allclose(turned, np.exp(-1j * momentum_of(m, L)) * state.amps,
+                                   rtol=0, atol=1e-12)
                 assert measure_momentum(state) == m
                 assert abs(abs(parity_expectation(state, "z")) - 1.0) <= 1e-9
                 levels.append(e)
@@ -316,9 +339,10 @@ def test_hellmann_feynman_slope_matches_finite_difference(L, ell, parity):
     assert abs(slope - (up - down) / (2 * dh)) <= 1e-6
 
 
-# sector solves of find_hstar at L = 5, 7, 9, 11
+# sector solves of find_hstar at L = 5, 7, 9, 11; at the classical point every
+# sector ties at h = 0, so the search ends there with the note at every L
 SEARCH_SOLVES = {
-    (0.0, 0.0): [12, 16, 51, 24],
+    (0.0, 0.0): [12, 16, 20, 24],
     (0.1, 0.0): [20, 25, 29, 37],
     (0.33, 0.0): [16, 20, 24, 28],
     (0.5, 0.3): [12, 16, 20, 24],
@@ -366,7 +390,7 @@ def stand_in_sectors(monkeypatch, gap):
     Returns the set of fields solved at."""
     fields = set()
 
-    def stand_in_block(params, ell, parity):
+    def stand_in_block(params, ell, parity, orbit_rows=None):
         return (ell, parity), np.ones(1)
 
     def stand_in_solve(block, h, count):
@@ -410,6 +434,15 @@ def test_finite_momentum_up_to_h_max_is_a_note(monkeypatch, capsys):
     assert main(["jump-scaling", "--L", "7"]) == cli.EXIT_OK
     assert capsys.readouterr().out.splitlines()[1:] == [
         "7,1,,,,,,,,,,,finite momentum up to h_max"]
+
+
+def test_a_tie_at_h_zero_is_zero_momentum(monkeypatch):
+    # Delta(0) within the cluster reach is a tie, and a tie goes to zero
+    # momentum: the search ends at h = 0 instead of bisecting toward it
+    fields = stand_in_sectors(monkeypatch, lambda h: (-1e-15, 1.0))
+    r = sm.find_hstar(0.33, 0.0, 7)
+    assert (r.hstar, r.bracket_width, r.note) == (0.0, 0.0, "zero-momentum ground state at h=0")
+    assert fields == {0.0, xyz.H_MAX}
 
 
 def test_find_hstar_refuses_the_blocks_of_another_chain():
@@ -468,14 +501,17 @@ def assert_pruning_changes_nothing(monkeypatch, L, jy, jz, size):
     monkeypatch.setattr(xyz.SectorBlocks, "minimizers", picked)
     r, grounds = jump_point(L, jy, jz)
     for sectors, h, bounds in visits:  # every sector solved at every field visited
-        lowest = None  # the first lowest (sector, level, <mag>) of those visited
+        levels = {}  # (level, <mag>) of every sector visited, in sector order
         for sector, bound in bounds.items():
             block = sectors.blocks[sector]
             vals, vecs, _ = xyz._solve_sector(block, h, 1)
             assert vals[0] >= bound
-            if lowest is None or vals[0] < lowest[1]:
-                v = vecs[:, 0]
-                lowest = (sector, vals[0], np.vdot(v, block[1] * v).real)
+            v = vecs[:, 0]
+            levels[sector] = (vals[0], np.vdot(v, block[1] * v).real)
+        # the first in sector order within the cluster reach of the lowest
+        reach = xyz._cluster_reach(min(e for e, _ in levels.values()))
+        lowest = next((sector, *levels[sector]) for sector in levels
+                      if levels[sector][0] < reach)
         classes = {sector[0] != 0 for sector in bounds}
         if len(classes) == 1:  # a gap evaluation, one momentum class at a time
             assert picks[sectors, h][classes.pop()] == lowest
