@@ -7,7 +7,6 @@ config key or value, as argparse reports it).
 """
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import json
@@ -210,6 +209,7 @@ def cmd_hstar_map(args):
         # forked workers inherit it instead of each importing it again
         import scipy.linalg  # noqa: F401
         import scipy.sparse.linalg  # noqa: F401
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(point, points))  # order preserved
     else:

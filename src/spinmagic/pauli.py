@@ -58,7 +58,6 @@ by L.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +67,10 @@ from .states import _reflect_bits, _rotate_bits, _translation_orbits, momentum_o
 # complex amplitudes that one enumeration may transform: 2^(L-1) per x-mask,
 # or 2^(L-2) on the Z-parity restriction
 WORK_CAP = 2**30
-BLOCK_AMPS = 2**16  # complex amplitudes per block by default: 1 MB of transformed rows
+# complex amplitudes per block by default: 512 KB of transformed rows, so that
+# a block's three buffers (the two factors and the transform's spare) fit in
+# a 2 MB L2 cache
+BLOCK_AMPS = 2**15
 TABLE_SITE_CAP = 10  # the 4^L magnitude table, 8 MB at L = 10
 # a symmetry is used when ||O psi - <O> psi|| (O = T, or R K), or the norm of
 # the amplitudes of the wrong Z-parity, is at most this
@@ -112,35 +114,40 @@ def fwht(rows):
     return x
 
 
-def _fold_bits(masks, size):
-    """2^k for each x-mask a: the top bit of a, or for a = 0 the top bit of
-    the chain, size // 2."""
-    return np.int64(1) << (np.frexp(np.where(masks, masks, size // 2))[1] - 1)
+def _fold_exponents(masks, size):
+    """k for each x-mask a: 2^k is the top bit of a, or for a = 0 the top bit
+    of the chain, size // 2."""
+    return np.frexp(np.where(masks, masks, size // 2))[1] - 1
 
 
-def _transformed_block(psi, masks):
+def _transformed_block(psi, conj2, masks):
     """One float64 row per x-mask a in ``masks``: the view of its complex
-    transform (module docstring), psi.size values.  The entry at
-    ``_positions`` is +-|<X_a Z_b>|."""
+    transform (module docstring), psi.size values, with conj2 = 2 conj(psi).
+    The entry at ``_positions`` is +-|<X_a Z_b>|."""
     size = psi.size
-    bits = _fold_bits(masks, size)[:, None]
+    k = _fold_exponents(masks, size)
+    low = k.min()
     idx = np.arange(size // 2, dtype=np.int64)
-    s = idx & -bits
-    s += idx  # idx with a 0 inserted at bit k: the s whose bit k is clear
-    # both factors in one buffer, gathered and conjugated in place: fresh
-    # temporaries (block-sized, or 2 conj(psi) of all 2^L amplitudes) cost
-    # page faults per block
+    # idx with a 0 inserted at bit k, the s whose bit k is clear: made once
+    # for each k from low to k.max() and copied to the rows of that k
+    inserted = idx & -(np.int64(1) << np.arange(low, k.max() + 1, dtype=np.int64))[:, None]
+    inserted += idx
+    s = np.take(inserted, k - low, axis=0)
+    # both factors share one buffer, one allocation of the same size per
+    # block, which the C allocator serves from the memory that the previous
+    # block freed, so steady state makes no page faults; each factor as a
+    # fresh temporary made minor page faults on every block.  psi[s] stays
+    # the first factor of the product: numpy's complex multiply (SIMD FMA) is
+    # not commutative to the last bit, and the raw moments are pinned
     g, other = np.empty((2, masks.size, idx.size), dtype=complex)
     np.take(psi, s, out=g, mode="clip")
     s ^= masks[:, None]
-    np.take(psi, s, out=other, mode="clip")
-    np.conjugate(other, out=other)
-    other *= 2
+    np.take(conj2, s, out=other, mode="clip")
     g *= other
     zero = masks == 0
     if zero.any():
         p = psi.real**2 + psi.imag**2
-        lo, hi = p[idx], p[idx ^ (size // 2)]
+        lo, hi = p[:size // 2], p[size // 2:]
         g[zero] = (lo + hi) + 1j * (lo - hi)
     return fwht(g).view(np.float64)
 
@@ -149,7 +156,7 @@ def _positions(masks, size):
     """Where row a of ``_transformed_block`` holds <X_a Z_b>, for every z-mask
     b: 2 c + parity(a & b), with c = b without bit k, and for a = 0 (k the
     top bit of the chain) 2 c + b_k."""
-    bits = _fold_bits(masks, size)[:, None]
+    bits = np.int64(1) << _fold_exponents(masks, size)[:, None]
     b = np.arange(size, dtype=np.int64)
     c = (b & (bits - 1)) + ((b >> 1) & -bits)
     m = np.where(masks == 0, size // 2, masks)[:, None]
@@ -157,10 +164,11 @@ def _positions(masks, size):
 
 
 def _blocks(psi, masks, reduce, block, workers):
-    """reduce(_transformed_block(psi, block_masks), block_masks) for each
-    block of ``block`` x-masks, by default the rows of psi.size // 2 complex
-    amplitudes that fit in BLOCK_AMPS, in mask order.  Threads are started
-    only when there are two blocks or more, and no more than there are blocks."""
+    """reduce(_transformed_block(psi, 2 conj(psi), block_masks), block_masks)
+    for each block of ``block`` x-masks, by default the rows of psi.size // 2
+    complex amplitudes that fit in BLOCK_AMPS, in mask order.  2 conj(psi) is
+    made once and shared read-only by the blocks.  Threads are started only
+    when there are two blocks or more, and no more than there are blocks."""
     width = psi.size // 2
     if block is None:
         block = max(1, BLOCK_AMPS // width)
@@ -171,13 +179,17 @@ def _blocks(psi, masks, reduce, block, workers):
         raise ValueError(f"{masks.size} x-masks of {width} transformed amplitudes exceed "
                          f"the work bound of 2^{math.log2(WORK_CAP):g} amplitudes")
 
+    conj2 = psi.conj()
+    conj2 *= 2
+
     def run(start):
         block_masks = masks[start:start + block]
-        return reduce(_transformed_block(psi, block_masks), block_masks)
+        return reduce(_transformed_block(psi, conj2, block_masks), block_masks)
 
     starts = range(0, masks.size, block)
     workers = min(workers, len(starts))
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, starts))
     return list(map(run, starts))
@@ -189,7 +201,9 @@ def _moment(psi, masks, weights, power, block, workers):
     same for any ``block`` and ``workers``."""
     def partials(rows, _):
         rows *= rows  # |<X_a Z_b>|^2, in another order
-        return np.sum(rows ** (power // 2) if power > 2 else rows, axis=1)
+        if power > 2:
+            rows **= power // 2  # in place, as rows ** (power // 2) bit for bit
+        return np.sum(rows, axis=1)
 
     sums = np.concatenate(_blocks(psi, masks, partials, block, workers))
     return math.fsum((sums * weights).tolist())

@@ -1,5 +1,5 @@
+import concurrent.futures
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -104,6 +104,16 @@ def test_moment_matches_direct_enumeration(L, real, seed):
     state = random_amplitudes(L, seed, real)
     direct = math.fsum((single_strings(state) ** 4).ravel().tolist())
     assert sm.pauli_moment(state, 4) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("power", [6, 8])
+@pytest.mark.parametrize("L", [3, 4, 5])
+def test_higher_powers_match_the_table(L, power):
+    # the moment raises the squared rows to power // 2 in place: above 4 by
+    # numpy's general power loop, which no other test reaches
+    state = random_state(L, np.random.default_rng(100 * power + L))
+    table = math.fsum((sm.pauli_abs_table(state) ** power).ravel().tolist())
+    assert sm.pauli_moment(state, power) == pytest.approx(table, rel=1e-12)
 
 
 def test_moment_deterministic_across_workers_and_blocks():
@@ -381,7 +391,7 @@ def test_site_caps(monkeypatch):
     # one row of ones per x-mask stands in for the transform, so acceptance
     # costs no enumeration; the work bound sees the real mask count and row width
     transformed = []
-    monkeypatch.setattr(pauli, "_transformed_block", lambda psi, masks:
+    monkeypatch.setattr(pauli, "_transformed_block", lambda psi, conj2, masks:
                         transformed.append(masks.size) or np.ones((masks.size, 1)))
     # the largest accepted L, one more refused: rows of 2^(L-1) amplitudes,
     # or 2^(L-2) on the Z-parity restriction; a generic state stops at 15
@@ -407,7 +417,7 @@ def test_work_bound_raises_before_enumeration(monkeypatch):
     plan = pauli._plan
     monkeypatch.setattr(pauli, "_plan", lambda s: detected.append(s) or plan(s))
     monkeypatch.setattr(pauli, "_transformed_block",
-                        lambda psi, masks: pytest.fail("enumerated"))
+                        lambda psi, conj2, masks: pytest.fail("enumerated"))
     # L = 17 without symmetry: refused after detection, by the mask count
     with pytest.raises(ValueError, match="131072 x-masks of 65536 transformed amplitudes"):
         sm.sre_brute(random_state(17, RNG))
@@ -418,31 +428,32 @@ def test_work_bound_raises_before_enumeration(monkeypatch):
     assert len(detected) == 1
 
 
-def test_default_blocks_hold_2_17_amplitudes(monkeypatch):
-    # 2^16 complex amplitudes, the 2^17 float64 values of their view: 1 MB
+def test_default_blocks_hold_2_15_amplitudes(monkeypatch):
+    # 2^15 complex amplitudes, the 2^16 float64 values of their view: 512 KB,
+    # so that the two factors and the transform's spare fit in a 2 MB L2
     rows = []
     transform = pauli._transformed_block
-    monkeypatch.setattr(pauli, "_transformed_block", lambda psi, masks:
-                        rows.append(masks.size) or transform(psi, masks))
+    monkeypatch.setattr(pauli, "_transformed_block", lambda psi, conj2, masks:
+                        rows.append(masks.size) or transform(psi, conj2, masks))
     sm.pauli_moment(random_state(11, RNG), 4, workers=2)
-    assert set(rows) == {2**16 // 2**10}
+    assert set(rows) == {2**15 // 2**10}
     rows.clear()
     sm.sre_brute(sm.build_w(13, 1))  # rows of 2^11 amplitudes on the Z-parity restriction
-    assert max(rows) * 2**11 <= 2**16
+    assert max(rows) * 2**11 <= 2**15
     rows.clear()
     sm.pauli_abs_table(sm.build_w(9, 1))
-    assert set(rows) == {2**16 // 2**8}
+    assert set(rows) == {2**15 // 2**8}
 
 
 def test_threads_start_only_for_two_blocks_or_more(monkeypatch):
     pools = []
 
-    class RecordingPool(ThreadPoolExecutor):
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(pauli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     # 63 bracelets of 2^9 amplitudes: one block
     sm.sre_brute(sm.build_w(11, 1), workers=2)
     assert pools == []
