@@ -2,15 +2,11 @@
 superpositions, and the topologically frustrated XYZ ring."""
 
 from .states import (
-    NotTranslationEigenstate,
     StateVector,
     fidelity,
     make_x_product,
-    measure_momentum,
     momentum_of,
-    parity_expectation,
     random_state,
-    reflect,
     translate,
 )
 from .wstates import build_kink, build_omega, build_phi, build_w, kink_signs
@@ -19,7 +15,6 @@ from .pauli import (
     pauli_abs_table,
     pauli_expectation,
     pauli_moment,
-    pauli_moment_profile,
     sre_brute,
     sre_structured_w,
 )
@@ -38,10 +33,7 @@ from .clifford import (
     apply_circuit,
     apply_circuit_inverse,
     apply_gate,
-    apply_pauli,
     build_circuit_s,
-    circuit_from_text,
-    circuit_to_text,
     conjugation_offenders,
     verify_clifford,
 )

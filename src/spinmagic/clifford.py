@@ -68,13 +68,6 @@ def _check_sites(gate, L):
             raise ValueError(f"gate {gate} touches site {s} outside [1, {L}]")
 
 
-def apply_pauli(state, site, which):
-    """Apply a single-site Pauli operator; ``which`` is 'x', 'y' or 'z'."""
-    if which not in ("x", "y", "z"):
-        raise ValueError(f"unknown Pauli axis {which!r}")
-    return apply_gate(state, Gate(which.upper(), (site,)))
-
-
 def apply_circuit(state, circuit):
     """Apply gates in list order (index 0 first)."""
     for gate in circuit:
@@ -107,22 +100,6 @@ def build_circuit_s(L):
     gates += [Gate("Z", (L,)), Gate("H", (L,))]
     gates += [Gate("Z", (2 * j - 1,)) for j in range(1, M + 1)]
     gates += [Gate("CXZ", (L, L - j)) for j in range(1, L)]
-    return gates
-
-
-def circuit_to_text(circuit):
-    """Line-oriented serialization, one gate per line ('H 5', 'CXZ 1 2', ...)."""
-    return "\n".join(" ".join([g.kind, *map(str, g.sites)]) for g in circuit) + "\n"
-
-
-def circuit_from_text(text):
-    gates = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        kind, *sites = line.split()
-        gates.append(Gate(kind, tuple(int(s) for s in sites)))
     return gates
 
 

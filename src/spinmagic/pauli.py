@@ -340,15 +340,3 @@ def pauli_abs_table(state):
 
     return np.concatenate(_blocks(state.amps, np.arange(N, dtype=np.int64), magnitudes,
                                   None, 1))
-
-
-def pauli_moment_profile(state, bins=None):
-    """Histogram of the 4^L expectation magnitudes of ``state``.
-
-    Returns (counts, edges) as from numpy.histogram; default bins resolve
-    values in [0, 1] finely enough to separate the W-state families.
-    """
-    values = pauli_abs_table(state).ravel()
-    if bins is None:
-        bins = np.linspace(0.0, 1.0 + 1e-9, 257)
-    return np.histogram(values, bins=bins)

@@ -15,10 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class NotTranslationEigenstate(ValueError):
-    """Raised when a momentum is requested from a non-eigenstate of T."""
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Normalized pure state of ``n_sites`` qubits as a dense amplitude array."""
@@ -56,12 +52,6 @@ def validate_ell(ell, L):
     if abs(ell) > (L - 1) // 2:
         raise ValueError(f"momentum index ell={ell} out of range for L={L}")
     return ell
-
-
-def _require_site(site, L):
-    if not 1 <= site <= L:
-        raise ValueError(f"site {site} out of range [1, {L}]")
-    return site - 1  # bit position
 
 
 def _rotate_bits(idx, k, L):
@@ -128,54 +118,6 @@ def _reflect_bits(idx, c, L):
     for j in range(L):
         dest |= ((idx >> j) & 1) << ((2 * c - j) % L)
     return dest
-
-
-def reflect(state, center):
-    """Mirror the chain about ``center``: site j -> 2*center - j (mod L).  The
-    bit map is an involution, so the amplitude at t comes from its mirror."""
-    L = state.n_sites
-    c = _require_site(center, L)
-    return StateVector(L, state.amps[_reflect_bits(np.arange(state.dim, dtype=np.int64), c, L)])
-
-
-def measure_momentum(state, tol=1e-8):
-    """Momentum index ell of a translation eigenstate, from <psi|T|psi>.
-
-    Raises NotTranslationEigenstate when |<psi|T|psi>| <= 1 - tol, which is
-    the signature of an unresolved degenerate manifold.
-    """
-    L = state.n_sites
-    t = np.vdot(state.amps, translate(state, 1).amps)
-    if abs(t) <= 1.0 - tol:
-        raise NotTranslationEigenstate(
-            f"|<T>| = {abs(t):.6f}; state is not a translation eigenstate"
-        )
-    p = -np.angle(t)
-    ell = int(np.round(p * L / (2.0 * np.pi)))
-    # fold into the symmetric window; L odd so ell = +-L/2 never occurs
-    if ell > (L - 1) // 2:
-        ell -= L
-    elif ell < -(L - 1) // 2:
-        ell += L
-    residual = abs(np.exp(-1j * p) - np.exp(-2j * np.pi * ell / L))
-    if residual > max(tol, 1e-6):
-        raise NotTranslationEigenstate(
-            f"momentum {p!r} is {residual:.2e} away from the nearest 2*pi*ell/{L}"
-        )
-    return ell
-
-
-def parity_expectation(state, axis):
-    """<psi| Pi^axis |psi> for the global parity along 'x' or 'z'."""
-    psi = state.amps
-    idx = np.arange(psi.size, dtype=np.int64)
-    if axis == "z":
-        sign = 1.0 - 2.0 * (np.bitwise_count(idx) & 1)
-        return float(np.sum(sign * np.abs(psi) ** 2))
-    if axis == "x":
-        full = psi.size - 1
-        return float(np.vdot(psi, psi[idx ^ full]).real)
-    raise ValueError(f"unknown parity axis {axis!r}")
 
 
 def fidelity(a, b):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # not used here: the perfbench tracer patches states.translate in every
-# namespace, and only its own test reads xyz.translate
+# namespace, and only the tests of that tracer read xyz.translate
 from .states import StateVector, _reflect_bits, _translation_orbits, translate  # noqa: F401
 
 DEGENERACY_RTOL = 1e-9

@@ -133,16 +133,6 @@ def test_circuit_preserves_sre():
         assert after == pytest.approx(before, abs=1e-11)
 
 
-def test_serialization_roundtrip():
-    circ = sm.build_circuit_s(7)
-    text = sm.circuit_to_text(circ)
-    assert sm.circuit_from_text(text) == circ
-    assert sm.circuit_from_text("# comment\n\nH 2\nCXZ 1 2\n") == [
-        Gate("H", (2,)),
-        Gate("CXZ", (1, 2)),
-    ]
-
-
 @pytest.mark.parametrize("L", [3, 5, 7, 101])
 def test_verify_clifford_accepts_circuit_s(L):
     assert sm.verify_clifford(sm.build_circuit_s(L), L)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinmagic as sm
-from spinmagic.states import (NotTranslationEigenstate, StateVector, _reflect_bits,
-                              _rotate_bits, _translation_orbits, random_state)
+from spinmagic.states import (StateVector, _reflect_bits, _rotate_bits, _translation_orbits,
+                              random_state)
 
 RNG = np.random.default_rng(11)
 
@@ -24,7 +24,7 @@ def test_make_x_product_all_minus_signs():
 def test_make_x_product_sx_expectations():
     s = sm.make_x_product(3, [+1, -1, +1])
     for site, sign in ((1, +1), (2, -1), (3, +1)):
-        flipped = sm.apply_pauli(s, site, "x")
+        flipped = sm.apply_gate(s, sm.Gate("X", (site,)))
         assert np.vdot(s.amps, flipped.amps).real == pytest.approx(sign, abs=1e-14)
 
 
@@ -38,18 +38,20 @@ def test_make_x_product_rejects_bad_input():
 def test_pauli_z_maps_minus_to_plus():
     minus = sm.make_x_product(1, [-1])
     plus = sm.make_x_product(1, [+1])
-    assert sm.fidelity(sm.apply_pauli(minus, 1, "z"), plus) == pytest.approx(1.0, abs=1e-14)
+    z = sm.apply_gate(minus, sm.Gate("Z", (1,)))
+    assert sm.fidelity(z, plus) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_pauli_x_involution():
     s = random_state(3, RNG)
-    twice = sm.apply_pauli(sm.apply_pauli(s, 2, "x"), 2, "x")
+    x = sm.Gate("X", (2,))
+    twice = sm.apply_gate(sm.apply_gate(s, x), x)
     assert sm.fidelity(s, twice) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_pauli_y_on_zero():
     zero = StateVector(1, np.array([1.0, 0.0], dtype=complex))
-    y = sm.apply_pauli(zero, 1, "y")
+    y = sm.apply_gate(zero, sm.Gate("Y", (1,)))
     assert np.allclose(y.amps, [0.0, 1j])
 
 
@@ -57,12 +59,9 @@ def test_pauli_y_is_i_x_z():
     for L in (3, 5):
         s = random_state(L, RNG)
         for site in range(1, L + 1):
-            xz = sm.apply_pauli(sm.apply_pauli(s, site, "z"), site, "x")
-            assert np.array_equal(sm.apply_pauli(s, site, "y").amps, 1j * xz.amps)
-    # 'h' names a gate of the table but no Pauli axis
-    for which in ("h", "X", "w"):
-        with pytest.raises(ValueError, match="unknown Pauli axis"):
-            sm.apply_pauli(s, 1, which)
+            x, y, z = (sm.Gate(kind, (site,)) for kind in "XYZ")
+            xz = sm.apply_gate(sm.apply_gate(s, z), x)
+            assert np.array_equal(sm.apply_gate(s, y).amps, 1j * xz.amps)
 
 
 @pytest.mark.parametrize("L", [3, 5, 7])
@@ -109,19 +108,18 @@ def test_translation_orbits_are_read_only():
 
 
 def test_reflect_involution():
-    s = random_state(5, RNG)
-    assert sm.fidelity(sm.reflect(sm.reflect(s, 3), 3), s) == pytest.approx(1.0, abs=1e-14)
-    # moving each amplitude to its image index (a scatter) equals reading it
-    # from its pre-image (a gather), bit for bit: the exact SRE checks T and
-    # R K as gathers
+    # the mirror is an involution: moving each amplitude to its image index
+    # (a scatter) equals reading it from its pre-image (a gather), bit for
+    # bit, so the exact SRE checks T and R K as gathers
     for L in range(1, 10):
         s = random_state(L, RNG)
         idx = np.arange(s.dim, dtype=np.int64)
         for c in range(1, L + 1):
             mirrored = np.empty_like(s.amps)
-            mirrored[_reflect_bits(idx, c - 1, L)] = s.amps
-            assert np.array_equal(sm.reflect(s, c).amps, mirrored)
-            assert np.array_equal(mirrored, s.amps[_reflect_bits(idx, c - 1, L)])
+            image = _reflect_bits(idx, c - 1, L)
+            assert np.array_equal(_reflect_bits(image, c - 1, L), idx)
+            mirrored[image] = s.amps
+            assert np.array_equal(mirrored, s.amps[image])
         shifted = np.empty_like(s.amps)
         shifted[_rotate_bits(idx, 1, L)] = s.amps
         assert np.array_equal(sm.translate(s).amps, shifted)
@@ -130,45 +128,45 @@ def test_reflect_involution():
 
 def test_reflect_fixes_w0():
     w0 = sm.build_w(7, 0)
+    idx = np.arange(w0.dim, dtype=np.int64)
     for c in (1, 4):
-        assert sm.fidelity(sm.reflect(w0, c), w0) == pytest.approx(1.0, abs=1e-12)
+        mirrored = StateVector(7, w0.amps[_reflect_bits(idx, c - 1, 7)])
+        assert sm.fidelity(mirrored, w0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reflect_negates_momentum():
     w = sm.build_w(7, 2)
-    assert sm.measure_momentum(sm.reflect(w, 3)) == -2
+    mirrored = w.amps[_reflect_bits(np.arange(w.dim, dtype=np.int64), 2, 7)]
+    turned = sm.translate(StateVector(7, mirrored), 1).amps
+    assert np.allclose(turned, np.exp(-2j * np.pi * -2 / 7) * mirrored, rtol=0, atol=1e-12)
 
 
 def test_reflect_conjugates_translation():
     s = random_state(5, RNG)
-    lhs = sm.reflect(sm.translate(sm.reflect(s, 2), 1), 2)
-    rhs = sm.translate(s, -1)
-    assert np.allclose(lhs.amps, rhs.amps, atol=1e-12)
+    mirror = _reflect_bits(np.arange(s.dim, dtype=np.int64), 1, 5)
+    lhs = sm.translate(StateVector(5, s.amps[mirror]), 1).amps[mirror]
+    assert np.allclose(lhs, sm.translate(s, -1).amps, atol=1e-12)
 
 
-def test_measure_momentum_w():
-    assert sm.measure_momentum(sm.build_w(7, 2)) == 2
-    assert sm.measure_momentum(sm.build_w(5, 0)) == 0
-
-
-def test_measure_momentum_rejects_mixture():
+def test_momentum_mixture_is_not_translation_eigenstate():
     a = sm.build_w(5, 1).amps
     b = sm.build_w(5, -1).amps
     mix = StateVector(5, (a + b) / np.linalg.norm(a + b))
-    with pytest.raises(NotTranslationEigenstate):
-        sm.measure_momentum(mix)
+    assert abs(np.vdot(mix.amps, sm.translate(mix, 1).amps)) < 1.0 - 1e-8
 
 
 @pytest.mark.parametrize("L", [3, 5, 7])
 def test_parity_x_on_w(L):
     w = sm.build_w(L, (L - 1) // 2)
-    assert sm.parity_expectation(w, "x") == pytest.approx(1.0, abs=1e-12)
+    idx = np.arange(w.dim, dtype=np.int64)
+    assert np.vdot(w.amps, w.amps[idx ^ (w.dim - 1)]).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_parity_z():
-    zero = StateVector(3, np.eye(8)[0].astype(complex))
-    assert sm.parity_expectation(zero, "z") == pytest.approx(1.0)
-    assert sm.parity_expectation(sm.build_w(3, 0), "z") == pytest.approx(0.0, abs=1e-12)
+    sign = 1.0 - 2.0 * (np.bitwise_count(np.arange(8)) & 1)
+    assert np.sum(sign * np.eye(8)[0]) == 1.0
+    w = sm.build_w(3, 0)
+    assert np.sum(sign * np.abs(w.amps) ** 2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fidelity_phase_invariance_and_orthogonality():
@@ -182,11 +180,10 @@ def test_fidelity_phase_invariance_and_orthogonality():
 
 def test_unitaries_preserve_norm():
     s = random_state(5, RNG)
-    for op in (lambda x: sm.apply_pauli(x, 3, "y"),
-               lambda x: sm.translate(x, 2),
-               lambda x: sm.reflect(x, 1)):
-        out = op(s)
-        assert np.vdot(out.amps, out.amps).real == pytest.approx(1.0, abs=1e-12)
+    mirror = _reflect_bits(np.arange(s.dim, dtype=np.int64), 0, 5)
+    for out in (sm.apply_gate(s, sm.Gate("Y", (3,))).amps, sm.translate(s, 2).amps,
+                s.amps[mirror]):
+        assert np.vdot(out, out).real == pytest.approx(1.0, abs=1e-12)
 
 
 sizes_and_seeds = dict(L=st.sampled_from([3, 5, 7, 9]), seed=st.integers(0, 2**32 - 1),
@@ -198,7 +195,8 @@ sizes_and_seeds = dict(L=st.sampled_from([3, 5, 7, 9]), seed=st.integers(0, 2**3
 def test_m2_covariant_under_translation_and_reflection(L, seed, k, center):
     s = random_state(L, np.random.default_rng(seed))
     m2 = sm.sre_brute(s).value
-    for image in (sm.translate(s, k), sm.reflect(s, (center - 1) % L + 1)):
+    mirrored = s.amps[_reflect_bits(np.arange(s.dim, dtype=np.int64), (center - 1) % L, L)]
+    for image in (sm.translate(s, k), StateVector(L, mirrored)):
         assert sm.sre_brute(image).value == pytest.approx(m2, rel=1e-12)
 
 
@@ -211,6 +209,7 @@ def test_renyi2_covariant_under_translation_and_reflection(L, seed, k, center, s
     # sites j -> j + k and j -> 2 center - j, so the window starts at
     # start + k, and at the mirror image of its last site
     moved = sm.entropy(sm.translate(s, k), (start + k - 1) % L + 1, a)
-    mirrored = sm.entropy(sm.reflect(s, center), (2 * center - start - a) % L + 1, a)
+    image = StateVector(L, s.amps[_reflect_bits(np.arange(s.dim, dtype=np.int64), center - 1, L)])
+    mirrored = sm.entropy(image, (2 * center - start - a) % L + 1, a)
     assert moved == pytest.approx(s2, rel=1e-12)
     assert mirrored == pytest.approx(s2, rel=1e-12)

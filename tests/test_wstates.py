@@ -13,7 +13,8 @@ def test_w_is_normalized_translation_eigenstate(L):
     for ell in range(-(L - 1) // 2, (L - 1) // 2 + 1):
         w = sm.build_w(L, ell)
         assert np.vdot(w.amps, w.amps).real == pytest.approx(1.0, abs=1e-12)
-        assert sm.measure_momentum(w) == ell
+        turned = sm.translate(w, 1).amps
+        assert np.allclose(turned, np.exp(-2j * np.pi * ell / L) * w.amps, rtol=0, atol=1e-12)
 
 
 def test_w_small_case_amplitudes():
@@ -30,7 +31,8 @@ def test_w_single_x_excitation():
     # flipping the x-parity: W lives in the one-excitation sector over |->
     L = 5
     w = sm.build_w(L, 1)
-    assert sm.parity_expectation(w, "x") == pytest.approx(1.0, abs=1e-12)
+    idx = np.arange(w.dim, dtype=np.int64)
+    assert np.vdot(w.amps, w.amps[idx ^ (w.dim - 1)]).real == pytest.approx(1.0, abs=1e-12)
     base = sm.make_x_product(L, [-1] * L)
     assert sm.fidelity(w, base) == pytest.approx(0.0, abs=1e-12)
 
@@ -82,7 +84,8 @@ def test_omega_momentum_and_norm(L):
     for ell in range(-(L - 1) // 2, (L - 1) // 2 + 1):
         om = sm.build_omega(L, ell)
         assert np.vdot(om.amps, om.amps).real == pytest.approx(1.0, abs=1e-12)
-        assert sm.measure_momentum(om) == ell
+        turned = sm.translate(om, 1).amps
+        assert np.allclose(turned, np.exp(-2j * np.pi * ell / L) * om.amps, rtol=0, atol=1e-12)
 
 
 def test_omega_is_classical_ground_state():
@@ -97,8 +100,7 @@ def test_omega_is_classical_ground_state():
 def test_phi_is_not_translation_eigenstate():
     phi = sm.build_phi(7, 1, 0.3)
     assert np.vdot(phi.amps, phi.amps).real == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(sm.NotTranslationEigenstate):
-        sm.measure_momentum(phi)
+    assert abs(np.vdot(phi.amps, sm.translate(phi, 1).amps)) < 1.0 - 1e-8
 
 
 def test_phi_rejects_zero_momentum():
