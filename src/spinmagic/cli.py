@@ -25,8 +25,8 @@ EXIT_TOLERANCE = 2
 EXIT_SOLVER = 3
 EXIT_USAGE = 4
 
-# what a bad input, a failed solve or an oversized array raises (xyz raises an
-# ARPACK failure as LinAlgError); a bug surfaces
+# what a bad input, a failed solve or an oversized array raises (xyz raises a
+# LAPACK or ARPACK failure as LinAlgError); a bug surfaces
 SOLVER_ERRORS = (ValueError, np.linalg.LinAlgError, MemoryError)
 
 AGREEMENT_TOL = 1e-8
@@ -379,6 +379,17 @@ def cmd_verify(args):
             full = np.linalg.eigvalsh(xyz.hamiltonian_sparse(params).toarray())
             worst = max(worst, float(np.max(np.abs(np.sort(levels) - full))))
         check(f"sector blocks vs full H L={L}", worst, 1e-10)
+
+    for L in (5, 7):  # the spin flip that lets SectorBlocks build the parity +1 blocks alone
+        worst = 0.0
+        for jy, jz, h in ((0.33, 0.0, 0.5), (-0.4, 0.6, 1.2), (0.8, -0.3, -0.7)):
+            params = ChainParams(L, jy, jz, h)
+            for ell in range((L + 1) // 2):
+                minus, plus = (xyz._solve_sector(xyz._sector_block(params, ell, parity),
+                                                 -parity * h, 2**L)[0] for parity in (-1, 1))
+                gap = np.max(np.abs(minus - plus)) if minus.size == plus.size else math.inf
+                worst = max(worst, float(gap))
+        check(f"spin flip: sector (ell,-1) at h vs (ell,+1) at -h L={L}", worst, 1e-10)
 
     for L in (5, 7):
         worst = 0.0

@@ -13,6 +13,16 @@ built once, and the lowest level solved in each sector at each field; it
 skips a sector that the concavity of its lowest level in h rules out.  The
 h* search runs on one such set, and ``lowest_eigs`` on a fresh one.
 
+The spin flip Pi^x = prod_n sx_n halves the blocks.  It commutes with T and
+with every bond (sx sx is kept, sy sy and sz sz change sign twice), and it
+sends h sum_n sz_n to -h sum_n sz_n.  On an odd ring it anticommutes with the
+Z-parity, Pi^x Pi^z Pi^x = (-1)^L Pi^z = -Pi^z, so it maps the (ell, -1)
+sector of H(h) onto the (ell, +1) sector of H(-h): E_(ell,-1)(h) =
+E_(ell,+1)(-h), and a state of sector (ell, -1) is Pi^x of one of (ell, +1),
+whose amplitudes are those of the complemented basis states, amps[::-1].  On
+an even ring Pi^x commutes with Pi^z and maps each sector to itself, so the
+identity needs odd L, as the frustrated ring has.
+
 H = sum_n [ Jx sx_n sx_{n+1} + Jy sy_n sy_{n+1} + Jz sz_n sz_{n+1} ]
     + h sum_n sz_n,      site L+1 = site 1.
 """
@@ -27,10 +37,12 @@ from .states import StateVector, _reflect_bits, _translation_orbits, translate  
 
 DEGENERACY_RTOL = 1e-9
 EIGSH_SEED = 20240917
-# sector blocks up to this dimension are held dense and solved by eigh.  For 1-2
-# levels of the real blocks on one core, eigh and eigsh both take 2-4 ms at
-# n = 315 (L = 13); at n = 1091 (L = 15) eigh takes 105-115 ms, eigsh 4-12 ms
+# sector blocks up to this dimension are held dense and solved by LAPACK's
+# syevr, the driver of scipy's eigh for a subset, called directly.  For 1-2
+# levels of the real blocks on one core, eigh and eigsh both took 2-4 ms at
+# n = 315 (L = 13); at n = 1091 (L = 15) eigh took 105-115 ms, eigsh 4-12 ms
 DENSE_BLOCK_MAX = 256
+_SYEVR_WORK = {}  # n -> (lwork, liwork), the workspace syevr asks for at dimension n
 H_MAX = 1.0  # the upper end of the sign bracket that the h* search starts from
 
 
@@ -134,15 +146,17 @@ def _momentum_basis(L, ell, parity):
     return col, amp, reps, period[reps]
 
 
-def _orbit_rows(params):
-    """H at the orbit representatives of the chain, which its sector blocks
-    share: the representatives r (ascending) and their periods; the orbit of
-    mirror r (its position in r) and its shift ``turn``; and
-    H|r> = sum_j coeff[j] T^shift[j] |r[target[j]]>, each (L + 1, len(r)),
-    with j = 0 the diagonal and j = 1..L the bond flips.  Read from the
-    cached orbit table of L."""
+def _orbit_rows(params, parity):
+    """H at the orbit representatives of one Z-parity of the chain, which the
+    sector blocks of that parity share (a bond flip and the mirror keep the
+    parity of a basis state): the representatives r (ascending) and their
+    periods; the orbit of mirror r (its position in r) and its shift
+    ``turn``; and H|r> = sum_j coeff[j] T^shift[j] |r[target[j]]>, each
+    (L + 1, len(r)), with j = 0 the diagonal and j = 1..L the bond flips.
+    Read from the cached orbit table of L."""
     rep, shift, period = _translation_orbits(params.L)
     reps = np.flatnonzero(rep == np.arange(rep.size))
+    reps = reps[np.where(np.bitwise_count(reps) & 1, -1, 1) == parity]
     position = np.zeros(rep.size, dtype=np.int64)
     position[reps] = np.arange(reps.size)
     diag, _, masks, coeffs = _bond_tables(params, reps)
@@ -165,7 +179,7 @@ def _sector_block(params, ell, parity, orbit_rows=None):
     vector y of the real basis to v = alpha y + beta y[partner] in the
     momentum basis of ``_momentum_basis`` (None at ell = 0, whose momentum
     basis is real already).  Built from ``orbit_rows``, the _orbit_rows of
-    the chain, which are computed if not given.
+    the chain at this parity, which are computed if not given.
 
     R K, the mirror about site 1 times complex conjugation, commutes with H,
     T and the Z-parity: R K|c> = phase_c |c'>, with c' the column of
@@ -184,7 +198,7 @@ def _sector_block(params, ell, parity, orbit_rows=None):
     bit.
     """
     L = params.L
-    every, periods, mirror, turn, target, shift, coeff = orbit_rows or _orbit_rows(params)
+    every, periods, mirror, turn, target, shift, coeff = orbit_rows or _orbit_rows(params, parity)
     inside = np.flatnonzero(_admits(L, ell, parity, every, periods))
     reps, period = every[inside], periods[inside]
     n = reps.size
@@ -244,18 +258,30 @@ def _solve_sector(block, h, count):
     """Lowest min(count, n) eigenpairs of the sector block h0 + h diag(mag),
     ascending, with the eigenvectors in the sector's momentum basis, and the
     residual norm ||H v - E v|| of each pair.  Dense blocks and near-complete
-    spectra go to eigh, CSR blocks to ARPACK's real symmetric Lanczos from a
-    fixed start vector; an ARPACK failure is raised as np.linalg.LinAlgError
-    with its message."""
+    spectra go to LAPACK's syevr with the arguments that scipy's
+    eigh(subset_by_index=[0, k - 1]) passes it, CSR blocks to ARPACK's real
+    symmetric Lanczos from a fixed start vector.  A failure of either is
+    raised as np.linalg.LinAlgError with its message."""
     h0, mag, back = block
     n = mag.size
     k = min(count, n)
     if isinstance(h0, np.ndarray) or k >= n - 1:
-        from scipy.linalg import eigh
+        from scipy.linalg import get_lapack_funcs
 
         a = h0.copy() if isinstance(h0, np.ndarray) else h0.toarray()
-        a.flat[:: n + 1] += h * mag
-        vals, vecs = eigh(a, subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False)
+        a.reshape(-1)[:: n + 1] += h * mag  # the diagonal, as a view of the C-ordered copy
+        syevr, syevr_lwork = get_lapack_funcs(("syevr", "syevr_lwork"), (a,))
+        if n not in _SYEVR_WORK:
+            lwork, liwork, _ = syevr_lwork(n, lower=1)
+            _SYEVR_WORK[n] = int(lwork), int(liwork)
+        lwork, liwork = _SYEVR_WORK[n]
+        # a is symmetric, so a.T is a Fortran-ordered view of the same matrix,
+        # which syevr overwrites in place instead of copying
+        vals, vecs, _, _, info = syevr(a.T, compute_v=1, range="I", lower=1, il=1, iu=k,
+                                       lwork=lwork, liwork=liwork, overwrite_a=1)
+        if info:
+            raise np.linalg.LinAlgError(f"LAPACK syevr failed with info = {info}")
+        vals = vals[:k]
     else:
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
@@ -281,45 +307,78 @@ def _cluster_reach(energy):
     return energy + DEGENERACY_RTOL * max(1.0, abs(energy))
 
 
-class SectorBlocks:
-    """The (ell, Z-parity) sector blocks of the chain (L, jy, jz, jx), built
-    once, and the lowest level solved in each sector at each field so far.
+def _embed(L, ell, parity, vecs):
+    """The amplitude arrays, one row per column of ``vecs``, of the states of
+    sector (ell, parity) whose coordinates in the momentum basis of sector
+    (ell, +1) are the columns of ``vecs``: a gather, since each basis state
+    lies in one translation orbit, and at parity -1 the spin flip Pi^x, which
+    complements each basis state and so reverses the amplitudes."""
+    col, amp, _, _ = _momentum_basis(L, ell, 1)
+    amps = amp * vecs[col].T
+    return amps if parity > 0 else amps[:, ::-1]
 
-    E_s(h), the lowest level of sector s of H0 + h diag(mag), is concave in h:
-    it is the minimum over unit vectors v of the affine <v|H0|v> + h <v|mag|v>.
-    So between two solved fields its chord lies below it.  A solved level is
-    off by at most its residual ||H v - E v|| (taking it for the lowest level,
-    as every solve does), so the chord of the solved levels less twice the
-    larger residual of its two ends (once for the ends, once for a solve at
-    h) bounds what a solve at h would return.  A sector is not solved where its
-    bound lies above the cluster reach of the lowest level solved at h, in the
-    h* search and the ground cluster alike; a fresh instance solves them all.
+
+class SectorBlocks:
+    """The (ell, +1) sector blocks of the chain (L, jy, jz, jx), one per
+    ell >= 0, built once, and the lowest level solved in each block at each
+    field so far.  Sector (ell, -1) at field h is block ell solved at -h (the
+    spin flip of the module docstring), so every (ell, Z-parity) sector has
+    its levels from the (L + 1) / 2 blocks.
+
+    E_ell(x), the lowest level of block ell of H0 + x diag(mag), is concave in
+    the signed field x: it is the minimum over unit vectors v of the affine
+    <v|H0|v> + x <v|mag|v>.  So between two solved fields its chord lies
+    below it, and a parity -1 solve at h, recorded at x = -h, gives chords to
+    both parities.  A solved level is off by at most its residual
+    ||H v - E v|| (taking it for the lowest level, as every solve does), so
+    the chord of the solved levels less twice the larger residual of its two
+    ends (once for the ends, once for a solve at x) bounds what a solve at x
+    would return.  A sector is not solved where its bound lies above the
+    cluster reach of the lowest level solved at h, in the h* search and the
+    ground cluster alike; a fresh instance solves them all.
     """
 
     def __init__(self, L, jy, jz, jx=1.0):
         self.params = ChainParams(L=L, jy=jy, jz=jz, h=0.0, jx=jx)
-        orbit_rows = _orbit_rows(self.params)
-        self.blocks = {sector: _sector_block(self.params, *sector, orbit_rows)
-                       for sector in _sectors(L)}
-        self.solved = {sector: [] for sector in self.blocks}  # (h, E, residual) per solve
+        orbit_rows = _orbit_rows(self.params, 1)
+        self.sectors = _sectors(L)
+        self.blocks = {ell: _sector_block(self.params, ell, 1, orbit_rows)
+                       for ell in range((L + 1) // 2)}
+        self.solved = {ell: [] for ell in self.blocks}  # (x, E, residual) per solve
+        # the solves at the fields +-_field, by (ell, x, count): at h = 0 the
+        # two parities of an ell are one solve
+        self._field, self._fresh = None, {}
 
     def _bound(self, sector, h):
         """A lower bound on the lowest level of ``sector`` at h, from the
-        nearest solved fields on either side of h (or at h); -inf where h is
-        not between two of them."""
-        points = self.solved[sector]
-        below = max((p for p in points if p[0] <= h), key=lambda p: p[0], default=None)
-        above = min((p for p in points if p[0] >= h), key=lambda p: p[0], default=None)
+        nearest solved fields of its block on either side of its field x
+        (or at x); -inf where x is not between two of them."""
+        ell, parity = sector
+        x = parity * h
+        below = above = None  # the first solve at the nearest field on each side
+        for point in self.solved[ell]:
+            if point[0] <= x and (below is None or point[0] > below[0]):
+                below = point
+            if point[0] >= x and (above is None or point[0] < above[0]):
+                above = point
         if below is None or above is None:
             return -np.inf
-        (ha, ea, ra), (hb, eb, rb) = below, above
-        chord = ea if hb == ha else ea + (h - ha) * (eb - ea) / (hb - ha)
+        (xa, ea, ra), (xb, eb, rb) = below, above
+        chord = ea if xb == xa else ea + (x - xa) * (eb - ea) / (xb - xa)
         return chord - 2 * max(ra, rb)
 
     def _solve(self, sector, h, count):
-        vals, vecs, residuals = _solve_sector(self.blocks[sector], h, count)
-        self.solved[sector].append((h, vals[0], residuals[0]))
-        return vals, vecs
+        """The lowest ``count`` levels of ``sector`` at h and their vectors,
+        in the momentum basis of (ell, +1)."""
+        ell, parity = sector
+        x = parity * h
+        if abs(h) != self._field:
+            self._field, self._fresh = abs(h), {}
+        if (ell, x, count) not in self._fresh:
+            vals, vecs, residuals = _solve_sector(self.blocks[ell], x, count)
+            self.solved[ell].append((x, vals[0], residuals[0]))
+            self._fresh[ell, x, count] = vals, vecs
+        return self._fresh[ell, x, count]
 
     def _solve_lowest(self, h, sectors):
         """{sector: (eigenvalues, eigenvectors)} of the lowest level at h of
@@ -338,20 +397,22 @@ class SectorBlocks:
     def minimizers(self, h):
         """For zero (False) and finite (True) momentum, the sector with the
         lowest level at h, that level and <mag> in its eigenvector, which is
-        dE/dh (Hellmann-Feynman).  Levels within the cluster reach of the
-        lowest tie, and a tie goes to the first in sector order, so a
+        dE/dh (Hellmann-Feynman); Pi^x negates mag, so a parity -1 sector has
+        minus <mag> of its block's vector.  Levels within the cluster reach
+        of the lowest tie, and a tie goes to the first in sector order, so a
         degenerate pair is not told apart by the last bits of its levels.  A
         sector skipped for its bound holds no such level: it lies at or above
         that bound, which lies above the reach."""
         out = {}
         for finite in (False, True):
-            sectors = [sector for sector in self.blocks if (sector[0] != 0) == finite]
+            sectors = [sector for sector in self.sectors if (sector[0] != 0) == finite]
             levels = self._solve_lowest(h, sectors)  # in sector order
             reach = _cluster_reach(min(vals[0] for vals, _ in levels.values()))
             sector = next(sector for sector in levels if levels[sector][0][0] < reach)
             vals, vecs = levels[sector]
             v = vecs[:, 0]
-            out[finite] = (sector, vals[0], np.vdot(v, self.blocks[sector][1] * v).real)
+            ell, parity = sector
+            out[finite] = (sector, vals[0], parity * np.vdot(v, self.blocks[ell][1] * v).real)
         return out
 
     def lowest(self, h):
@@ -359,34 +420,32 @@ class SectorBlocks:
         _cluster_reach(E0), E0 the lowest level, each labelled by its sector.
 
         H commutes with the translation T and the Z-parity, so it is solved in
-        each (ell, parity) block for ell >= 0; the ell < 0 levels are the
+        each (ell, parity) sector for ell >= 0; the ell < 0 levels are the
         complex conjugates, since H is real.  The levels come in sector order
         (ell ascending, +ell before -ell, parity +1 first), so a degenerate
-        manifold does not depend on the last bits of its energies.  A block
+        manifold does not depend on the last bits of its energies.  A sector
         whose levels all lie below the reach may hold more of the cluster, so
         it is solved again for twice as many, until one lies above or the block
         is exhausted.  That may raise E0 and the reach, so each pass also
         solves a skipped sector whose bound the new reach admits.
         """
-        solved = self._solve_lowest(h, list(self.blocks))
+        solved = self._solve_lowest(h, self.sectors)
         pending = True
         while pending:
             reach = _cluster_reach(min(vals[0] for vals, _ in solved.values()))
             pending = {sector: 2 * vals.size for sector, (vals, vecs) in solved.items()
                        if vals[-1] < reach and vals.size < vecs.shape[0]}
-            pending.update((sector, 1) for sector in self.blocks if sector not in solved
+            pending.update((sector, 1) for sector in self.sectors if sector not in solved
                            and not self._bound(sector, h) > reach)
             for sector, k in pending.items():
                 solved[sector] = self._solve(sector, h, k)
         energies, states, momenta = [], [], []
-        for ell, parity in (sector for sector in self.blocks if sector in solved):
+        for ell, parity in (sector for sector in self.sectors if sector in solved):
             vals, vecs = solved[ell, parity]
             inside = vals < reach
             if not inside.any():
                 continue
-            col, amp, _, _ = _momentum_basis(self.params.L, ell, parity)
-            for e, v in zip(vals[inside], vecs.T[inside]):
-                amps = amp * v[col]  # embedded by a gather
+            for e, amps in zip(vals[inside], _embed(self.params.L, ell, parity, vecs[:, inside])):
                 for m in (ell, -ell) if ell else (0,):
                     energies.append(e)
                     states.append(StateVector(self.params.L, amps.conj() if m < 0 else amps))

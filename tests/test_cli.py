@@ -405,12 +405,24 @@ def _arpack_fails(monkeypatch):
 
 
 def _lapack_fails(monkeypatch):
-    """Make every dense solve fail; an L whose blocks are dense, and the message."""
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("eigenvalue algorithm did not converge")
+    """Make every dense solve fail, as LAPACK's syevr reports it: the real
+    routine runs and its info is replaced by 2, an internal error.  An L
+    whose blocks are dense, and the message."""
+    get_lapack_funcs = scipy.linalg.get_lapack_funcs
 
-    monkeypatch.setattr(scipy.linalg, "eigh", no_convergence)
-    return 5, "eigenvalue algorithm did not converge"
+    def failing(routine):
+        def failed(*args, **kwargs):
+            *out, _ = routine(*args, **kwargs)
+            return *out, 2
+
+        return failed
+
+    def patched(names, arrays=()):
+        funcs = get_lapack_funcs(names, arrays)
+        return tuple(failing(f) if name == "syevr" else f for name, f in zip(names, funcs))
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", patched)
+    return 5, "LAPACK syevr failed with info = 2"
 
 
 @pytest.mark.parametrize("failure", [_arpack_fails, _lapack_fails])
@@ -558,9 +570,11 @@ def test_verify_passes(tmp_path, capsys):
         assert any(f"clifford circuit S is Clifford L={L}" in line for line in checks)
     for L in (5, 7):
         assert any(f"sector blocks vs full H L={L}" in line for line in checks)
+        assert any(f"spin flip: sector (ell,-1) at h vs (ell,+1) at -h L={L}" in line
+                   for line in checks)
     assert checks and all(line.startswith("PASS") for line in checks)
     rows = json.loads(table.read_text())
-    assert len(rows) == len(checks) == 26
+    assert len(rows) == len(checks) == 28
     assert all(row["status"] == "PASS" for row in rows)
 
 

@@ -64,15 +64,6 @@ def test_pauli_y_is_i_x_z():
             assert np.array_equal(sm.apply_gate(s, y).amps, 1j * xz.amps)
 
 
-@pytest.mark.parametrize("L", [3, 5, 7])
-def test_translate_eigenvalue_on_w(L):
-    for ell in range(-(L - 1) // 2, (L - 1) // 2 + 1):
-        w = sm.build_w(L, ell)
-        shifted = sm.translate(w, 1)
-        ov = np.vdot(w.amps, shifted.amps)
-        assert ov == pytest.approx(np.exp(-2j * np.pi * ell / L), abs=1e-12)
-
-
 def test_translate_full_period_and_inverse():
     s = random_state(5, RNG)
     assert np.allclose(sm.translate(s, 5).amps, s.amps)

@@ -239,12 +239,43 @@ def test_sector_states_are_labelled_eigenstates(L, jy, jz, h):
 
 
 @settings(max_examples=30, deadline=None)
-@given(L=st.sampled_from([5, 7, 9]), jy=couplings, jz=couplings, h=st.floats(0.0, 1.5))
+@given(L=st.sampled_from([5, 7, 9]), jy=couplings, jz=couplings, h=st.floats(-1.5, 1.5))
+@example(L=9, jy=0.0, jz=0.0, h=0.0)  # every sector holds a level of the classical cluster
+def test_spin_flip_maps_parity_minus_to_plus_at_minus_h(L, jy, jz, h):
+    # Pi^x maps sector (ell, -1) of H(h) onto (ell, +1) of H(-h): the whole
+    # spectra of the two blocks agree, and the lowest state of (ell, -1),
+    # which SectorBlocks solves in the (ell, +1) block at -h, is an
+    # eigenstate of H(h) with Z-parity -1 and the momentum of its label
+    params = sm.ChainParams(L=L, jy=jy, jz=jz, h=h)
+    H = sm.hamiltonian_sparse(params)
+    zsign = 1.0 - 2.0 * (np.bitwise_count(np.arange(2**L)) & 1)
+    sectors = xyz.SectorBlocks(L, jy, jz)
+    assert len(sectors.blocks) == (L + 1) // 2
+    for ell in range((L + 1) // 2):
+        minus, plus = (xyz._solve_sector(xyz._sector_block(params, ell, parity), -parity * h,
+                                         2**L)[0] for parity in (-1, 1))
+        assert minus.size == plus.size
+        assert np.max(np.abs(minus - plus)) <= 1e-12 * np.max(np.abs(plus))
+        vals, vecs = sectors._solve((ell, -1), h, 1)
+        assert abs(vals[0] - plus[0]) <= 1e-12 * np.max(np.abs(plus))
+        amps = xyz._embed(L, ell, -1, vecs)[0]
+        for m in (ell, -ell) if ell else (0,):
+            state = StateVector(L, amps.conj() if m < 0 else amps)
+            assert np.allclose(zsign * state.amps, -state.amps, rtol=0, atol=1e-12)
+            turned = translate(state, 1).amps
+            assert np.allclose(turned, np.exp(-1j * momentum_of(m, L)) * state.amps,
+                               rtol=0, atol=1e-12)
+            assert np.linalg.norm(H @ state.amps - vals[0] * state.amps) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(L=st.sampled_from([5, 7, 9]), jy=couplings, jz=couplings, h=st.floats(-1.5, 1.5))
 # the field spreads the 2L classical levels over 4e-9; 7 lie within the 3e-9 tolerance
 @example(L=5, jy=0.0, jz=0.0, h=1e-9)
 def test_ground_from_one_level_per_sector(L, jy, jz, h):
     # one level per sector, and more of a block whose levels all lie inside
-    # the cluster, give the ground cluster of the whole spectrum
+    # the cluster, give the ground cluster of the whole spectrum; a field of
+    # either sign, as each parity is solved at the opposite sign to the other
     params = sm.ChainParams(L=L, jy=jy, jz=jz, h=h)
     H = sm.hamiltonian_sparse(params)
     full = np.linalg.eigvalsh(H.toarray())
@@ -342,15 +373,16 @@ def test_hellmann_feynman_slope_matches_finite_difference(L, ell, parity):
 
 
 # sector solves of find_hstar at L = 5, 7, 9, 11; at the classical point every
-# sector ties at h = 0, so the search ends there with the note at every L
+# sector ties at h = 0, so the search ends there with the note at every L.  At
+# h = 0 the two Z-parities of each ell are one solve of its block
 SEARCH_SOLVES = {
-    (0.0, 0.0): [12, 16, 20, 24],
-    (0.1, 0.0): [20, 25, 29, 37],
-    (0.33, 0.0): [16, 20, 24, 28],
-    (0.5, 0.3): [12, 16, 20, 24],
-    (-0.3, 0.5): [18, 22, 27, 33],
-    (0.2, -0.1): [20, 25, 32, 38],
-    (0.0, 0.2): [18, 24, 30, 42],
+    (0.0, 0.0): [9, 12, 15, 18],
+    (0.1, 0.0): [17, 21, 24, 31],
+    (0.33, 0.0): [13, 16, 19, 22],
+    (0.5, 0.3): [9, 12, 15, 18],
+    (-0.3, 0.5): [15, 18, 22, 27],
+    (0.2, -0.1): [17, 21, 27, 32],
+    (0.0, 0.2): [15, 20, 25, 36],
 }
 
 
@@ -369,36 +401,41 @@ def test_sector_solve_counts_are_pinned(monkeypatch, capsys):
     calls.clear()
     assert main(["jump-scaling", "--L", "7,9,11"]) == cli.EXIT_OK
     capsys.readouterr()
-    assert len(calls) == 87
+    assert len(calls) == 72
 
 
 @pytest.mark.parametrize("L", [7, 9, 11])
 def test_find_hstar_gap_evaluations(monkeypatch, L):
-    # the ends h = 0 and H_MAX solve every sector; between them the chords
-    # rule out all but a few, and bisection needed 16 evaluations to tol 1e-4
+    # the ends h = 0 and H_MAX solve every sector, a parity -1 sector as its
+    # block at -h, and at h = 0 one solve per block serves both parities;
+    # between the ends the chords rule out all but a few, and bisection
+    # needed 16 evaluations to tol 1e-4
     calls = counting_solve(monkeypatch)
     assert sm.find_hstar(0.33, 0.0, L).note == ""
-    fields = list(dict.fromkeys(calls))
+    evaluations = [abs(x) for x in calls]  # a solve at x serves the field |x|
+    fields = list(dict.fromkeys(evaluations))
     assert fields[:2] == [0.0, xyz.H_MAX]
-    assert calls.count(0.0) == calls.count(xyz.H_MAX) == L + 1
-    assert all(calls.count(h) <= 3 for h in fields[2:])
+    assert evaluations.count(0.0) == (L + 1) // 2
+    assert calls.count(xyz.H_MAX) == calls.count(-xyz.H_MAX) == (L + 1) // 2
+    assert all(evaluations.count(h) <= 3 for h in fields[2:])
     assert len(fields) <= 6
 
 
 def stand_in_sectors(monkeypatch, gap):
-    """One-state sector blocks whose finite-momentum levels are gap(h) and
-    zero-momentum levels 0; each block has mag = 1, so its vector carries the
-    slope of gap through <v|mag|v>, and each level is exact (residual 0).
-    Returns the set of fields solved at."""
+    """One-state sector blocks whose finite-momentum levels are gap(h) in
+    parity +1 and lie far above it in parity -1, and whose zero-momentum
+    levels are 0; each block has mag = 1, so its vector carries the slope of
+    gap through <v|mag|v>, and each level is exact (residual 0).  A parity -1
+    sector at h is its block solved at -h, so the blocks read a negative
+    field as parity -1.  Returns the set of fields h solved at."""
     fields = set()
 
     def stand_in_block(params, ell, parity, orbit_rows=None):
-        return (ell, parity), np.ones(1)
+        return ell, np.ones(1)
 
-    def stand_in_solve(block, h, count):
-        fields.add(h)
-        ell, parity = block[0]
-        value, slope = gap(h) if ell else (0.0, 0.0)
+    def stand_in_solve(block, x, count):
+        fields.add(abs(x))
+        value, slope = (gap(x) if x >= 0 else (100.0, 0.0)) if block[0] else (0.0, 0.0)
         return np.array([value]), np.array([[np.sqrt(slope)]]), np.zeros(1)
 
     monkeypatch.setattr(xyz, "_sector_block", stand_in_block)
@@ -504,12 +541,12 @@ def assert_pruning_changes_nothing(monkeypatch, L, jy, jz, size):
     r, grounds = jump_point(L, jy, jz)
     for sectors, h, bounds in visits:  # every sector solved at every field visited
         levels = {}  # (level, <mag>) of every sector visited, in sector order
-        for sector, bound in bounds.items():
-            block = sectors.blocks[sector]
-            vals, vecs, _ = xyz._solve_sector(block, h, 1)
+        for (ell, parity), bound in bounds.items():
+            block = sectors.blocks[ell]  # parity -1 at h is the block at -h
+            vals, vecs, _ = xyz._solve_sector(block, parity * h, 1)
             assert vals[0] >= bound
             v = vecs[:, 0]
-            levels[sector] = (vals[0], np.vdot(v, block[1] * v).real)
+            levels[ell, parity] = (vals[0], parity * np.vdot(v, block[1] * v).real)
         # the first in sector order within the cluster reach of the lowest
         reach = xyz._cluster_reach(min(e for e, _ in levels.values()))
         lowest = next((sector, *levels[sector]) for sector in levels
