@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -190,6 +191,30 @@ def test_dense_and_iterative_solvers_agree(monkeypatch):
     sparse = sm.lowest_eigs(params)
     assert np.allclose(man.energies, sparse.energies, rtol=0, atol=1e-9)
     assert man.momenta == sparse.momenta
+
+
+@pytest.mark.parametrize("n, count, csr", [(1, 1, False), (40, 1, False), (40, 4, False),
+                                           (6, 5, True)])
+def test_dense_solve_matches_eigh_subset(n, count, csr):
+    # the direct syevr call gives what eigh(subset_by_index) gives for the
+    # same matrix, also for a CSR block whose spectrum is near complete, and
+    # again for a second block of the same size, which reuses the workspace
+    # cached for n; the block's h0 is left as it was
+    rng = np.random.default_rng(n + count)
+    for _ in range(2):
+        a = rng.standard_normal((n, n))
+        dense, mag = a + a.T, rng.standard_normal(n)
+        h0 = scipy.sparse.csr_matrix(dense) if csr else dense.copy()
+        vals, vecs, residuals = xyz._solve_sector((h0, mag, None), 0.7, count)
+        expected, expected_vecs = scipy.linalg.eigh(dense + np.diag(0.7 * mag),
+                                                    subset_by_index=[0, count - 1])
+        scale = np.max(np.abs(np.linalg.eigvalsh(dense + np.diag(0.7 * mag))))
+        assert vals.shape == (count,) and vecs.shape == (n, count)
+        assert np.max(np.abs(vals - expected)) <= 1e-12 * scale
+        assert np.allclose(np.abs(np.sum(vecs * expected_vecs, axis=0)), 1, rtol=0, atol=1e-10)
+        assert np.all(residuals <= 1e-12 * scale)
+        assert np.array_equal(h0.toarray() if csr else h0, dense)
+        assert n in xyz._SYEVR_WORK
 
 
 couplings = st.floats(-0.95, 0.95, allow_nan=False)
