@@ -466,10 +466,13 @@ def test_import_and_pauli_commands_load_no_scipy():
     assert _modules_after("import spinmagic, spinmagic.cli") == "[] False"
     assert _modules_after("from spinmagic import cli; cli.main(['sre', '--kind', 'w', "
                           "'--L', '5'])") == "[] False"
-    # the L = 5 sector blocks are dense, so their solves load scipy.linalg alone
+    # the sector blocks of L <= 11 are dense, so their solves and certificates
+    # load scipy.linalg alone
     ground = _modules_after("from spinmagic import cli; cli.main(['sre', '--kind', 'ground', "
                             "'--L', '5'])")
     assert "'scipy.linalg'" in ground and "'scipy.sparse'" not in ground
+    jump = _modules_after("from spinmagic import cli; cli.main(['jump-scaling', '--L', '7,9,11'])")
+    assert "'scipy.linalg'" in jump and "'scipy.sparse'" not in jump
 
 
 def _out_of_memory(*args, **kwargs):
@@ -572,9 +575,11 @@ def test_verify_passes(tmp_path, capsys):
         assert any(f"sector blocks vs full H L={L}" in line for line in checks)
         assert any(f"spin flip: sector (ell,-1) at h vs (ell,+1) at -h L={L}" in line
                    for line in checks)
+        assert any(f"mirror halves vs ell=0 block L={L}" in line for line in checks)
+        assert any(f"inertia certificate vs eigvalsh L={L}" in line for line in checks)
     assert checks and all(line.startswith("PASS") for line in checks)
     rows = json.loads(table.read_text())
-    assert len(rows) == len(checks) == 28
+    assert len(rows) == len(checks) == 32
     assert all(row["status"] == "PASS" for row in rows)
 
 

@@ -173,21 +173,24 @@ def test_degenerate_manifold_is_the_same_in_fresh_processes():
 
 
 def test_dense_and_iterative_solvers_agree(monkeypatch):
-    params = sm.ChainParams(L=7, jy=0.33, jz=0.0, h=0.5)
-    blocks = {sector: xyz._sector_block(params, *sector) for sector in xyz._sectors(7)}
-    dense = {sector: xyz._solve_sector(block, 0.5, 4) for sector, block in blocks.items()}
+    # L = 9, whose smallest block, the mirror-odd half of ell = 0, has 7 columns
+    params = sm.ChainParams(L=9, jy=0.33, jz=0.0, h=0.5)
+    blocks = {(sector, mirror): block for sector in xyz._sectors(9)
+              for mirror, block in xyz._sector_blocks(params, *sector).items()}
+    dense = {key: xyz._solve_sector(block, 0.5, 4) for key, block in blocks.items()}
     man = sm.lowest_eigs(params)
     monkeypatch.setattr(xyz, "DENSE_BLOCK_MAX", 0)  # every block CSR, solved by eigsh
-    for sector, block in blocks.items():
+    for (sector, mirror), block in blocks.items():
         n = block[1].size
         assert n - 1 > 4  # so eigsh takes the block, not eigh for a near-complete spectrum
-        sparse = xyz._sector_block(params, *sector)
+        sparse = xyz._sector_blocks(params, *sector)[mirror]
         assert not isinstance(sparse[0], np.ndarray)
         assert np.array_equal(sparse[0].toarray(), block[0])
         vals, vecs, residuals = xyz._solve_sector(sparse, 0.5, 4)
-        assert np.allclose(vals, dense[sector][0], rtol=0, atol=1e-9)
-        assert np.all(residuals <= 1e-9) and np.all(dense[sector][2] <= 1e-9)
-        assert np.allclose(vecs.conj().T @ vecs, np.eye(4), atol=1e-9)
+        assert np.allclose(vals, dense[sector, mirror][0], rtol=0, atol=1e-9)
+        assert np.all(residuals <= 1e-9) and np.all(dense[sector, mirror][2] <= 1e-9)
+        assert np.allclose(vecs.T @ vecs, np.eye(4), atol=1e-9)
+        assert xyz._certify(sparse, 0.5, vals[0] - 1.0) is None  # no factorization of CSR
     sparse = sm.lowest_eigs(params)
     assert np.allclose(man.energies, sparse.energies, rtol=0, atol=1e-9)
     assert man.momenta == sparse.momenta
@@ -227,9 +230,10 @@ couplings = st.floats(-0.95, 0.95, allow_nan=False)
 def test_sector_states_are_labelled_eigenstates(L, jy, jz, h):
     # every level of every sector block, the ell != 0 ones twice (once for
     # -ell), is the whole spectrum of H; L = 9 has orbits of period 3, whose
-    # states lie in the ell = 0, +-3 sectors.  Each block is real symmetric
-    # with the spectrum of V^dagger H V, the complex block in its sector's
-    # momentum basis, and R K pairs its columns, which have equal mag
+    # states lie in the ell = 0, +-3 sectors.  Each block is real symmetric;
+    # a sector's blocks (two mirror halves at ell = 0) have the spectrum of
+    # V^dagger H V, the complex block in its momentum basis, and R K pairs
+    # its columns, which have equal mag
     params = sm.ChainParams(L=L, jy=jy, jz=jz, h=h)
     H = sm.hamiltonian_sparse(params)
     full = np.linalg.eigvalsh(H.toarray())
@@ -237,29 +241,35 @@ def test_sector_states_are_labelled_eigenstates(L, jy, jz, h):
     zsign = 1.0 - 2.0 * (np.bitwise_count(np.arange(2**L)) & 1)
     levels = []
     for ell, parity in xyz._sectors(L):
-        block = xyz._sector_block(params, ell, parity)  # H0, the field is h diag(mag)
-        h0, mag, back = block
-        assert h0.dtype == np.float64 and np.array_equal(h0, h0.T)
-        vals, vecs, residuals = xyz._solve_sector(block, h, mag.size)
-        assert np.all(residuals <= 1e-10)
+        blocks = xyz._sector_blocks(params, ell, parity)  # H0, the field is h diag(mag)
+        assert set(blocks) == ({1, -1} if ell == 0 and L > 5 else {1} if ell == 0 else {0})
         col, amp, reps, _ = xyz._momentum_basis(L, ell, parity)
-        V = scipy.sparse.csr_matrix((amp, (np.arange(2**L), col)), shape=(2**L, reps.size))
-        expected = np.linalg.eigvalsh((V.conj().T @ H @ V).toarray())
-        assert np.max(np.abs(vals - expected)) <= 1e-12 * np.max(np.abs(expected))
         mirrored = rep[_reflect_bits(reps, 0, L)]
         partner = np.searchsorted(reps, mirrored)
+        mag = L - 2.0 * np.bitwise_count(reps)
         assert np.array_equal(reps[partner], mirrored) and np.array_equal(mag[partner], mag)
-        assert back is None if ell == 0 else np.array_equal(back[0], partner)
-        for e, v in zip(vals, vecs.T):
-            for m in (ell, -ell) if ell else (0,):
-                amps = amp * v[col]
-                state = StateVector(L, amps.conj() if m < 0 else amps)
-                assert np.linalg.norm(H @ state.amps - e * state.amps) <= 1e-10
-                turned = translate(state, 1).amps
-                assert np.allclose(turned, np.exp(-1j * momentum_of(m, L)) * state.amps,
-                                   rtol=0, atol=1e-12)
-                assert abs(abs(np.sum(zsign * np.abs(state.amps) ** 2)) - 1.0) <= 1e-9
-                levels.append(e)
+        if ell:
+            assert np.array_equal(blocks[0][1], mag) and np.array_equal(blocks[0][2][1][0], partner)
+        assert sum(block[1].size for block in blocks.values()) == reps.size
+        V = scipy.sparse.csr_matrix((amp, (np.arange(2**L), col)), shape=(2**L, reps.size))
+        expected = np.linalg.eigvalsh((V.conj().T @ H @ V).toarray())
+        solves = [xyz._solve_sector(block, h, block[1].size) for block in blocks.values()]
+        vals = np.sort(np.concatenate([vals for vals, _, _ in solves]))
+        assert np.max(np.abs(vals - expected)) <= 1e-12 * np.max(np.abs(expected))
+        for block, (vals, vecs, residuals) in zip(blocks.values(), solves):
+            h0 = block[0]
+            assert h0.dtype == np.float64 and np.array_equal(h0, h0.T)
+            assert np.all(residuals <= 1e-10)
+            for e, v in zip(vals, xyz._momentum_vectors(block, vecs).T):
+                for m in (ell, -ell) if ell else (0,):
+                    amps = amp * v[col]
+                    state = StateVector(L, amps.conj() if m < 0 else amps)
+                    assert np.linalg.norm(H @ state.amps - e * state.amps) <= 1e-10
+                    turned = translate(state, 1).amps
+                    assert np.allclose(turned, np.exp(-1j * momentum_of(m, L)) * state.amps,
+                                       rtol=0, atol=1e-12)
+                    assert abs(abs(np.sum(zsign * np.abs(state.amps) ** 2)) - 1.0) <= 1e-9
+                    levels.append(e)
     assert np.allclose(np.sort(levels), full, rtol=0, atol=1e-10)
 
 
@@ -275,15 +285,15 @@ def test_spin_flip_maps_parity_minus_to_plus_at_minus_h(L, jy, jz, h):
     H = sm.hamiltonian_sparse(params)
     zsign = 1.0 - 2.0 * (np.bitwise_count(np.arange(2**L)) & 1)
     sectors = xyz.SectorBlocks(L, jy, jz)
-    assert len(sectors.blocks) == (L + 1) // 2
-    for ell in range((L + 1) // 2):
-        minus, plus = (xyz._solve_sector(xyz._sector_block(params, ell, parity), -parity * h,
-                                         2**L)[0] for parity in (-1, 1))
+    assert {ell for ell, _ in sectors.blocks} == set(range((L + 1) // 2))
+    for (ell, mirror), block in sectors.blocks.items():
+        minus, plus = (xyz._solve_sector(xyz._sector_blocks(params, ell, parity)[mirror],
+                                         -parity * h, 2**L)[0] for parity in (-1, 1))
         assert minus.size == plus.size
         assert np.max(np.abs(minus - plus)) <= 1e-12 * np.max(np.abs(plus))
-        vals, vecs = sectors._solve((ell, -1), h, 1)
+        vals, vecs = sectors._solve(((ell, mirror), -1), h, 1)
         assert abs(vals[0] - plus[0]) <= 1e-12 * np.max(np.abs(plus))
-        amps = xyz._embed(L, ell, -1, vecs)[0]
+        amps = xyz._embed(L, ell, -1, xyz._momentum_vectors(block, vecs))[0]
         for m in (ell, -ell) if ell else (0,):
             state = StateVector(L, amps.conj() if m < 0 else amps)
             assert np.allclose(zsign * state.amps, -state.amps, rtol=0, atol=1e-12)
@@ -291,6 +301,70 @@ def test_spin_flip_maps_parity_minus_to_plus_at_minus_h(L, jy, jz, h):
             assert np.allclose(turned, np.exp(-1j * momentum_of(m, L)) * state.amps,
                                rtol=0, atol=1e-12)
             assert np.linalg.norm(H @ state.amps - vals[0] * state.amps) <= 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(L=st.sampled_from([5, 7, 9, 11]), jy=couplings, jz=couplings, x=st.floats(-1.5, 1.5))
+@example(L=9, jy=0.0, jz=0.0, x=0.0)  # the classical point, degenerate across the halves
+def test_mirror_halves_split_the_zero_momentum_block(L, jy, jz, x):
+    # the two halves of each Z-parity have together the spectrum of the ell = 0
+    # block in its momentum basis, and the lowest state of each is real and
+    # an eigenstate of H, of T (momentum 0) and of the mirror R, with the
+    # mirror parity of its half
+    params = sm.ChainParams(L, jy, jz, x)
+    H = sm.hamiltonian_sparse(params)
+    mirror = _reflect_bits(np.arange(2**L), 0, L)
+    for parity in (1, -1):
+        col, amp, reps, _ = xyz._momentum_basis(L, 0, parity)
+        V = scipy.sparse.csr_matrix((amp, (np.arange(2**L), col)), shape=(2**L, reps.size))
+        expected = np.linalg.eigvalsh((V.T @ H @ V).toarray())
+        halves = xyz._sector_blocks(params, 0, parity)
+        assert set(halves) == ({1} if L == 5 else {1, -1})
+        solves = {m: xyz._solve_sector(block, x, block[1].size) for m, block in halves.items()}
+        levels = np.sort(np.concatenate([vals for vals, _, _ in solves.values()]))
+        assert np.max(np.abs(levels - expected)) <= 1e-12 * np.max(np.abs(expected))
+        for m, (vals, vecs, _) in solves.items():
+            v = xyz._momentum_vectors(halves[m], vecs[:, :1])[:, 0]
+            amps = amp * v[col]
+            assert amps.dtype == np.float64 and abs(np.linalg.norm(amps) - 1) <= 1e-12
+            assert np.linalg.norm(H @ amps - vals[0] * amps) <= 1e-10
+            assert np.allclose(translate(StateVector(L, amps), 1).amps, amps, rtol=0, atol=1e-12)
+            assert np.allclose(amps[mirror], m * amps, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(L=st.sampled_from([5, 7, 9, 11]), jy=couplings, jz=couplings, x=st.floats(-1.5, 1.5),
+       offset=st.floats(-2.0, 2.0))
+@example(L=7, jy=0.33, jz=0.0, x=0.9, offset=0.0)  # the floor at the lowest level
+@example(L=7, jy=0.33, jz=0.0, x=0.9, offset=-1e-9)  # just below it
+def test_certificate_holds_only_above_the_lowest_level(L, jy, jz, x, offset):
+    # a certificate at a floor returns a bound above the floor (its margin
+    # above it) only where the lowest level of the block lies above that
+    # bound, and one well below the lowest level holds
+    for block in xyz.SectorBlocks(L, jy, jz).blocks.values():
+        h0, mag, _ = block
+        lowest = np.linalg.eigvalsh(h0 + np.diag(x * mag))[0]
+        scale = max(1.0, abs(lowest))
+        floor = lowest + offset * scale
+        bound = xyz._certify(block, x, floor)
+        assert bound is None or floor < bound < lowest
+        assert xyz._certify(block, x, lowest - 1e-6 * scale) is not None
+
+
+@pytest.mark.parametrize("L", [9, 11, 13])
+def test_block_groups_match_one_ell_at_a_time(L):
+    # SectorBlocks builds the blocks of the ells of one gcd(ell, L) in one pass
+    # from one pairing; each block is the one _sector_blocks builds alone, bit
+    # for bit (at L = 13 the ell != 0 blocks are CSR, built one at a time)
+    params = sm.ChainParams(L, 0.33, 0.1, 0.0)
+    sectors = xyz.SectorBlocks(L, 0.33, 0.1)
+    for (ell, mirror), (h0, mag, back) in sectors.blocks.items():
+        one_h0, one_mag, one_back = xyz._sector_blocks(params, ell, 1)[mirror]
+        dense = (h0, one_h0) if isinstance(h0, np.ndarray) else (h0.toarray(), one_h0.toarray())
+        assert np.array_equal(*dense) and np.array_equal(dense[0], dense[0].T)
+        assert np.array_equal(mag, one_mag) and len(back) == len(one_back)
+        for (index, weight), (one_index, one_weight) in zip(back, one_back):
+            assert np.array_equal(index, one_index) and np.array_equal(weight, one_weight)
 
 
 @settings(max_examples=30, deadline=None)
@@ -352,6 +426,22 @@ def counting_solve(monkeypatch, limit=None):
     return calls
 
 
+def counting_certificates(monkeypatch):
+    """Wrap the certificate; returns the list of (field, whether it held) of
+    every factorization tried, on a dense block."""
+    tried = []
+    certify = xyz._certify
+
+    def counted(block, x, floor):
+        bound = certify(block, x, floor)
+        if isinstance(block[0], np.ndarray):
+            tried.append((x, bound is not None))
+        return bound
+
+    monkeypatch.setattr(xyz, "_certify", counted)
+    return tried
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
 def test_find_hstar_rejects_nonpositive_tol(monkeypatch, capsys, tol):
     # the real sector solve, stopped after 100 solves: without the guard the
@@ -385,65 +475,82 @@ def test_find_hstar_brackets_the_public_predicate(L, jy, above):
     assert not finite_momentum(r.hstar + tol)
 
 
-@pytest.mark.parametrize("L, ell, parity", [(7, 0, 1), (7, 1, -1), (13, 2, 1)])
-def test_hellmann_feynman_slope_matches_finite_difference(L, ell, parity):
+@pytest.mark.parametrize("L, ell, parity, mirror", [(7, 0, 1, 1), (7, 0, -1, -1), (7, 1, -1, 0),
+                                                    (13, 2, 1, 0)])
+def test_hellmann_feynman_slope_matches_finite_difference(L, ell, parity, mirror):
     # the L = 13 block is above DENSE_BLOCK_MAX and goes through eigsh
-    block = xyz._sector_block(sm.ChainParams(L, 0.33, 0.1, 0.0), ell, parity)
+    block = xyz._sector_blocks(sm.ChainParams(L, 0.33, 0.1, 0.0), ell, parity)[mirror]
     h, dh = 0.6, 1e-4
     _, vecs, _ = xyz._solve_sector(block, h, 1)
     v = vecs[:, 0]
-    slope = np.vdot(v, block[1] * v).real
+    slope = v @ (block[1] * v)
     up, down = (xyz._solve_sector(block, h + sign * dh, 1)[0][0] for sign in (1, -1))
     assert abs(slope - (up - down) / (2 * dh)) <= 1e-6
 
 
-# sector solves of find_hstar at L = 5, 7, 9, 11; at the classical point every
-# sector ties at h = 0, so the search ends there with the note at every L.  At
-# h = 0 the two Z-parities of each ell are one solve of its block
+# (sector solves, certificates tried, certificates that held) of find_hstar
+# at L = 5, 7, 9, 11; at the classical point every sector ties at h = 0, so
+# the search ends there with the note at every L.  At h = 0 the two Z-parities
+# of each block are one solve
 SEARCH_SOLVES = {
-    (0.0, 0.0): [9, 12, 15, 18],
-    (0.1, 0.0): [17, 21, 24, 31],
-    (0.33, 0.0): [13, 16, 19, 22],
-    (0.5, 0.3): [9, 12, 15, 18],
-    (-0.3, 0.5): [15, 18, 22, 27],
-    (0.2, -0.1): [17, 21, 27, 32],
-    (0.0, 0.2): [15, 20, 25, 36],
+    (0.0, 0.0): [(5, 5, 4), (6, 11, 9), (7, 14, 11), (8, 17, 13)],
+    (0.1, 0.0): [(13, 13, 12), (14, 41, 39), (12, 42, 40), (16, 63, 59)],
+    (0.33, 0.0): [(9, 9, 8), (10, 19, 17), (10, 22, 20), (12, 25, 21)],
+    (0.5, 0.3): [(4, 5, 5), (6, 11, 9), (6, 14, 12), (6, 17, 15)],
+    (-0.3, 0.5): [(11, 11, 10), (12, 27, 25), (12, 44, 42), (14, 50, 46)],
+    (0.2, -0.1): [(13, 13, 12), (14, 39, 37), (15, 54, 51), (15, 65, 62)],
+    (0.0, 0.2): [(11, 11, 10), (14, 33, 31), (14, 54, 52), (18, 77, 73)],
 }
+JUMP_SOLVES = (38, 90, 82)  # jump-scaling --L 7,9,11
 
 
 def test_sector_solve_counts_are_pinned(monkeypatch, capsys):
-    # a change to which sectors the chords rule out shows here first
+    # a change to which sectors the chords or the certificates rule out, or to
+    # the order the tangents visit them in, shows here first
     calls = counting_solve(monkeypatch)
+    tried = counting_certificates(monkeypatch)
     counts = {}
     for jy, jz in SEARCH_SOLVES:
         counts[jy, jz] = []
         for L in (5, 7, 9, 11):
             calls.clear()
+            tried.clear()
             sm.find_hstar(jy, jz, L)
-            counts[jy, jz].append(len(calls))
+            counts[jy, jz].append((len(calls), len(tried), sum(held for _, held in tried)))
     assert counts == SEARCH_SOLVES
     # the search and both ground states of each size on one set of blocks
     calls.clear()
+    tried.clear()
     assert main(["jump-scaling", "--L", "7,9,11"]) == cli.EXIT_OK
     capsys.readouterr()
-    assert len(calls) == 72
+    assert (len(calls), len(tried), sum(held for _, held in tried)) == JUMP_SOLVES
+
+
+# per gap evaluation of find_hstar(0.33, 0, L), in order: (sector solves,
+# certificates tried, certificates that held)
+GAP_EVALUATIONS = {
+    7: [(3, 3, 2), (3, 8, 7), (2, 4, 4), (2, 4, 4)],
+    9: [(3, 4, 3), (3, 10, 9), (2, 4, 4), (2, 4, 4)],
+    11: [(4, 5, 3), (4, 12, 10), (2, 4, 4), (2, 4, 4)],
+}
 
 
 @pytest.mark.parametrize("L", [7, 9, 11])
 def test_find_hstar_gap_evaluations(monkeypatch, L):
-    # the ends h = 0 and H_MAX solve every sector, a parity -1 sector as its
-    # block at -h, and at h = 0 one solve per block serves both parities;
-    # between the ends the chords rule out all but a few, and bisection
-    # needed 16 evaluations to tol 1e-4
+    # a parity -1 sector is its block at -h, and at h = 0 one solve per block
+    # serves both parities.  At the ends h = 0 and H_MAX no block has a
+    # record at the field, so each sector is solved or certified; between
+    # the ends the chords rule out all but a few, and bisection needed 16
+    # evaluations to tol 1e-4
     calls = counting_solve(monkeypatch)
+    tried = counting_certificates(monkeypatch)
     assert sm.find_hstar(0.33, 0.0, L).note == ""
     evaluations = [abs(x) for x in calls]  # a solve at x serves the field |x|
     fields = list(dict.fromkeys(evaluations))
     assert fields[:2] == [0.0, xyz.H_MAX]
-    assert evaluations.count(0.0) == (L + 1) // 2
-    assert calls.count(xyz.H_MAX) == calls.count(-xyz.H_MAX) == (L + 1) // 2
-    assert all(evaluations.count(h) <= 3 for h in fields[2:])
-    assert len(fields) <= 6
+    assert {abs(x) for x, _ in tried} <= set(fields)
+    assert [(evaluations.count(h), sum(abs(x) == h for x, _ in tried),
+             sum(abs(x) == h and held for x, held in tried)) for h in fields] == GAP_EVALUATIONS[L]
 
 
 def stand_in_sectors(monkeypatch, gap):
@@ -455,15 +562,15 @@ def stand_in_sectors(monkeypatch, gap):
     field as parity -1.  Returns the set of fields h solved at."""
     fields = set()
 
-    def stand_in_block(params, ell, parity, orbit_rows=None):
-        return ell, np.ones(1)
+    def stand_in_blocks(L, ells, pairing):
+        return {ell: {0: (ell, np.ones(1), None)} for ell in ells}  # h0 no array: no certificate
 
     def stand_in_solve(block, x, count):
         fields.add(abs(x))
         value, slope = (gap(x) if x >= 0 else (100.0, 0.0)) if block[0] else (0.0, 0.0)
         return np.array([value]), np.array([[np.sqrt(slope)]]), np.zeros(1)
 
-    monkeypatch.setattr(xyz, "_sector_block", stand_in_block)
+    monkeypatch.setattr(xyz, "_blocks", stand_in_blocks)
     monkeypatch.setattr(xyz, "_solve_sector", stand_in_solve)
     return fields
 
@@ -546,6 +653,15 @@ def solve_off_by(size):
     return off
 
 
+def rule_nothing_out(monkeypatch):
+    """No chord bound (the tangents still order the visits) and no
+    certificate: every sector visited is solved."""
+    estimate = xyz.SectorBlocks._estimate
+    monkeypatch.setattr(xyz.SectorBlocks, "_estimate",
+                        lambda self, sector, h: (-np.inf, estimate(self, sector, h)[1]))
+    monkeypatch.setattr(xyz, "_certify", lambda block, x, floor: None)
+
+
 def assert_pruning_changes_nothing(monkeypatch, L, jy, jz, size):
     if size:
         monkeypatch.setattr(xyz, "_solve_sector", solve_off_by(size))
@@ -553,9 +669,9 @@ def assert_pruning_changes_nothing(monkeypatch, L, jy, jz, size):
     picks = {}  # (sector blocks, h) -> minimizers of a gap evaluation
     solve_lowest, minimizers = xyz.SectorBlocks._solve_lowest, xyz.SectorBlocks.minimizers
 
-    def visited(self, h, sectors):
-        visits.append((self, h, {sector: self._bound(sector, h) for sector in sectors}))
-        return solve_lowest(self, h, sectors)
+    def visited(self, h, sectors, count=1):
+        visits.append((self, h, {sector: self._estimate(sector, h)[0] for sector in sectors}))
+        return solve_lowest(self, h, sectors, count)
 
     def picked(self, h):
         picks[self, h] = minimizers(self, h)
@@ -566,21 +682,19 @@ def assert_pruning_changes_nothing(monkeypatch, L, jy, jz, size):
     r, grounds = jump_point(L, jy, jz)
     for sectors, h, bounds in visits:  # every sector solved at every field visited
         levels = {}  # (level, <mag>) of every sector visited, in sector order
-        for (ell, parity), bound in bounds.items():
-            block = sectors.blocks[ell]  # parity -1 at h is the block at -h
-            vals, vecs, _ = xyz._solve_sector(block, parity * h, 1)
+        for (key, parity), bound in bounds.items():
+            # parity -1 at h is the block at -h
+            vals, vecs, _ = xyz._solve_sector(sectors.blocks[key], parity * h, 1)
             assert vals[0] >= bound
-            v = vecs[:, 0]
-            levels[ell, parity] = (vals[0], parity * np.vdot(v, block[1] * v).real)
+            levels[key, parity] = (vals[0], parity * sectors._slope(key, vecs[:, 0]))
         # the first in sector order within the cluster reach of the lowest
         reach = xyz._cluster_reach(min(e for e, _ in levels.values()))
         lowest = next((sector, *levels[sector]) for sector in levels
                       if levels[sector][0] < reach)
-        classes = {sector[0] != 0 for sector in bounds}
+        classes = {key[0] != 0 for key, _ in bounds}
         if len(classes) == 1:  # a gap evaluation, one momentum class at a time
             assert picks[sectors, h][classes.pop()] == lowest
-    # a run that rules nothing out
-    monkeypatch.setattr(xyz.SectorBlocks, "_bound", lambda self, sector, h: -np.inf)
+    rule_nothing_out(monkeypatch)
     assert jump_point(L, jy, jz)[0] == r
     for ground, ref in zip(grounds, jump_point(L, jy, jz)[1], strict=True):
         assert_same_manifold(ground, ref)
@@ -615,16 +729,19 @@ def test_pruning_changes_no_pick_on_arpack_blocks(monkeypatch, size):
 
 
 def raised_on_resolve(size):
-    """The sector solve with the lowest level of a two-level solve raised by
-    size and its residual grown by as much: a re-solve for more levels of a
-    block that lifts the level the first solve had found."""
+    """The sector solve with the lowest level of a re-solve (a block solved
+    again at a field) raised by size and its residual grown by as much: a
+    re-solve for more levels of a block that lifts the level the first solve
+    had found."""
     solve = xyz._solve_sector
+    seen = set()  # (block, field) of every solve
 
     def raised(block, h, count):
         vals, vecs, residuals = solve(block, h, count)
-        if count == 2:
+        if (id(block[0]), h) in seen:
             lift = np.where(np.arange(vals.size) == 0, size, 0.0)
             return vals + lift, vecs, residuals + lift
+        seen.add((id(block[0]), h))
         return vals, vecs, residuals
 
     return raised
@@ -633,11 +750,13 @@ def raised_on_resolve(size):
 @pytest.mark.parametrize("size", [1e-3, 0.5])
 @pytest.mark.parametrize("L", [7, 9])
 def test_lowest_rechecks_skipped_sectors_after_a_resolve(monkeypatch, L, size):
-    # below h* the ground pair comes from one sector, whose one solved level
-    # lies inside the cluster, so it is solved again for two; the lift moves
-    # the lowest level, and the reach with it.  A reach kept from the first pass found
-    # no level inside it (an empty manifold); at a lift of 0.5 the new reach
-    # admits a sector that the first pass ruled out.
+    # with every tangent equal, the ground search visits the sectors in
+    # sector order, so its first, two-level solve is of zero momentum.  Below
+    # h* the ground pair comes from one finite-momentum sector, whose one
+    # solved level lies inside the cluster, so it is solved again for two;
+    # the lift moves the lowest level, and the reach with it.  A reach kept
+    # from the first pass found no level inside it (an empty manifold); at a
+    # lift of 0.5 the new reach admits a sector that the first pass ruled out.
     monkeypatch.setattr(xyz, "_solve_sector", raised_on_resolve(size))
     sectors = xyz.SectorBlocks(L, 0.33, 0.0)
     h = sm.find_hstar(0.33, 0.0, L, sectors=sectors).hstar - 1e-3
@@ -649,14 +768,19 @@ def test_lowest_rechecks_skipped_sectors_after_a_resolve(monkeypatch, L, size):
         return solve(self, sector, h, count)
 
     monkeypatch.setattr(xyz.SectorBlocks, "_solve", logged)
+    estimate = xyz.SectorBlocks._estimate
+    monkeypatch.setattr(xyz.SectorBlocks, "_estimate",
+                        lambda self, sector, h: (estimate(self, sector, h)[0], 0.0))
     man = sectors.lowest(h)
     assert len(man.states) > 0
+    assert solves[0] == (((0, 1), 1), 2)
+    again = next(i for i, (sector, _) in enumerate(solves)
+                 if sector in {sector for sector, _ in solves[:i]})
+    assert solves[again][0][0][0] != 0 and solves[again][1] == 2
     if size == 0.5:
-        first = [count for _, count in solves].index(2)
-        before = {sector for sector, _ in solves[:first]}
-        assert any(sector not in before for sector, _ in solves[first:])
-    # a run that rules nothing out
-    monkeypatch.setattr(xyz.SectorBlocks, "_bound", lambda self, sector, h: -np.inf)
+        before = {sector for sector, _ in solves[:again]}
+        assert any(sector not in before for sector, _ in solves[again:])
+    rule_nothing_out(monkeypatch)
     assert_same_manifold(man, xyz.SectorBlocks(L, 0.33, 0.0).lowest(h))
 
 
