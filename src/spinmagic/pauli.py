@@ -21,8 +21,11 @@ values whose magnitudes are the |<X_a Z_b>|, b at position
 The row a = 0 is the real transform of p = |psi|^2, folded on the top bit
 of the chain: its first butterfly is done by hand, as
 (p(s) + p(s ^ e)) + i (p(s) - p(s ^ e)) with e = 2^(L-1), so the real and
-imaginary parts carry G_0 where b_(L-1) is 0 and 1.  Each mask costs
-O(L 2^L) time and O(2^L) bytes.  Full enumeration takes all 2^L masks.
+imaginary parts carry G_0 where b_(L-1) is 0 and 1.  A block of rows is
+transformed by passes that each run over the whole block as one flat loop,
+then one copy of the transposed result back into rows (``fwht``).  Each
+mask costs O(L 2^L) time and O(2^L) bytes.  Full enumeration takes all 2^L
+masks.
 ``sre_brute`` first looks for the symmetries that make masks redundant:
 
 - translation: sum_b |<X_a Z_b>|^4 is the same for every cyclic shift of a,
@@ -99,19 +102,35 @@ def pauli_expectation(state, x_mask, z_mask):
 
 
 def fwht(rows):
-    """+-1 (Walsh-Hadamard) transform along the last axis, self-sorting: pass j
-    writes x[..., 2i] +- x[..., 2i+1] to y[..., i] and y[..., i + n/2], then
-    swaps x and y, so it acts on bit j of the input index as radix-2 stage
-    h = 2^j does, with the same sums bit for bit, in two loops of n/2 where a
-    radix-2 stage loops over h.  x starts as ``rows``, y as a new array like
-    it; both are overwritten, and the one holding the result is returned."""
+    """+-1 (Walsh-Hadamard) transform along the last axis, self-sorting.  Each
+    pass writes x[2i] +- x[2i+1] to y[i] and y[i + N/2] over the flat index
+    of all N values of the block, one loop each, then swaps x and y.  A pass
+    so moves the lowest bit of the flat index to the top: pass j pairs the
+    entries that differ in bit j of the column index, as radix-2 stage
+    h = 2^j does, with the same sums bit for bit.  After the log2 n passes
+    the block sits transposed, as (n, rows), and one copy of the transpose
+    into the free buffer makes it rows again.  A single row (1-D input, or
+    leading axes of length 1) ends in place and takes no copy.
+
+    x starts as ``rows`` viewed flat (a C-ordered copy, where no flat view
+    exists), and y as a new array of the same size; both are overwritten.
+    Each pass, and the copy, moves the block to the other buffer, and the one
+    holding the result is returned: the memory of ``rows`` when the moves are
+    even in number.  Rows of length 1 take no pass and are returned as
+    ``rows`` itself."""
     n = rows.shape[-1]
-    x, y = rows, np.empty_like(rows)
+    if n == 1:
+        return rows
+    half = rows.size // 2
+    x, y = rows.reshape(-1), np.empty(rows.size, dtype=rows.dtype)
     for _ in range(n.bit_length() - 1):
-        np.add(x[..., 0::2], x[..., 1::2], out=y[..., :n // 2])
-        np.subtract(x[..., 0::2], x[..., 1::2], out=y[..., n // 2:])
+        np.add(x[0::2], x[1::2], out=y[:half])
+        np.subtract(x[0::2], x[1::2], out=y[half:])
         x, y = y, x
-    return x
+    if rows.size > n:
+        np.copyto(y.reshape(-1, n), x.reshape(n, -1).T)
+        x = y
+    return x.reshape(rows.shape)
 
 
 def _fold_exponents(masks, size):
@@ -210,14 +229,14 @@ def _moment(psi, masks, weights, power, block, workers):
 
 
 def pauli_moment(state, power=4, *, block=None, workers=1):
-    """sum over all 4^L Pauli strings of |<P>|^power (power even), by full
-    enumeration of the 2^L x-masks.
+    """sum over all 4^L Pauli strings of |<P>|^power (power even, at least 2),
+    by full enumeration of the 2^L x-masks.
 
     Deterministic for any ``workers``: partial sums are produced per x-mask
     and folded with math.fsum in ascending mask order.
     """
-    if power % 2:
-        raise ValueError("power must be even")
+    if power < 2 or power % 2:
+        raise ValueError(f"power must be even and at least 2, got {power}")
     psi = state.amps
     return _moment(psi, np.arange(psi.size, dtype=np.int64), 1.0, power, block, workers)
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import spinmagic as sm
 from spinmagic import pauli
@@ -43,6 +43,7 @@ def test_fwht_matches_matrix(n):
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(0, 12), lead=st.sampled_from([(), (1,), (3,), (2, 3)]),
        seed=st.integers(0, 2**32 - 1))
+@example(k=0, lead=(2, 3), seed=0)
 def test_fwht_is_bit_identical_to_radix2(k, lead, seed):
     rng = np.random.default_rng(seed)
     shape = lead + (2**k,)
@@ -51,10 +52,43 @@ def test_fwht_is_bit_identical_to_radix2(k, lead, seed):
     out = fwht(given_rows)
     assert out.shape == shape
     assert np.array_equal(out, radix2_fwht(rows.copy()))
-    # each pass swaps the buffers: an even pass count ends in the given rows
-    assert np.shares_memory(out, given_rows) == (k % 2 == 0)
+    # each pass moves the block to the other buffer, and so does the copy of
+    # the transpose that ends the flat passes over two rows or more: an even
+    # count of moves ends in the given rows
+    moves = k + (k > 0 and math.prod(lead) > 1)
+    assert np.shares_memory(out, given_rows) == (moves % 2 == 0)
+    assert out.flags.c_contiguous
+    if k == 0:  # rows of one value take no pass and come back as given
+        assert out is given_rows
     twice = fwht(out.copy())
     assert np.max(np.abs(twice / 2**k - rows)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(2, 10), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_block_rows_match_single_mask_blocks(L, seed, data):
+    # 0 (folded on the top bit of the chain) and 1 (on bit 0) in every set,
+    # so the flat passes always run over rows of different fold bits
+    drawn = data.draw(st.lists(st.integers(2, 2**L - 1), max_size=40, unique=True))
+    masks = np.array(data.draw(st.permutations(drawn + [0, 1])), dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    psi = random_state(L, rng).amps
+    conj2 = 2 * psi.conj()
+    rows = pauli._transformed_block(psi, conj2, masks)
+    assert rows.dtype == np.float64 and rows.shape == (masks.size, psi.size)
+    assert rows.flags.c_contiguous
+    single = np.concatenate([pauli._transformed_block(psi, conj2, masks[i:i + 1])
+                             for i in range(masks.size)])
+    assert np.array_equal(rows, single)
+    # several rows that are not C-contiguous: every second row or column of a
+    # larger array, or Fortran order
+    n = psi.size // 2
+    values = rng.standard_normal((2 * masks.size, 2 * n)) + 1j * rng.standard_normal(
+        (2 * masks.size, 2 * n))
+    view = data.draw(st.sampled_from([values[::2, :n], values[:masks.size, ::2],
+                                      np.asfortranarray(values[:masks.size, :n])]))
+    expected = radix2_fwht(np.array(view))
+    assert np.array_equal(fwht(view), expected)
 
 
 def test_pauli_expectation_basic_strings():
@@ -141,6 +175,14 @@ def test_moment_caps_and_parity_check():
         sm.pauli_moment(random_state(3, RNG), 3)
     with pytest.raises(ValueError, match="exceeds the table cap"):
         sm.pauli_abs_table(sm.make_x_product(11, [1] * 11))
+
+
+@pytest.mark.parametrize("power", [0, -2])
+def test_moment_rejects_powers_below_2(power):
+    # power 0 would count the 4^L strings, but the kernel squares the rows
+    # first, so any power below 2 would silently give the power-2 moment
+    with pytest.raises(ValueError, match="power must be even and at least 2"):
+        sm.pauli_moment(random_state(3, RNG), power)
 
 
 def test_work_bound_messages_follow_the_constant(monkeypatch):
@@ -370,6 +412,10 @@ def test_raw_moments_are_pinned_on_every_route():
          "0x1.0c77c900597d8p+8"),
         (sm.build_phi(13, 1, 0.3), "brute:parity", "0x1.4cc9d1286eedcp+9"),
         (rand, "brute", "0x1.ffc2b841e230ap+1"),
+        # full enumeration in one block of all 128 masks, rows of 64 amplitudes
+        (random_state(7, np.random.default_rng(7)), "brute", "0x1.f468beef73590p+1"),
+        # full enumeration in blocks of 8 masks, rows of 4096 amplitudes
+        (random_state(13, np.random.default_rng(13)), "brute", "0x1.ff9d277fd28fbp+1"),
     ]
     for state, method, raw in cases:
         result = sm.sre_brute(state)
