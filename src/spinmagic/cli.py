@@ -366,67 +366,51 @@ def cmd_verify(args):
             worst = max(worst, 1.0 - fidelity(img, wstates.build_omega(L, ell)))
         check(f"clifford W->omega mapping L={L}", worst, 1e-10)
 
-    points = ((0.33, 0.0, 0.5), (-0.4, 0.6, 1.2), (0.8, -0.3, -0.7))
-
-    def levels_of(blocks, h):  # every level of a sector's blocks at h, ascending
-        return np.sort(np.concatenate([xyz._solve_sector(b, h, b[1].size)[0]
-                                       for b in blocks.values()]))
-
-    for L in (5, 7):  # the real sector blocks (dense at these L), each ell != 0 one twice
-        worst = 0.0
-        for jy, jz, h in points:
-            params = ChainParams(L, jy, jz, h)
-            levels = []
-            for ell, parity in xyz._sectors(L):
-                blocks = xyz._sector_blocks(params, ell, parity)
-                if not all(np.array_equal(h0, h0.T) for h0, _, _ in blocks.values()):
-                    worst = math.inf
-                levels += [*levels_of(blocks, h)] * (2 if ell else 1)
-            full = np.linalg.eigvalsh(xyz.hamiltonian_sparse(params).toarray())
-            worst = max(worst, float(np.max(np.abs(np.sort(levels) - full))))
-        check(f"sector blocks vs full H L={L}", worst, 1e-10)
-
-    for L in (5, 7):  # the spin flip that lets SectorBlocks build the parity +1 blocks alone
-        worst = 0.0
-        for jy, jz, h in points:
-            params = ChainParams(L, jy, jz, h)
-            for ell in range((L + 1) // 2):
-                minus, plus = (levels_of(xyz._sector_blocks(params, ell, parity), -parity * h)
-                               for parity in (-1, 1))
-                gap = np.max(np.abs(minus - plus)) if minus.size == plus.size else math.inf
-                worst = max(worst, float(gap))
-        check(f"spin flip: sector (ell,-1) at h vs (ell,+1) at -h L={L}", worst, 1e-10)
-
-    for L in (5, 7):  # the two mirror halves against the zero-momentum block, relative
-        worst = 0.0
-        for jy, jz, h in points:
-            params = ChainParams(L, jy, jz, h)
-            H = xyz.hamiltonian_sparse(params).toarray()
-            for parity in (1, -1):
-                col, amp, reps, _ = xyz._momentum_basis(L, 0, parity)
-                V = np.zeros((2**L, reps.size))
+    # the sector blocks of SectorBlocks, parity +1 solved at h and -1 at -h:
+    # each (ell, parity) sector against V^dagger H V in the momentum basis of
+    # _momentum_basis, and all of them (ell != 0 twice) against the full H
+    rows = {"full": ("sector blocks vs full H", 1e-10),
+            "flip": ("spin flip: sector (ell,-1) at h vs (ell,+1) at -h", 1e-10),
+            "halves": ("mirror halves vs ell=0 block", 1e-12),
+            "certificate": ("inertia certificate vs eigvalsh", 0)}
+    worst = {(row, L): 0.0 for row in rows for L in (5, 7)}
+    for L in (5, 7):  # dense blocks at these L
+        for jy, jz, h in ((0.33, 0.0, 0.5), (-0.4, 0.6, 1.2), (0.8, -0.3, -0.7)):
+            sectors = xyz.SectorBlocks(L, jy, jz)
+            H = xyz.hamiltonian_sparse(ChainParams(L, jy, jz, h)).toarray()
+            levels = {}  # (ell, parity) -> the levels of its blocks
+            for key, parity in sectors.sectors:
+                h0, mag, _ = block = sectors.blocks[key]
+                levels.setdefault((key[0], parity), []).extend(
+                    xyz._solve_sector(block, parity * h, mag.size)[0])
+                if not np.array_equal(h0, h0.T):
+                    worst["full", L] = math.inf
+                # a certified bound lies below the lowest level, and one shows well below it
+                lowest = np.linalg.eigvalsh(h0 + np.diag(parity * h * mag))[0]
+                scale = max(1.0, abs(lowest))
+                for offset in (-1.0, -1e-3, -1e-9, 0.0, 1e-9, 1e-3):
+                    bound = xyz._certify(block, parity * h, lowest + offset * scale)
+                    if bound is not None:
+                        worst["certificate", L] = max(worst["certificate", L], bound - lowest)
+                if xyz._certify(block, parity * h, lowest - 1e-6 * scale) is None:
+                    worst["certificate", L] = math.inf
+            union = []
+            for (ell, parity), vals in levels.items():
+                col, amp, reps = xyz._momentum_basis(L, ell, parity)
+                V = np.zeros((2**L, reps.size), amp.dtype)
                 V[np.arange(2**L), col] = amp  # amp is 0 off the sector
-                block = np.linalg.eigvalsh(V.T @ H @ V)
-                halves = levels_of(xyz._sector_blocks(params, 0, parity), h)
-                gap = np.max(np.abs(halves - block)) if halves.size == block.size else math.inf
-                worst = max(worst, float(gap / np.max(np.abs(block))))
-        check(f"mirror halves vs ell=0 block L={L}", worst, 1e-12)
-
-    for L in (5, 7):  # a certified bound lies below the lowest level, and one shows well below it
-        worst = 0.0
-        for jy, jz, h in points:
-            params = ChainParams(L, jy, jz, h)
-            for ell, parity in xyz._sectors(L):
-                for block in xyz._sector_blocks(params, ell, parity).values():
-                    lowest = np.linalg.eigvalsh(block[0] + np.diag(h * block[1]))[0]
-                    scale = max(1.0, abs(lowest))
-                    for offset in (-1.0, -1e-3, -1e-9, 0.0, 1e-9, 1e-3):
-                        bound = xyz._certify(block, h, lowest + offset * scale)
-                        if bound is not None:
-                            worst = max(worst, float(bound - lowest))
-                    if xyz._certify(block, h, lowest - 1e-6 * scale) is None:
-                        worst = math.inf
-        check(f"inertia certificate vs eigvalsh L={L}", max(worst, 0.0), 0)
+                expected = np.linalg.eigvalsh(V.conj().T @ H @ V)
+                vals = np.sort(vals)
+                gap = np.max(np.abs(vals - expected)) if vals.size == expected.size else math.inf
+                for row in ["full"] + ["flip"] * (parity < 0) + ["halves"] * (ell == 0):
+                    relative = np.max(np.abs(expected)) if row == "halves" else 1.0
+                    worst[row, L] = max(worst[row, L], float(gap / relative))
+                union += [*vals] * (2 if ell else 1)
+            gap = np.max(np.abs(np.sort(union) - np.linalg.eigvalsh(H)))
+            worst["full", L] = max(worst["full", L], float(gap))
+    for row, (name, tol) in rows.items():
+        for L in (5, 7):
+            check(f"{name} L={L}", worst[row, L], tol)
 
     for L in (5, 7):
         worst = 0.0

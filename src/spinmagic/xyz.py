@@ -5,12 +5,14 @@ Scipy is imported by the functions that build or solve a block, so importing
 the package loads numpy alone, and the dense blocks of L <= 11 load
 scipy.linalg alone.
 
-A sector block is real symmetric, in a basis of the sector made invariant
-under the mirror times complex conjugation, and is built as
-H(h) = H0 + h diag(mag), with mag = sum_n sz_n at the orbit
-representatives.  At zero momentum the mirror itself commutes with H, so
-that sector is two blocks, its mirror-even and mirror-odd halves (63 + 31
-columns instead of 94 at L = 11, 190 + 126 instead of 316 at L = 13).
+A sector block is real symmetric, in the basis of the sector made
+invariant under the mirror times complex conjugation, R K (the semi-momentum
+states of Sandvik, arXiv:1101.3281), and is built as H(h) = H0 + h diag(mag),
+with mag = sum_n sz_n at the orbit representatives.  One assembly serves
+every momentum.  At zero momentum the mirror itself commutes with H, and
+that assembly splits the sector into its mirror-even and mirror-odd halves
+(63 + 31 columns instead of 94 at L = 11, 190 + 126 instead of 316 at
+L = 13).
 ``SectorBlocks`` holds the blocks of one chain, built once, and what each
 solve and certificate at each field has shown of a block's lowest level.  It
 skips a sector that the concavity of its lowest level in h rules out, and a
@@ -133,9 +135,9 @@ def _momentum_basis(L, ell, parity):
     """The isometry V (2^L, n) onto the (ell, Z-parity) sector, stored by rows:
     V[s, col[s]] = amp[s] and amp = 0 off the sector, since each basis state
     lies in one translation orbit.  Also the orbit representatives r (smallest
-    index of each orbit) and the periods R of the n columns.  Built per call
-    from the cached orbit table of L, so no sector outlives its caller; it
-    embeds the states of a solve.
+    index of each orbit) of the n columns.  Built per call from the cached
+    orbit table of L, so no sector outlives its caller; it embeds the states
+    of a solve.
 
     Column r is the momentum state sum_{j<R} e^{2 pi i ell j / L} T^j |r> / sqrt(R),
     with T|psi> = e^{-ip}|psi>.  An orbit whose period does not admit ell has
@@ -153,20 +155,20 @@ def _momentum_basis(L, ell, parity):
     amp = np.where(live, phases[shift % period] / np.sqrt(period), 0)
     if ell == 0:  # a real isometry keeps the zero-momentum block real symmetric
         amp = amp.real
-    return col, amp, reps, period[reps]
+    return col, amp, reps
 
 
-def _orbit_rows(params, parity):
-    """H at the orbit representatives of one Z-parity of the chain, which the
-    sector blocks of that parity share (a bond flip and the mirror keep the
-    parity of a basis state): the representatives r (ascending) and their
-    periods; the orbit of mirror r (its position in r) and its shift
-    ``turn``; and H|r> = sum_j coeff[j] T^shift[j] |r[target[j]]>, each
-    (L + 1, len(r)), with j = 0 the diagonal and j = 1..L the bond flips.
-    Read from the cached orbit table of L."""
+def _orbit_rows(params):
+    """H at the orbit representatives of Z-parity +1 of the chain, which the
+    sector blocks share (a bond flip and the mirror keep the parity of a
+    basis state): the representatives r (ascending) and their periods; the
+    orbit of mirror r (its position in r) and its shift ``turn``; and
+    H|r> = sum_j coeff[j] T^shift[j] |r[target[j]]>, each (L + 1, len(r)),
+    with j = 0 the diagonal and j = 1..L the bond flips.  Read from the
+    cached orbit table of L."""
     rep, shift, period = _translation_orbits(params.L)
     reps = np.flatnonzero(rep == np.arange(rep.size))
-    reps = reps[np.where(np.bitwise_count(reps) & 1, -1, 1) == parity]
+    reps = reps[(np.bitwise_count(reps) & 1) == 0]
     position = np.zeros(rep.size, dtype=np.int64)
     position[reps] = np.arange(reps.size)
     diag, _, masks, coeffs = _bond_tables(params, reps)
@@ -174,11 +176,6 @@ def _orbit_rows(params, parity):
     mirror = _reflect_bits(reps, 0, params.L)
     return (reps, period[reps], position[rep[mirror]], shift[mirror], position[rep[flipped]],
             shift[flipped], np.concatenate([diag[None], coeffs]))
-
-
-def _sectors(L):
-    """The (ell, Z-parity) sectors with ell >= 0, in the order that breaks ties."""
-    return [(ell, parity) for ell in range((L - 1) // 2 + 1) for parity in (1, -1)]
 
 
 class _Pairing(NamedTuple):
@@ -193,9 +190,7 @@ class _Pairing(NamedTuple):
     source: np.ndarray  # its column c, the first of its pair or its own
     shift: np.ndarray  # the translation that takes the flipped state to rep k
     val: np.ndarray  # the bond value times sqrt(R_c / R_k)
-    sign: np.ndarray  # +1 where k is the first of its pair, -1 the second, 0 its own
-    pair: np.ndarray  # a source that is the first of a pair
-    rows: np.ndarray  # the rows of K at ell != 0: a, b, a[twin], b[pair]
+    rows: np.ndarray  # the rows of K: a, b, a[twin], b[pair]
     cols: np.ndarray  # their columns
     pick: np.ndarray  # the entry of (Re w, Im w) that each of them takes ...
     scale: np.ndarray  # ... times +-1 or 0, halved on the diagonal
@@ -242,27 +237,22 @@ def _pairing(L, orbit_rows, inside):
     scale = np.concatenate([np.ones(k.size), sign, -np.ones(np.count_nonzero(twin)), sign[pair]])
     scale[rows == ends] *= 0.5
     return _Pairing(partner, own, first, turn[inside], L - 2.0 * np.bitwise_count(every[inside]),
-                    k, cols, shift, val, sign, pair, rows, ends, pick, scale)
+                    k, cols, shift, val, rows, ends, pick, scale)
 
 
 def _assemble(rows, cols, data, n):
-    """h0 = K + K^T from the entries of K: a dense array up to DENSE_BLOCK_MAX,
-    CSR with int32 indices above."""
+    """h0 = K + K^T for each row of ``data``, the values of the entries
+    (rows, cols) of K: dense arrays up to DENSE_BLOCK_MAX, all in one
+    bincount, CSR with int32 indices above."""
     if n <= DENSE_BLOCK_MAX:
-        h0 = np.bincount(rows * n + cols, weights=data, minlength=n * n).reshape(n, n)
-        return h0 + h0.T
+        index = (np.arange(len(data))[:, None] * n * n + rows * n + cols).ravel()
+        h0 = np.bincount(index, weights=data.ravel(), minlength=len(data) * n * n)
+        return [block + block.T for block in h0.reshape(len(data), n, n)]
     import scipy.sparse as sp
 
-    h0 = sp.csr_matrix((data, (rows, cols)), shape=(n, n))  # sums the duplicates
-    return (h0 + h0.T).copy()  # CSR; the copy drops the spare room of the sum
-
-
-def _sector_blocks(params, ell, parity):
-    """H in the (ell, Z-parity) sector as the real symmetric blocks of
-    ``_blocks``, keyed by mirror parity, built on their own."""
-    orbit_rows = _orbit_rows(params, parity)
-    inside = np.flatnonzero(_admits(params.L, ell, parity, *orbit_rows[:2]))
-    return _blocks(params.L, [ell], _pairing(params.L, orbit_rows, inside))[ell]
+    # csr_matrix sums the duplicates, and the copy drops the spare room of the sum
+    h0 = [sp.csr_matrix((values, (rows, cols)), shape=(n, n)) for values in data]
+    return [(block + block.T).copy() for block in h0]
 
 
 def _blocks(L, ells, pairing):
@@ -293,37 +283,18 @@ def _blocks(L, ells, pairing):
     whose pair comes first, and mirrored, so h0 equals its transpose bit for
     bit.
 
-    At ell = 0 every phase is 1 and the mirror R itself commutes with H, so
-    the self-mirror columns and the u of the pairs (R = +1) never mix with
-    the u' (R = -1): the block splits into a mirror-even and a mirror-odd
-    half, 63 + 31 columns instead of 94 at L = 11, and the odd half drops
-    the common factor i of its u', so both halves give real states.
+    At ell = 0 every phase is exactly 1 and the mirror R itself commutes
+    with H, so the self-mirror columns and the u of the pairs (R = +1) never
+    mix with the u' (R = -1): the entries of K between them are Im w, exactly
+    0.  So the block of ell = 0 is assembled as its mirror-even and
+    mirror-odd halves, each from the entries of K with both ends inside it,
+    63 + 31 columns instead of 94 at L = 11 and 190 + 126 instead of 316 at
+    L = 13, where the halves stay dense.  A half's back map is the one above
+    restricted to its columns, and the odd half's is multiplied by -i, so
+    both halves give real states.
     """
-    partner, own, first, turn, mag, k, source, shift, val, sign, pair, rows, cols, pick, scale = (
-        pairing)
+    partner, own, first, turn, mag, k, source, shift, val, rows, cols, pick, scale = pairing
     n = partner.size
-    if list(ells) == [0]:  # every phase is 1: u (at a) and u' (at b) of the pairs do not mix
-        a, b = rows[: k.size], rows[k.size : 2 * k.size]
-        # w of the general case with every phase 1, in the same order of products
-        w = val * np.where(own, np.sqrt(2), 1)[k] * np.where(own, 1 / np.sqrt(2), 1)[source]
-        even = own | first
-        odd = pair & (sign != 0)  # the u' rows of the u' columns
-        gather, root = np.arange(n), 1 / np.sqrt(2)
-        odd_weight = np.where(own, 0.0, np.where(first, root, -root))  # u' less its i
-        # columns, entries of K (rows, columns, values) and the back term of each half
-        halves = {1: (even, a, source, w, np.minimum(gather, partner), np.where(own, 1.0, root)),
-                  -1: (~even, b[odd], partner[source[odd]], (sign * w)[odd],
-                       np.maximum(gather, partner), odd_weight)}
-        blocks = {}
-        for mirror, (keep, rows, cols, data, index, weight) in halves.items():
-            size = np.count_nonzero(keep)
-            if size:
-                at = np.cumsum(keep) - 1  # a column's position in its half
-                rows, cols = at[rows], at[cols]
-                data = np.where(rows == cols, 0.5 * data, data)
-                blocks[mirror] = (_assemble(rows, cols, data, size), mag[keep],
-                                  ((at[index], weight),))
-        return {0: blocks}
     if n > DENSE_BLOCK_MAX and len(ells) > 1:  # one CSR block at a time
         return {ell: _blocks(L, [ell], pairing)[ell] for ell in ells}
     ell = np.asarray(ells)[:, None]
@@ -339,15 +310,23 @@ def _blocks(L, ells, pairing):
     del w  # a large CSR block peaks in its assembly
     alpha = np.where(own, half, np.where(first, 1, -1j * phase) / np.sqrt(2))
     beta = np.where(own, 0, np.where(first, 1j, phase) / np.sqrt(2))
-    if n <= DENSE_BLOCK_MAX:  # K of every ell in one bincount
-        index = (np.arange(len(ells))[:, None] * n * n + rows * n + cols).ravel()
-        h0 = np.bincount(index, weights=data.ravel(), minlength=len(ells) * n * n)
-        h0 = [block + block.T for block in h0.reshape(len(ells), n, n)]
-    else:
-        h0 = [_assemble(rows, cols, data[0], n)]
     gather = np.arange(n)
-    return {int(e): {0: (h0[i], mag, ((gather, alpha[i]), (partner, beta[i])))}
-            for i, e in enumerate(ells)}
+    if list(ells) != [0]:
+        h0 = _assemble(rows, cols, data, n)
+        return {int(e): {0: (h0[i], mag, ((gather, alpha[i]), (partner, beta[i])))}
+                for i, e in enumerate(ells)}
+    halves = {}
+    for mirror, keep, factor in ((1, own | first, 1), (-1, ~(own | first), -1j)):
+        if keep.any():
+            at = np.cumsum(keep) - 1  # a column's position in its half
+            inside = keep[rows] & keep[cols]
+            # a column's coordinate is y at itself (alpha) or at its partner
+            # (beta), whichever lies in the half
+            index = at[np.where(keep, gather, partner)]
+            weight = (factor * np.where(keep, alpha[0], beta[0])).real
+            halves[mirror] = (_assemble(at[rows[inside]], at[cols[inside]], data[:, inside],
+                                        np.count_nonzero(keep))[0], mag[keep], ((index, weight),))
+    return {0: halves}
 
 
 def _solve_sector(block, h, count):
@@ -445,7 +424,7 @@ def _embed(L, ell, parity, vecs):
     (ell, +1) are the columns of ``vecs``: a gather, since each basis state
     lies in one translation orbit, and at parity -1 the spin flip Pi^x, which
     complements each basis state and so reverses the amplitudes."""
-    col, amp, _, _ = _momentum_basis(L, ell, 1)
+    col, amp, _ = _momentum_basis(L, ell, 1)
     amps = amp * vecs[col].T
     return amps if parity > 0 else amps[:, ::-1]
 
@@ -492,7 +471,7 @@ class SectorBlocks:
 
     def __init__(self, L, jy, jz, jx=1.0):
         self.params = ChainParams(L=L, jy=jy, jz=jz, h=0.0, jx=jx)
-        orbit_rows = _orbit_rows(self.params, 1)
+        orbit_rows = _orbit_rows(self.params)
         self.blocks = {}
         ells = range((L + 1) // 2)
         for divisor in dict.fromkeys(math.gcd(ell, L) for ell in ells):  # in order of ell

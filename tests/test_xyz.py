@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -17,7 +18,7 @@ from spinmagic.cli import EXIT_USAGE, main
 from spinmagic.states import (
     StateVector,
     _reflect_bits,
-    _translation_orbits,
+    _rotate_bits,
     momentum_of,
     random_state,
     translate,
@@ -173,24 +174,26 @@ def test_degenerate_manifold_is_the_same_in_fresh_processes():
 
 
 def test_dense_and_iterative_solvers_agree(monkeypatch):
-    # L = 9, whose smallest block, the mirror-odd half of ell = 0, has 7 columns
+    # L = 9, whose smallest block, the mirror-odd half of ell = 0, has 7
+    # columns; each block at h and -h, where the two Z-parities solve it
     params = sm.ChainParams(L=9, jy=0.33, jz=0.0, h=0.5)
-    blocks = {(sector, mirror): block for sector in xyz._sectors(9)
-              for mirror, block in xyz._sector_blocks(params, *sector).items()}
-    dense = {key: xyz._solve_sector(block, 0.5, 4) for key, block in blocks.items()}
+    blocks = xyz.SectorBlocks(9, 0.33, 0.0).blocks
+    dense = {(key, x): xyz._solve_sector(block, x, 4) for key, block in blocks.items()
+             for x in (0.5, -0.5)}
     man = sm.lowest_eigs(params)
     monkeypatch.setattr(xyz, "DENSE_BLOCK_MAX", 0)  # every block CSR, solved by eigsh
-    for (sector, mirror), block in blocks.items():
-        n = block[1].size
-        assert n - 1 > 4  # so eigsh takes the block, not eigh for a near-complete spectrum
-        sparse = xyz._sector_blocks(params, *sector)[mirror]
+    csr = xyz.SectorBlocks(9, 0.33, 0.0).blocks
+    for (key, x), (dense_vals, _, dense_residuals) in dense.items():
+        block, sparse = blocks[key], csr[key]
+        # so eigsh takes the block, not eigh for a near-complete spectrum
+        assert block[1].size - 1 > 4
         assert not isinstance(sparse[0], np.ndarray)
         assert np.array_equal(sparse[0].toarray(), block[0])
-        vals, vecs, residuals = xyz._solve_sector(sparse, 0.5, 4)
-        assert np.allclose(vals, dense[sector, mirror][0], rtol=0, atol=1e-9)
-        assert np.all(residuals <= 1e-9) and np.all(dense[sector, mirror][2] <= 1e-9)
+        vals, vecs, residuals = xyz._solve_sector(sparse, x, 4)
+        assert np.allclose(vals, dense_vals, rtol=0, atol=1e-9)
+        assert np.all(residuals <= 1e-9) and np.all(dense_residuals <= 1e-9)
         assert np.allclose(vecs.T @ vecs, np.eye(4), atol=1e-9)
-        assert xyz._certify(sparse, 0.5, vals[0] - 1.0) is None  # no factorization of CSR
+        assert xyz._certify(sparse, x, vals[0] - 1.0) is None  # no factorization of CSR
     sparse = sm.lowest_eigs(params)
     assert np.allclose(man.energies, sparse.energies, rtol=0, atol=1e-9)
     assert man.momenta == sparse.momenta
@@ -223,113 +226,105 @@ def test_dense_solve_matches_eigh_subset(n, count, csr):
 couplings = st.floats(-0.95, 0.95, allow_nan=False)
 
 
-@settings(max_examples=30, deadline=None)
-@given(L=st.sampled_from([5, 7, 9]), jy=couplings, jz=couplings, h=st.floats(0.0, 1.5))
+def mirror_keys(L):
+    """The block keys of SectorBlocks: the mirror halves of ell = 0 (the odd
+    one is empty at L = 5), and mirror 0 for the other ells."""
+    return {(0, 1)} | ({(0, -1)} if L > 5 else set()) | {(ell, 0) for ell in range(1, (L + 1) // 2)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(L=st.sampled_from([5, 7, 9, 11, 13]), jy=couplings, jz=couplings, h=st.floats(-1.5, 1.5))
 @example(L=5, jy=0.0, jz=0.0, h=1e-9)  # near-degenerate levels in different sectors
-@example(L=9, jy=0.0, jz=0.0, h=0.0)  # every sector holds a level of the classical cluster
-def test_sector_states_are_labelled_eigenstates(L, jy, jz, h):
-    # every level of every sector block, the ell != 0 ones twice (once for
-    # -ell), is the whole spectrum of H; L = 9 has orbits of period 3, whose
-    # states lie in the ell = 0, +-3 sectors.  Each block is real symmetric;
-    # a sector's blocks (two mirror halves at ell = 0) have the spectrum of
-    # V^dagger H V, the complex block in its momentum basis, and R K pairs
-    # its columns, which have equal mag
+# the classical point: every sector holds a level of the cluster, degenerate
+# across the halves; L = 9 has orbits of period 3, in the ell = 0, +-3 sectors
+@example(L=9, jy=0.0, jz=0.0, h=0.0)
+def test_sector_blocks_are_the_momentum_sectors(L, jy, jz, h):
+    # SectorBlocks builds the Z-parity +1 blocks, and sector (ell, -1) at h is
+    # its block at -h (the spin flip).  The blocks of each (ell, parity)
+    # sector have the spectrum of V^dagger H V, its complex block in the
+    # momentum basis of _momentum_basis, and all sectors together, ell != 0
+    # twice (once for -ell), the spectrum of H: every level at L <= 9, its
+    # count and the traces of H and H^2 above.  The state of each level,
+    # embedded as ``lowest`` does (the lowest 32 of a block), is an
+    # eigenstate of H, of T with momentum ell and of the Z-parity with its
+    # parity; at ell = 0 it is real and of the mirror R with the parity of its
+    # half, and elsewhere invariant under R K.  The conjugate, of momentum
+    # -ell, is then an eigenstate too, as H is real.  At L = 13 the ell != 0
+    # blocks are CSR and the halves dense
     params = sm.ChainParams(L=L, jy=jy, jz=jz, h=h)
     H = sm.hamiltonian_sparse(params)
-    full = np.linalg.eigvalsh(H.toarray())
-    rep = _translation_orbits(L)[0]
-    zsign = 1.0 - 2.0 * (np.bitwise_count(np.arange(2**L)) & 1)
-    levels = []
-    for ell, parity in xyz._sectors(L):
-        blocks = xyz._sector_blocks(params, ell, parity)  # H0, the field is h diag(mag)
-        assert set(blocks) == ({1, -1} if ell == 0 and L > 5 else {1} if ell == 0 else {0})
-        col, amp, reps, _ = xyz._momentum_basis(L, ell, parity)
-        mirrored = rep[_reflect_bits(reps, 0, L)]
-        partner = np.searchsorted(reps, mirrored)
-        mag = L - 2.0 * np.bitwise_count(reps)
-        assert np.array_equal(reps[partner], mirrored) and np.array_equal(mag[partner], mag)
-        if ell:
-            assert np.array_equal(blocks[0][1], mag) and np.array_equal(blocks[0][2][1][0], partner)
-        assert sum(block[1].size for block in blocks.values()) == reps.size
-        V = scipy.sparse.csr_matrix((amp, (np.arange(2**L), col)), shape=(2**L, reps.size))
-        expected = np.linalg.eigvalsh((V.conj().T @ H @ V).toarray())
-        solves = [xyz._solve_sector(block, h, block[1].size) for block in blocks.values()]
-        vals = np.sort(np.concatenate([vals for vals, _, _ in solves]))
-        assert np.max(np.abs(vals - expected)) <= 1e-12 * np.max(np.abs(expected))
-        for block, (vals, vecs, residuals) in zip(blocks.values(), solves):
-            h0 = block[0]
-            assert h0.dtype == np.float64 and np.array_equal(h0, h0.T)
-            assert np.all(residuals <= 1e-10)
-            for e, v in zip(vals, xyz._momentum_vectors(block, vecs).T):
-                for m in (ell, -ell) if ell else (0,):
-                    amps = amp * v[col]
-                    state = StateVector(L, amps.conj() if m < 0 else amps)
-                    assert np.linalg.norm(H @ state.amps - e * state.amps) <= 1e-10
-                    turned = translate(state, 1).amps
-                    assert np.allclose(turned, np.exp(-1j * momentum_of(m, L)) * state.amps,
-                                       rtol=0, atol=1e-12)
-                    assert abs(abs(np.sum(zsign * np.abs(state.amps) ** 2)) - 1.0) <= 1e-9
-                    levels.append(e)
-    assert np.allclose(np.sort(levels), full, rtol=0, atol=1e-10)
-
-
-@settings(max_examples=30, deadline=None)
-@given(L=st.sampled_from([5, 7, 9]), jy=couplings, jz=couplings, h=st.floats(-1.5, 1.5))
-@example(L=9, jy=0.0, jz=0.0, h=0.0)  # every sector holds a level of the classical cluster
-def test_spin_flip_maps_parity_minus_to_plus_at_minus_h(L, jy, jz, h):
-    # Pi^x maps sector (ell, -1) of H(h) onto (ell, +1) of H(-h): the whole
-    # spectra of the two blocks agree, and the lowest state of (ell, -1),
-    # which SectorBlocks solves in the (ell, +1) block at -h, is an
-    # eigenstate of H(h) with Z-parity -1 and the momentum of its label
-    params = sm.ChainParams(L=L, jy=jy, jz=jz, h=h)
-    H = sm.hamiltonian_sparse(params)
-    zsign = 1.0 - 2.0 * (np.bitwise_count(np.arange(2**L)) & 1)
+    N = 2**L
+    zsign = 1.0 - 2.0 * (np.bitwise_count(np.arange(N)) & 1)
+    mirror = _reflect_bits(np.arange(N), 0, L)
+    pre_image = _rotate_bits(np.arange(N), -1, L)  # translate(state, 1).amps = amps[pre_image]
     sectors = xyz.SectorBlocks(L, jy, jz)
-    assert {ell for ell, _ in sectors.blocks} == set(range((L + 1) // 2))
-    for (ell, mirror), block in sectors.blocks.items():
-        minus, plus = (xyz._solve_sector(xyz._sector_blocks(params, ell, parity)[mirror],
-                                         -parity * h, 2**L)[0] for parity in (-1, 1))
-        assert minus.size == plus.size
-        assert np.max(np.abs(minus - plus)) <= 1e-12 * np.max(np.abs(plus))
-        vals, vecs = sectors._solve(((ell, mirror), -1), h, 1)
-        assert abs(vals[0] - plus[0]) <= 1e-12 * np.max(np.abs(plus))
-        amps = xyz._embed(L, ell, -1, xyz._momentum_vectors(block, vecs))[0]
-        for m in (ell, -ell) if ell else (0,):
-            state = StateVector(L, amps.conj() if m < 0 else amps)
-            assert np.allclose(zsign * state.amps, -state.amps, rtol=0, atol=1e-12)
-            turned = translate(state, 1).amps
-            assert np.allclose(turned, np.exp(-1j * momentum_of(m, L)) * state.amps,
-                               rtol=0, atol=1e-12)
-            assert np.linalg.norm(H @ state.amps - vals[0] * state.amps) <= 1e-10
+    assert set(sectors.blocks) == mirror_keys(L)
+    levels = []
+    for ell in range((L + 1) // 2):
+        keys = [key for key in sectors.blocks if key[0] == ell]
+        for parity in (1, -1):
+            col, amp, reps = xyz._momentum_basis(L, ell, parity)
+            V = scipy.sparse.csr_matrix((amp, (np.arange(N), col)), shape=(N, reps.size))
+            expected = np.linalg.eigvalsh((V.conj().T @ H @ V).toarray())
+            solves = {key: xyz._solve_sector(sectors.blocks[key], parity * h,
+                                             sectors.blocks[key][1].size) for key in keys}
+            vals = np.sort(np.concatenate([vals for vals, _, _ in solves.values()]))
+            assert vals.size == expected.size
+            assert np.max(np.abs(vals - expected)) <= 1e-12 * np.max(np.abs(expected))
+            levels += [*vals] * (2 if ell else 1)
+            for (_, m), (vals, vecs, residuals) in solves.items():
+                h0, mag, _ = block = sectors.blocks[ell, m]
+                dense = h0 if isinstance(h0, np.ndarray) else h0.toarray()
+                assert h0.dtype == np.float64 and np.array_equal(dense, dense.T)
+                assert isinstance(h0, np.ndarray) == (mag.size <= xyz.DENSE_BLOCK_MAX)
+                if ell and parity > 0:  # the block's columns are those of (ell, +1)
+                    assert np.array_equal(mag, L - 2.0 * np.bitwise_count(reps))
+                assert np.all(residuals <= 1e-10)
+                vals, vecs = vals[:32], vecs[:, :32]
+                amps = xyz._embed(L, ell, parity, xyz._momentum_vectors(block, vecs)).T
+                assert np.allclose(np.linalg.norm(amps, axis=0), 1, rtol=0, atol=1e-12)
+                assert np.max(np.linalg.norm(H @ amps - amps * vals, axis=0)) <= 1e-10
+                assert np.allclose(amps[pre_image], np.exp(-1j * momentum_of(ell, L)) * amps,
+                                   rtol=0, atol=1e-12)
+                assert np.allclose(zsign[:, None] * amps, parity * amps, rtol=0, atol=1e-12)
+                if ell:
+                    assert np.allclose(amps[mirror].conj(), amps, rtol=0, atol=1e-12)
+                else:
+                    assert amps.dtype == np.float64
+                    assert np.allclose(amps[mirror], m * amps, rtol=0, atol=1e-12)
+    assert len(levels) == N
+    if L <= 9:
+        assert np.allclose(np.sort(levels), np.linalg.eigvalsh(H.toarray()), rtol=0, atol=1e-10)
+    else:
+        levels = np.array(levels)
+        assert abs(levels.sum() - H.diagonal().sum()) <= 1e-10 * N
+        assert abs(levels @ levels - H.multiply(H).sum()) <= 1e-10 * N
 
 
-@settings(max_examples=20, deadline=None)
-@given(L=st.sampled_from([5, 7, 9, 11]), jy=couplings, jz=couplings, x=st.floats(-1.5, 1.5))
-@example(L=9, jy=0.0, jz=0.0, x=0.0)  # the classical point, degenerate across the halves
-def test_mirror_halves_split_the_zero_momentum_block(L, jy, jz, x):
-    # the two halves of each Z-parity have together the spectrum of the ell = 0
-    # block in its momentum basis, and the lowest state of each is real and
-    # an eigenstate of H, of T (momentum 0) and of the mirror R, with the
-    # mirror parity of its half
-    params = sm.ChainParams(L, jy, jz, x)
-    H = sm.hamiltonian_sparse(params)
-    mirror = _reflect_bits(np.arange(2**L), 0, L)
-    for parity in (1, -1):
-        col, amp, reps, _ = xyz._momentum_basis(L, 0, parity)
+@pytest.mark.parametrize("L", [5, 7, 9, 11, 13])
+def test_blocks_are_h0_in_their_back_maps(L):
+    # the back map of each block is an isometry W into the momentum basis of
+    # its sector (ell, +1), and h0 = W^dagger (V^dagger H0 V) W.  At ell = 0
+    # the halves are orthogonal, and H0 has no entry between them: they are
+    # the mirror split of the one assembly of every ell
+    jy, jz = np.random.default_rng(L).uniform(-0.9, 0.9, 2)
+    H = sm.hamiltonian_sparse(sm.ChainParams(L, jy, jz, 0.0))
+    sectors = xyz.SectorBlocks(L, jy, jz)
+    for ell in range((L + 1) // 2):
+        col, amp, reps = xyz._momentum_basis(L, ell, 1)
         V = scipy.sparse.csr_matrix((amp, (np.arange(2**L), col)), shape=(2**L, reps.size))
-        expected = np.linalg.eigvalsh((V.T @ H @ V).toarray())
-        halves = xyz._sector_blocks(params, 0, parity)
-        assert set(halves) == ({1} if L == 5 else {1, -1})
-        solves = {m: xyz._solve_sector(block, x, block[1].size) for m, block in halves.items()}
-        levels = np.sort(np.concatenate([vals for vals, _, _ in solves.values()]))
-        assert np.max(np.abs(levels - expected)) <= 1e-12 * np.max(np.abs(expected))
-        for m, (vals, vecs, _) in solves.items():
-            v = xyz._momentum_vectors(halves[m], vecs[:, :1])[:, 0]
-            amps = amp * v[col]
-            assert amps.dtype == np.float64 and abs(np.linalg.norm(amps) - 1) <= 1e-12
-            assert np.linalg.norm(H @ amps - vals[0] * amps) <= 1e-10
-            assert np.allclose(translate(StateVector(L, amps), 1).amps, amps, rtol=0, atol=1e-12)
-            assert np.allclose(amps[mirror], m * amps, rtol=0, atol=1e-12)
+        h_ell = (V.conj().T @ H @ V).toarray()
+        W = {m: xyz._momentum_vectors(block, np.eye(block[1].size))
+             for (e, m), block in sectors.blocks.items() if e == ell}
+        assert sum(w.shape[1] for w in W.values()) == reps.size
+        for m, w in W.items():
+            h0 = sectors.blocks[ell, m][0]
+            h0 = h0 if isinstance(h0, np.ndarray) else h0.toarray()
+            assert np.allclose(w.conj().T @ w, np.eye(w.shape[1]), rtol=0, atol=1e-12)
+            assert np.allclose(w.conj().T @ h_ell @ w, h0, rtol=0, atol=1e-12)
+        if len(W) == 2:
+            assert np.allclose(W[1].T @ W[-1], 0, rtol=0, atol=1e-12)
+            assert np.allclose(W[1].T @ h_ell @ W[-1], 0, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -354,12 +349,15 @@ def test_certificate_holds_only_above_the_lowest_level(L, jy, jz, x, offset):
 @pytest.mark.parametrize("L", [9, 11, 13])
 def test_block_groups_match_one_ell_at_a_time(L):
     # SectorBlocks builds the blocks of the ells of one gcd(ell, L) in one pass
-    # from one pairing; each block is the one _sector_blocks builds alone, bit
-    # for bit (at L = 13 the ell != 0 blocks are CSR, built one at a time)
-    params = sm.ChainParams(L, 0.33, 0.1, 0.0)
+    # from one pairing; each block is the one _blocks builds for its ell alone
+    # from a pairing of its own, bit for bit (at L = 13 the ell != 0 blocks
+    # are CSR, built one at a time)
+    orbit_rows = xyz._orbit_rows(sm.ChainParams(L, 0.33, 0.1, 0.0))
     sectors = xyz.SectorBlocks(L, 0.33, 0.1)
     for (ell, mirror), (h0, mag, back) in sectors.blocks.items():
-        one_h0, one_mag, one_back = xyz._sector_blocks(params, ell, 1)[mirror]
+        inside = np.flatnonzero(xyz._admits(L, ell, 1, *orbit_rows[:2]))
+        pairing = xyz._pairing(L, orbit_rows, inside)
+        one_h0, one_mag, one_back = xyz._blocks(L, [ell], pairing)[ell][mirror]
         dense = (h0, one_h0) if isinstance(h0, np.ndarray) else (h0.toarray(), one_h0.toarray())
         assert np.array_equal(*dense) and np.array_equal(dense[0], dense[0].T)
         assert np.array_equal(mag, one_mag) and len(back) == len(one_back)
@@ -409,6 +407,30 @@ def test_momentum_pair_below_hstar_and_zero_above():
 def test_find_hstar_frozen_values():
     assert sm.find_hstar(0.33, 0.0, 7).hstar == pytest.approx(0.94272, abs=5e-4)
     assert sm.find_hstar(0.33, 0.0, 9).hstar == pytest.approx(0.97025, abs=5e-4)
+
+
+# float.hex of (hstar, m2_below, m2_above, s2_below, s2_above) of
+# jump-scaling --L 7,9,11, and of find_hstar(0.33, 0.0, 15).hstar
+JUMP_PINS = {
+    7: ("0x1.e2afef9417561p-1", "0x1.b06be814794d5p+1", "0x1.33c24ae5d8c78p+1",
+        "0x1.12391e75a4766p+0", "0x1.1441f6e2bf4dap-1"),
+    9: ("0x1.f0c5daab2fae0p-1", "0x1.1635490b3c380p+2", "0x1.d3092fb3f40c7p+1",
+        "0x1.272d2e0ef2106p+0", "0x1.8e1cda162cfdfp-1"),
+    11: ("0x1.f4156856287c7p-1", "0x1.53efebefa1962p+2", "0x1.325b8a1086605p+2",
+         "0x1.3cc0a2caa4c90p+0", "0x1.f6e03f6f222d0p-1"),
+}
+HSTAR_15 = "0x1.f656db39693e7p-1"
+
+
+def test_xyz_pipeline_is_pinned(capsys):
+    """h* and the magic and entanglement of the ground states on both sides
+    of it, bit for bit: a change to the sector blocks, their solves, the
+    search or the embedding that moves one of them by an ulp fails here."""
+    assert main(["jump-scaling", "--L", "7,9,11", "--format", "json"]) == cli.EXIT_OK
+    rows = json.loads(capsys.readouterr().out)[:-1]  # the last row is the fit
+    columns = ("hstar", "m2_below", "m2_above", "s2_below", "s2_above")
+    assert {row["L"]: tuple(row[c].hex() for c in columns) for row in rows} == JUMP_PINS
+    assert sm.find_hstar(0.33, 0.0, 15).hstar.hex() == HSTAR_15
 
 
 def counting_solve(monkeypatch, limit=None):
@@ -478,13 +500,14 @@ def test_find_hstar_brackets_the_public_predicate(L, jy, above):
 @pytest.mark.parametrize("L, ell, parity, mirror", [(7, 0, 1, 1), (7, 0, -1, -1), (7, 1, -1, 0),
                                                     (13, 2, 1, 0)])
 def test_hellmann_feynman_slope_matches_finite_difference(L, ell, parity, mirror):
-    # the L = 13 block is above DENSE_BLOCK_MAX and goes through eigsh
-    block = xyz._sector_blocks(sm.ChainParams(L, 0.33, 0.1, 0.0), ell, parity)[mirror]
+    # sector (ell, parity) at h is its block at parity h, so its slope is
+    # parity <mag>; the L = 13 block is above DENSE_BLOCK_MAX and goes through eigsh
+    block = xyz.SectorBlocks(L, 0.33, 0.1).blocks[ell, mirror]
     h, dh = 0.6, 1e-4
-    _, vecs, _ = xyz._solve_sector(block, h, 1)
+    _, vecs, _ = xyz._solve_sector(block, parity * h, 1)
     v = vecs[:, 0]
-    slope = v @ (block[1] * v)
-    up, down = (xyz._solve_sector(block, h + sign * dh, 1)[0][0] for sign in (1, -1))
+    slope = parity * (v @ (block[1] * v))
+    up, down = (xyz._solve_sector(block, parity * (h + sign * dh), 1)[0][0] for sign in (1, -1))
     assert abs(slope - (up - down) / (2 * dh)) <= 1e-6
 
 
