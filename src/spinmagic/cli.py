@@ -1,5 +1,9 @@
 """Command-line experiments: every subcommand emits a deterministic CSV or
 JSON table (fixed float format, fixed row order, fixed eigensolver seed).
+The tables are byte-stable for a fixed BLAS thread count; the order in which
+the XYZ eigensolves sum depends on it, so the last digits of h* can change
+with the thread count.  One thread (OPENBLAS_NUM_THREADS=1) is the measured
+setting; the package sets no thread count itself.
 
 Exit codes: 0 success, 2 tolerance breach in a cross-check, 3 solver failure
 (including a non-finite value in a JSON table), 4 usage error (a bad flag,
@@ -371,18 +375,16 @@ def cmd_verify(args):
     # _momentum_basis, and all of them (ell != 0 twice) against the full H
     rows = {"full": ("sector blocks vs full H", 1e-10),
             "flip": ("spin flip: sector (ell,-1) at h vs (ell,+1) at -h", 1e-10),
-            "halves": ("mirror halves vs ell=0 block", 1e-12),
             "certificate": ("inertia certificate vs eigvalsh", 0)}
     worst = {(row, L): 0.0 for row in rows for L in (5, 7)}
     for L in (5, 7):  # dense blocks at these L
         for jy, jz, h in ((0.33, 0.0, 0.5), (-0.4, 0.6, 1.2), (0.8, -0.3, -0.7)):
             sectors = xyz.SectorBlocks(L, jy, jz)
             H = xyz.hamiltonian_sparse(ChainParams(L, jy, jz, h)).toarray()
-            levels = {}  # (ell, parity) -> the levels of its blocks
-            for key, parity in sectors.sectors:
-                h0, mag, _ = block = sectors.blocks[key]
-                levels.setdefault((key[0], parity), []).extend(
-                    xyz._solve_sector(block, parity * h, mag.size)[0])
+            union = []
+            for ell, parity in sectors.sectors:
+                h0, mag, _ = block = sectors.blocks[ell]
+                vals = xyz._solve_sector(block, parity * h, mag.size)[0]
                 if not np.array_equal(h0, h0.T):
                     worst["full", L] = math.inf
                 # a certified bound lies below the lowest level, and one shows well below it
@@ -394,17 +396,13 @@ def cmd_verify(args):
                         worst["certificate", L] = max(worst["certificate", L], bound - lowest)
                 if xyz._certify(block, parity * h, lowest - 1e-6 * scale) is None:
                     worst["certificate", L] = math.inf
-            union = []
-            for (ell, parity), vals in levels.items():
                 col, amp, reps = xyz._momentum_basis(L, ell, parity)
                 V = np.zeros((2**L, reps.size), amp.dtype)
                 V[np.arange(2**L), col] = amp  # amp is 0 off the sector
                 expected = np.linalg.eigvalsh(V.conj().T @ H @ V)
-                vals = np.sort(vals)
                 gap = np.max(np.abs(vals - expected)) if vals.size == expected.size else math.inf
-                for row in ["full"] + ["flip"] * (parity < 0) + ["halves"] * (ell == 0):
-                    relative = np.max(np.abs(expected)) if row == "halves" else 1.0
-                    worst[row, L] = max(worst[row, L], float(gap / relative))
+                for row in ["full"] + ["flip"] * (parity < 0):
+                    worst[row, L] = max(worst[row, L], float(gap))
                 union += [*vals] * (2 if ell else 1)
             gap = np.max(np.abs(np.sort(union) - np.linalg.eigvalsh(H)))
             worst["full", L] = max(worst["full", L], float(gap))

@@ -8,11 +8,8 @@ scipy.linalg alone.
 A sector block is real symmetric, in the basis of the sector made
 invariant under the mirror times complex conjugation, R K (the semi-momentum
 states of Sandvik, arXiv:1101.3281), and is built as H(h) = H0 + h diag(mag),
-with mag = sum_n sz_n at the orbit representatives.  One assembly serves
-every momentum.  At zero momentum the mirror itself commutes with H, and
-that assembly splits the sector into its mirror-even and mirror-odd halves
-(63 + 31 columns instead of 94 at L = 11, 190 + 126 instead of 316 at
-L = 13).
+with mag = sum_n sz_n at the orbit representatives.  One assembly builds
+one block per momentum ell >= 0, zero momentum included.
 ``SectorBlocks`` holds the blocks of one chain, built once, and what each
 solve and certificate at each field has shown of a block's lowest level.  It
 skips a sector that the concavity of its lowest level in h rules out, and a
@@ -241,31 +238,25 @@ def _pairing(L, orbit_rows, inside):
 
 
 def _assemble(rows, cols, data, n):
-    """h0 = K + K^T for each row of ``data``, the values of the entries
-    (rows, cols) of K: dense arrays up to DENSE_BLOCK_MAX, all in one
-    bincount, CSR with int32 indices above."""
+    """h0 = K + K^T, with ``data`` the values of the entries (rows, cols) of
+    K: a dense array up to DENSE_BLOCK_MAX, CSR with int32 indices above."""
     if n <= DENSE_BLOCK_MAX:
-        index = (np.arange(len(data))[:, None] * n * n + rows * n + cols).ravel()
-        h0 = np.bincount(index, weights=data.ravel(), minlength=len(data) * n * n)
-        return [block + block.T for block in h0.reshape(len(data), n, n)]
+        h0 = np.bincount(rows * n + cols, weights=data, minlength=n * n).reshape(n, n)
+        return h0 + h0.T
     import scipy.sparse as sp
 
     # csr_matrix sums the duplicates, and the copy drops the spare room of the sum
-    h0 = [sp.csr_matrix((values, (rows, cols)), shape=(n, n)) for values in data]
-    return [(block + block.T).copy() for block in h0]
+    h0 = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    return (h0 + h0.T).copy()
 
 
-def _blocks(L, ells, pairing):
-    """{ell: {mirror: block}} for each of ``ells``, which share ``pairing``:
-    the sector's blocks of H(h) = h0 + h diag(mag), keyed by mirror parity,
-    {1: even, -1: odd} at ell = 0 (a half with no column left out) and
-    {0: block} otherwise.  A block is ``(h0, mag, back)`` with h0 real
-    symmetric, a dense array up to DENSE_BLOCK_MAX and CSR with int32 indices
-    above, mag = sum_n sz_n on its basis, and ``back`` the terms
-    (index, weight) that take a vector y of the block's basis to
-    v = sum weight y[index] in the momentum basis of ``_momentum_basis``.
-    The dense blocks of several ells are built in one pass, entry for entry
-    as one at a time.
+def _blocks(L, ell, pairing):
+    """The block ``(h0, mag, back)`` of sector (ell, +1), whose orbits are
+    those of ``pairing``, as H(h) = h0 + h diag(mag): h0 real symmetric, a
+    dense array up to DENSE_BLOCK_MAX and CSR with int32 indices above,
+    mag = sum_n sz_n on its basis, and ``back`` = (alpha, partner, beta),
+    which takes a vector y of the block's basis to
+    v = alpha y + beta y[partner] in the momentum basis of ``_momentum_basis``.
 
     R K, the mirror about site 1 times complex conjugation, commutes with H,
     T and the Z-parity: R K|c> = phase_c |c'>, with c' the column of
@@ -281,23 +272,10 @@ def _blocks(L, ells, pairing):
     column of its own; so each entry of z is read off where it adds to x_a,
     conjugated if it lies at b.  Each entry is computed once, from the source
     whose pair comes first, and mirrored, so h0 equals its transpose bit for
-    bit.
-
-    At ell = 0 every phase is exactly 1 and the mirror R itself commutes
-    with H, so the self-mirror columns and the u of the pairs (R = +1) never
-    mix with the u' (R = -1): the entries of K between them are Im w, exactly
-    0.  So the block of ell = 0 is assembled as its mirror-even and
-    mirror-odd halves, each from the entries of K with both ends inside it,
-    63 + 31 columns instead of 94 at L = 11 and 190 + 126 instead of 316 at
-    L = 13, where the halves stay dense.  A half's back map is the one above
-    restricted to its columns, and the odd half's is multiplied by -i, so
-    both halves give real states.
+    bit.  At ell = 0 every phase is exactly 1, and the same assembly gives
+    the whole sector as one block.
     """
     partner, own, first, turn, mag, k, source, shift, val, rows, cols, pick, scale = pairing
-    n = partner.size
-    if n > DENSE_BLOCK_MAX and len(ells) > 1:  # one CSR block at a time
-        return {ell: _blocks(L, [ell], pairing)[ell] for ell in ells}
-    ell = np.asarray(ells)[:, None]
     roots = np.exp(1j * np.pi * np.arange(2 * L) / L)  # e^{i pi m / L}
     phase = roots[(-2 * ell * turn) % (2 * L)]
     half = roots[(-ell * turn) % (2 * L)]
@@ -305,28 +283,12 @@ def _blocks(L, ells, pairing):
     # weighted by sqrt2 for sqrt2 Re, and its source q = half_c |c> / sqrt2
     gain = np.where(own, np.sqrt(2) * half.conj(), np.where(first, 1, phase.conj()))
     w = (val * roots[(-2 * ell * shift) % (2 * L)]
-         * gain[:, k] * np.where(own, half / np.sqrt(2), 1)[:, source])
-    data = np.concatenate([w.real, w.imag], axis=1)[:, pick] * scale
+         * gain[k] * np.where(own, half / np.sqrt(2), 1)[source])
+    data = np.concatenate([w.real, w.imag])[pick] * scale
     del w  # a large CSR block peaks in its assembly
     alpha = np.where(own, half, np.where(first, 1, -1j * phase) / np.sqrt(2))
     beta = np.where(own, 0, np.where(first, 1j, phase) / np.sqrt(2))
-    gather = np.arange(n)
-    if list(ells) != [0]:
-        h0 = _assemble(rows, cols, data, n)
-        return {int(e): {0: (h0[i], mag, ((gather, alpha[i]), (partner, beta[i])))}
-                for i, e in enumerate(ells)}
-    halves = {}
-    for mirror, keep, factor in ((1, own | first, 1), (-1, ~(own | first), -1j)):
-        if keep.any():
-            at = np.cumsum(keep) - 1  # a column's position in its half
-            inside = keep[rows] & keep[cols]
-            # a column's coordinate is y at itself (alpha) or at its partner
-            # (beta), whichever lies in the half
-            index = at[np.where(keep, gather, partner)]
-            weight = (factor * np.where(keep, alpha[0], beta[0])).real
-            halves[mirror] = (_assemble(at[rows[inside]], at[cols[inside]], data[:, inside],
-                                        np.count_nonzero(keep))[0], mag[keep], ((index, weight),))
-    return {0: halves}
+    return _assemble(rows, cols, data, partner.size), mag, (alpha, partner, beta)
 
 
 def _solve_sector(block, h, count):
@@ -374,12 +336,9 @@ def _solve_sector(block, h, count):
 
 def _momentum_vectors(block, vecs):
     """The columns of ``vecs``, in the basis of ``block``, in the momentum
-    basis of its sector: sum weight vecs[index] over the terms of its back."""
-    (index, weight), *rest = block[2]
-    out = weight[:, None] * vecs[index]
-    for index, weight in rest:
-        out = out + weight[:, None] * vecs[index]
-    return out
+    basis of its sector: alpha vecs + beta vecs[partner], from its back."""
+    alpha, partner, beta = block[2]
+    return alpha[:, None] * vecs + beta[:, None] * vecs[partner]
 
 
 def _certify(block, x, floor):
@@ -431,12 +390,11 @@ def _embed(L, ell, parity, vecs):
 
 class SectorBlocks:
     """The Z-parity +1 sector blocks of the chain (L, jy, jz, jx), built once,
-    keyed by (ell, mirror) for ell >= 0 (the mirror halves of ell = 0, and
-    mirror 0 for the other ells, whose sectors R maps to -ell), and what has
-    been learned of each block's lowest level at each field so far.  Sector
-    (ell, -1) at field h is block ell solved at -h (the spin flip of the
-    module docstring), so a sector is (block key, Z-parity) and every one
-    has its levels from the blocks.
+    one per momentum ell >= 0 and keyed by ell (R maps the sector of ell to
+    that of -ell), and what has been learned of each block's lowest level at
+    each field so far.  Sector (ell, -1) at field h is block ell solved at -h
+    (the spin flip of the module docstring), so a sector is (ell, Z-parity)
+    and every one has its levels from the blocks.
 
     E(x), the lowest level of a block of H0 + x diag(mag), is concave in the
     signed field x: it is the minimum over unit vectors v of the affine
@@ -466,7 +424,7 @@ class SectorBlocks:
     The blocks are built once per set of admitted orbits: which orbits a
     sector (ell, +1) admits depends on gcd(ell, L) alone, so ``_pairing``
     does the part that does not depend on ell once per gcd, and ``_blocks``
-    builds the dense blocks of its ells in one pass.
+    builds the block of each of its ells from it.
     """
 
     def __init__(self, L, jy, jz, jx=1.0):
@@ -478,18 +436,16 @@ class SectorBlocks:
             # ell = divisor admits the orbits that every ell of this gcd admits
             inside = np.flatnonzero(_admits(L, divisor, 1, *orbit_rows[:2]))
             pairing = _pairing(L, orbit_rows, inside)
-            group = [ell for ell in ells if math.gcd(ell, L) == divisor]
-            for ell, blocks in _blocks(L, group, pairing).items():
-                for mirror, block in blocks.items():
-                    self.blocks[ell, mirror] = block
+            for ell in ells:
+                if math.gcd(ell, L) == divisor:
+                    self.blocks[ell] = _blocks(L, ell, pairing)
             del pairing  # the next is built without this one alive
-        self.sectors = [((ell, mirror), parity) for ell in ells for parity in (1, -1)
-                        for mirror in (1, -1, 0) if (ell, mirror) in self.blocks]
+        self.sectors = [(ell, parity) for ell in ells for parity in (1, -1)]
         # (x, level or bound, residual, <mag> or None for a certificate) per block
-        self.solved = {key: [] for key in self.blocks}
+        self.solved = {ell: [] for ell in self.blocks}
         self._residual = 0.0  # the largest residual of a solved level
-        # the solves at the fields +-_field, by (block key, x, count): at h = 0
-        # the two parities of a block are one solve
+        # the solves at the fields +-_field, by (ell, x, count): at h = 0 the
+        # two parities of a block are one solve
         self._field, self._fresh = None, {}
 
     def _estimate(self, sector, h):
@@ -499,11 +455,11 @@ class SectorBlocks:
         of the two; -inf where x is not between two records.  The tangent lies
         above it up to the solves' residuals: the least tangent at x of the
         block's solves; +inf before the block is solved."""
-        key, parity = sector
+        ell, parity = sector
         x = parity * h
         below = above = None  # the first record at the nearest field on each side
         tangent = np.inf
-        for point in self.solved[key]:
+        for point in self.solved[ell]:
             x0, e, _, slope = point
             if x0 <= x and (below is None or x0 > below[0]):
                 below = point
@@ -517,32 +473,32 @@ class SectorBlocks:
         chord = ea if xb == xa else ea + (x - xa) * (eb - ea) / (xb - xa)
         return chord - 2 * max(ra, rb), tangent
 
-    def _slope(self, key, v):
-        """<v|mag|v>, dE/dx, of a vector v in the basis of block ``key``."""
-        return v @ (self.blocks[key][1] * v)
+    def _slope(self, ell, v):
+        """<v|mag|v>, dE/dx, of a vector v in the basis of block ell."""
+        return v @ (self.blocks[ell][1] * v)
 
     def _solve(self, sector, h, count):
         """The lowest ``count`` levels of ``sector`` at h and their vectors,
         in the basis of its block."""
-        key, parity = sector
+        ell, parity = sector
         x = parity * h
         if abs(h) != self._field:
             self._field, self._fresh = abs(h), {}
-        if (key, x, count) not in self._fresh:
-            vals, vecs, residuals = _solve_sector(self.blocks[key], x, count)
-            self.solved[key].append((x, vals[0], residuals[0], self._slope(key, vecs[:, 0])))
+        if (ell, x, count) not in self._fresh:
+            vals, vecs, residuals = _solve_sector(self.blocks[ell], x, count)
+            self.solved[ell].append((x, vals[0], residuals[0], self._slope(ell, vecs[:, 0])))
             self._residual = max(self._residual, residuals[0])
-            self._fresh[key, x, count] = vals, vecs
-        return self._fresh[key, x, count]
+            self._fresh[ell, x, count] = vals, vecs
+        return self._fresh[ell, x, count]
 
     def _certified(self, sector, h, floor):
         """Whether ``_certify`` shows every level of ``sector`` at h above
         ``floor``; its bound is recorded."""
-        key, parity = sector
+        ell, parity = sector
         x = parity * h
-        bound = _certify(self.blocks[key], x, floor)
+        bound = _certify(self.blocks[ell], x, floor)
         if bound is not None:
-            self.solved[key].append((x, bound, self._residual, None))
+            self.solved[ell].append((x, bound, self._residual, None))
         return bound is not None
 
     def _solve_lowest(self, h, sectors, count=1):
@@ -555,14 +511,14 @@ class SectorBlocks:
         estimates = {sector: self._estimate(sector, h) for sector in sectors}
         solved, touched, best = {}, set(), np.inf  # touched: the blocks recorded at h
         for sector in sorted(sectors, key=lambda sector: estimates[sector][1]):
-            key = sector[0]
+            ell = sector[0]
             # at h = 0 the two parities of a block are one field, which a
             # record made for the first may settle for the second
-            bound, tangent = self._estimate(sector, h) if key in touched else estimates[sector]
+            bound, tangent = self._estimate(sector, h) if ell in touched else estimates[sector]
             reach = _cluster_reach(best)
             if bound > reach:
                 continue
-            touched.add(key)
+            touched.add(ell)
             # where a tangent lies below the floor, so does the level, and the
             # certificate would fail
             floor = reach + 2 * self._residual
@@ -583,13 +539,13 @@ class SectorBlocks:
         a solve of it would have returned a level above the reach."""
         out = {}
         for finite in (False, True):
-            sectors = [sector for sector in self.sectors if (sector[0][0] != 0) == finite]
+            sectors = [sector for sector in self.sectors if (sector[0] != 0) == finite]
             levels = self._solve_lowest(h, sectors)  # in sector order
             reach = _cluster_reach(min(vals[0] for vals, _ in levels.values()))
             sector = next(sector for sector in levels if levels[sector][0][0] < reach)
             vals, vecs = levels[sector]
-            key, parity = sector
-            out[finite] = (sector, vals[0], parity * self._slope(key, vecs[:, 0]))
+            ell, parity = sector
+            out[finite] = (sector, vals[0], parity * self._slope(ell, vecs[:, 0]))
         return out
 
     def lowest(self, h):
@@ -599,9 +555,8 @@ class SectorBlocks:
         H commutes with the translation T and the Z-parity, so it is solved in
         each (ell, parity) sector for ell >= 0; the ell < 0 levels are the
         complex conjugates, since H is real.  The levels come in sector order
-        (ell ascending, +ell before -ell, parity +1 first, the mirror-even
-        half of ell = 0 before the odd), so a degenerate manifold does not
-        depend on the last bits of its energies.  The first sector visited
+        (ell ascending, +ell before -ell, parity +1 first), so a degenerate
+        manifold does not depend on the last bits of its energies.  The first sector visited
         is solved for two levels, as the ground sector needs its second to
         show that its first is the cluster's only one.  A sector whose levels
         all lie below the reach may hold more of the cluster, so it is solved
@@ -625,12 +580,12 @@ class SectorBlocks:
             reach = _cluster_reach(min(vals[0] for vals, _ in solved.values()))
         energies, states, momenta = [], [], []
         for sector in (sector for sector in self.sectors if sector in solved):
-            (ell, _), parity = sector
+            ell, parity = sector
             vals, vecs = solved[sector]
             inside = vals < reach
             if not inside.any():
                 continue
-            vecs = _momentum_vectors(self.blocks[sector[0]], vecs[:, inside])
+            vecs = _momentum_vectors(self.blocks[ell], vecs[:, inside])
             for e, amps in zip(vals[inside], _embed(self.params.L, ell, parity, vecs)):
                 for m in (ell, -ell) if ell else (0,):
                     energies.append(e)

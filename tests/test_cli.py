@@ -575,11 +575,10 @@ def test_verify_passes(tmp_path, capsys):
         assert any(f"sector blocks vs full H L={L}" in line for line in checks)
         assert any(f"spin flip: sector (ell,-1) at h vs (ell,+1) at -h L={L}" in line
                    for line in checks)
-        assert any(f"mirror halves vs ell=0 block L={L}" in line for line in checks)
         assert any(f"inertia certificate vs eigvalsh L={L}" in line for line in checks)
     assert checks and all(line.startswith("PASS") for line in checks)
     rows = json.loads(table.read_text())
-    assert len(rows) == len(checks) == 32
+    assert len(rows) == len(checks) == 30
     assert all(row["status"] == "PASS" for row in rows)
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spinmagic as sm
-from spinmagic import cli, xyz
+from spinmagic import cli, pauli, xyz
 from spinmagic.cli import EXIT_USAGE, main
 from spinmagic.states import (
     StateVector,
@@ -174,17 +175,17 @@ def test_degenerate_manifold_is_the_same_in_fresh_processes():
 
 
 def test_dense_and_iterative_solvers_agree(monkeypatch):
-    # L = 9, whose smallest block, the mirror-odd half of ell = 0, has 7
-    # columns; each block at h and -h, where the two Z-parities solve it
+    # L = 9, whose blocks have 28-30 columns; each block at h and -h, where
+    # the two Z-parities solve it
     params = sm.ChainParams(L=9, jy=0.33, jz=0.0, h=0.5)
     blocks = xyz.SectorBlocks(9, 0.33, 0.0).blocks
-    dense = {(key, x): xyz._solve_sector(block, x, 4) for key, block in blocks.items()
+    dense = {(ell, x): xyz._solve_sector(block, x, 4) for ell, block in blocks.items()
              for x in (0.5, -0.5)}
     man = sm.lowest_eigs(params)
     monkeypatch.setattr(xyz, "DENSE_BLOCK_MAX", 0)  # every block CSR, solved by eigsh
     csr = xyz.SectorBlocks(9, 0.33, 0.0).blocks
-    for (key, x), (dense_vals, _, dense_residuals) in dense.items():
-        block, sparse = blocks[key], csr[key]
+    for (ell, x), (dense_vals, _, dense_residuals) in dense.items():
+        block, sparse = blocks[ell], csr[ell]
         # so eigsh takes the block, not eigh for a near-complete spectrum
         assert block[1].size - 1 > 4
         assert not isinstance(sparse[0], np.ndarray)
@@ -226,31 +227,24 @@ def test_dense_solve_matches_eigh_subset(n, count, csr):
 couplings = st.floats(-0.95, 0.95, allow_nan=False)
 
 
-def mirror_keys(L):
-    """The block keys of SectorBlocks: the mirror halves of ell = 0 (the odd
-    one is empty at L = 5), and mirror 0 for the other ells."""
-    return {(0, 1)} | ({(0, -1)} if L > 5 else set()) | {(ell, 0) for ell in range(1, (L + 1) // 2)}
-
-
 @settings(max_examples=25, deadline=None)
 @given(L=st.sampled_from([5, 7, 9, 11, 13]), jy=couplings, jz=couplings, h=st.floats(-1.5, 1.5))
 @example(L=5, jy=0.0, jz=0.0, h=1e-9)  # near-degenerate levels in different sectors
-# the classical point: every sector holds a level of the cluster, degenerate
-# across the halves; L = 9 has orbits of period 3, in the ell = 0, +-3 sectors
+# the classical point: every sector holds a level of the cluster; L = 9 has
+# orbits of period 3, in the ell = 0, +-3 sectors
 @example(L=9, jy=0.0, jz=0.0, h=0.0)
 def test_sector_blocks_are_the_momentum_sectors(L, jy, jz, h):
-    # SectorBlocks builds the Z-parity +1 blocks, and sector (ell, -1) at h is
-    # its block at -h (the spin flip).  The blocks of each (ell, parity)
-    # sector have the spectrum of V^dagger H V, its complex block in the
-    # momentum basis of _momentum_basis, and all sectors together, ell != 0
-    # twice (once for -ell), the spectrum of H: every level at L <= 9, its
-    # count and the traces of H and H^2 above.  The state of each level,
-    # embedded as ``lowest`` does (the lowest 32 of a block), is an
-    # eigenstate of H, of T with momentum ell and of the Z-parity with its
-    # parity; at ell = 0 it is real and of the mirror R with the parity of its
-    # half, and elsewhere invariant under R K.  The conjugate, of momentum
-    # -ell, is then an eigenstate too, as H is real.  At L = 13 the ell != 0
-    # blocks are CSR and the halves dense
+    # SectorBlocks builds one Z-parity +1 block per ell, and sector (ell, -1)
+    # at h is its block at -h (the spin flip).  The block of each
+    # (ell, parity) sector has the spectrum of V^dagger H V, its complex
+    # block in the momentum basis of _momentum_basis, and all sectors
+    # together, ell != 0 twice (once for -ell), the spectrum of H: every
+    # level at L <= 9, its count and the traces of H and H^2 above.  The
+    # state of each level, embedded as ``lowest`` does (the lowest 32 of a
+    # block), is an eigenstate of H, of T with momentum ell and of the
+    # Z-parity with its parity, and invariant under R K.  The conjugate, of
+    # momentum -ell, is then an eigenstate too, as H is real.  At L = 13
+    # every block is CSR
     params = sm.ChainParams(L=L, jy=jy, jz=jz, h=h)
     H = sm.hamiltonian_sparse(params)
     N = 2**L
@@ -258,40 +252,31 @@ def test_sector_blocks_are_the_momentum_sectors(L, jy, jz, h):
     mirror = _reflect_bits(np.arange(N), 0, L)
     pre_image = _rotate_bits(np.arange(N), -1, L)  # translate(state, 1).amps = amps[pre_image]
     sectors = xyz.SectorBlocks(L, jy, jz)
-    assert set(sectors.blocks) == mirror_keys(L)
+    assert set(sectors.blocks) == set(range((L + 1) // 2))
     levels = []
-    for ell in range((L + 1) // 2):
-        keys = [key for key in sectors.blocks if key[0] == ell]
-        for parity in (1, -1):
-            col, amp, reps = xyz._momentum_basis(L, ell, parity)
-            V = scipy.sparse.csr_matrix((amp, (np.arange(N), col)), shape=(N, reps.size))
-            expected = np.linalg.eigvalsh((V.conj().T @ H @ V).toarray())
-            solves = {key: xyz._solve_sector(sectors.blocks[key], parity * h,
-                                             sectors.blocks[key][1].size) for key in keys}
-            vals = np.sort(np.concatenate([vals for vals, _, _ in solves.values()]))
-            assert vals.size == expected.size
-            assert np.max(np.abs(vals - expected)) <= 1e-12 * np.max(np.abs(expected))
-            levels += [*vals] * (2 if ell else 1)
-            for (_, m), (vals, vecs, residuals) in solves.items():
-                h0, mag, _ = block = sectors.blocks[ell, m]
-                dense = h0 if isinstance(h0, np.ndarray) else h0.toarray()
-                assert h0.dtype == np.float64 and np.array_equal(dense, dense.T)
-                assert isinstance(h0, np.ndarray) == (mag.size <= xyz.DENSE_BLOCK_MAX)
-                if ell and parity > 0:  # the block's columns are those of (ell, +1)
-                    assert np.array_equal(mag, L - 2.0 * np.bitwise_count(reps))
-                assert np.all(residuals <= 1e-10)
-                vals, vecs = vals[:32], vecs[:, :32]
-                amps = xyz._embed(L, ell, parity, xyz._momentum_vectors(block, vecs)).T
-                assert np.allclose(np.linalg.norm(amps, axis=0), 1, rtol=0, atol=1e-12)
-                assert np.max(np.linalg.norm(H @ amps - amps * vals, axis=0)) <= 1e-10
-                assert np.allclose(amps[pre_image], np.exp(-1j * momentum_of(ell, L)) * amps,
-                                   rtol=0, atol=1e-12)
-                assert np.allclose(zsign[:, None] * amps, parity * amps, rtol=0, atol=1e-12)
-                if ell:
-                    assert np.allclose(amps[mirror].conj(), amps, rtol=0, atol=1e-12)
-                else:
-                    assert amps.dtype == np.float64
-                    assert np.allclose(amps[mirror], m * amps, rtol=0, atol=1e-12)
+    for ell, parity in sectors.sectors:
+        col, amp, reps = xyz._momentum_basis(L, ell, parity)
+        V = scipy.sparse.csr_matrix((amp, (np.arange(N), col)), shape=(N, reps.size))
+        expected = np.linalg.eigvalsh((V.conj().T @ H @ V).toarray())
+        h0, mag, _ = block = sectors.blocks[ell]
+        vals, vecs, residuals = xyz._solve_sector(block, parity * h, mag.size)
+        assert vals.size == expected.size
+        assert np.max(np.abs(vals - expected)) <= 1e-12 * np.max(np.abs(expected))
+        levels += [*vals] * (2 if ell else 1)
+        dense = h0 if isinstance(h0, np.ndarray) else h0.toarray()
+        assert h0.dtype == np.float64 and np.array_equal(dense, dense.T)
+        assert isinstance(h0, np.ndarray) == (mag.size <= xyz.DENSE_BLOCK_MAX)
+        if parity > 0:  # the block's columns are those of (ell, +1)
+            assert np.array_equal(mag, L - 2.0 * np.bitwise_count(reps))
+        assert np.all(residuals <= 1e-10)
+        vals, vecs = vals[:32], vecs[:, :32]
+        amps = xyz._embed(L, ell, parity, xyz._momentum_vectors(block, vecs)).T
+        assert np.allclose(np.linalg.norm(amps, axis=0), 1, rtol=0, atol=1e-12)
+        assert np.max(np.linalg.norm(H @ amps - amps * vals, axis=0)) <= 1e-10
+        assert np.allclose(amps[pre_image], np.exp(-1j * momentum_of(ell, L)) * amps,
+                           rtol=0, atol=1e-12)
+        assert np.allclose(zsign[:, None] * amps, parity * amps, rtol=0, atol=1e-12)
+        assert np.allclose(amps[mirror].conj(), amps, rtol=0, atol=1e-12)
     assert len(levels) == N
     if L <= 9:
         assert np.allclose(np.sort(levels), np.linalg.eigvalsh(H.toarray()), rtol=0, atol=1e-10)
@@ -303,28 +288,20 @@ def test_sector_blocks_are_the_momentum_sectors(L, jy, jz, h):
 
 @pytest.mark.parametrize("L", [5, 7, 9, 11, 13])
 def test_blocks_are_h0_in_their_back_maps(L):
-    # the back map of each block is an isometry W into the momentum basis of
-    # its sector (ell, +1), and h0 = W^dagger (V^dagger H0 V) W.  At ell = 0
-    # the halves are orthogonal, and H0 has no entry between them: they are
-    # the mirror split of the one assembly of every ell
+    # the back map of each block is a unitary W onto the momentum basis of
+    # its sector (ell, +1), and h0 = W^dagger (V^dagger H0 V) W
     jy, jz = np.random.default_rng(L).uniform(-0.9, 0.9, 2)
     H = sm.hamiltonian_sparse(sm.ChainParams(L, jy, jz, 0.0))
     sectors = xyz.SectorBlocks(L, jy, jz)
-    for ell in range((L + 1) // 2):
+    for ell, block in sectors.blocks.items():
         col, amp, reps = xyz._momentum_basis(L, ell, 1)
         V = scipy.sparse.csr_matrix((amp, (np.arange(2**L), col)), shape=(2**L, reps.size))
         h_ell = (V.conj().T @ H @ V).toarray()
-        W = {m: xyz._momentum_vectors(block, np.eye(block[1].size))
-             for (e, m), block in sectors.blocks.items() if e == ell}
-        assert sum(w.shape[1] for w in W.values()) == reps.size
-        for m, w in W.items():
-            h0 = sectors.blocks[ell, m][0]
-            h0 = h0 if isinstance(h0, np.ndarray) else h0.toarray()
-            assert np.allclose(w.conj().T @ w, np.eye(w.shape[1]), rtol=0, atol=1e-12)
-            assert np.allclose(w.conj().T @ h_ell @ w, h0, rtol=0, atol=1e-12)
-        if len(W) == 2:
-            assert np.allclose(W[1].T @ W[-1], 0, rtol=0, atol=1e-12)
-            assert np.allclose(W[1].T @ h_ell @ W[-1], 0, rtol=0, atol=1e-12)
+        w = xyz._momentum_vectors(block, np.eye(block[1].size))
+        h0 = block[0] if isinstance(block[0], np.ndarray) else block[0].toarray()
+        assert w.shape == (reps.size, reps.size)
+        assert np.allclose(w.conj().T @ w, np.eye(reps.size), rtol=0, atol=1e-12)
+        assert np.allclose(w.conj().T @ h_ell @ w, h0, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -344,25 +321,6 @@ def test_certificate_holds_only_above_the_lowest_level(L, jy, jz, x, offset):
         bound = xyz._certify(block, x, floor)
         assert bound is None or floor < bound < lowest
         assert xyz._certify(block, x, lowest - 1e-6 * scale) is not None
-
-
-@pytest.mark.parametrize("L", [9, 11, 13])
-def test_block_groups_match_one_ell_at_a_time(L):
-    # SectorBlocks builds the blocks of the ells of one gcd(ell, L) in one pass
-    # from one pairing; each block is the one _blocks builds for its ell alone
-    # from a pairing of its own, bit for bit (at L = 13 the ell != 0 blocks
-    # are CSR, built one at a time)
-    orbit_rows = xyz._orbit_rows(sm.ChainParams(L, 0.33, 0.1, 0.0))
-    sectors = xyz.SectorBlocks(L, 0.33, 0.1)
-    for (ell, mirror), (h0, mag, back) in sectors.blocks.items():
-        inside = np.flatnonzero(xyz._admits(L, ell, 1, *orbit_rows[:2]))
-        pairing = xyz._pairing(L, orbit_rows, inside)
-        one_h0, one_mag, one_back = xyz._blocks(L, [ell], pairing)[ell][mirror]
-        dense = (h0, one_h0) if isinstance(h0, np.ndarray) else (h0.toarray(), one_h0.toarray())
-        assert np.array_equal(*dense) and np.array_equal(dense[0], dense[0].T)
-        assert np.array_equal(mag, one_mag) and len(back) == len(one_back)
-        for (index, weight), (one_index, one_weight) in zip(back, one_back):
-            assert np.array_equal(index, one_index) and np.array_equal(weight, one_weight)
 
 
 @settings(max_examples=30, deadline=None)
@@ -412,14 +370,14 @@ def test_find_hstar_frozen_values():
 # float.hex of (hstar, m2_below, m2_above, s2_below, s2_above) of
 # jump-scaling --L 7,9,11, and of find_hstar(0.33, 0.0, 15).hstar
 JUMP_PINS = {
-    7: ("0x1.e2afef9417561p-1", "0x1.b06be814794d5p+1", "0x1.33c24ae5d8c78p+1",
-        "0x1.12391e75a4766p+0", "0x1.1441f6e2bf4dap-1"),
-    9: ("0x1.f0c5daab2fae0p-1", "0x1.1635490b3c380p+2", "0x1.d3092fb3f40c7p+1",
-        "0x1.272d2e0ef2106p+0", "0x1.8e1cda162cfdfp-1"),
-    11: ("0x1.f4156856287c7p-1", "0x1.53efebefa1962p+2", "0x1.325b8a1086605p+2",
-         "0x1.3cc0a2caa4c90p+0", "0x1.f6e03f6f222d0p-1"),
+    7: ("0x1.e2afef9417561p-1", "0x1.b06be814794d5p+1", "0x1.33c24ae5d8c76p+1",
+        "0x1.12391e75a4766p+0", "0x1.1441f6e2bf4d2p-1"),
+    9: ("0x1.f0c5daab2fadfp-1", "0x1.1635490b3c384p+2", "0x1.d3092fb3f40cbp+1",
+        "0x1.272d2e0ef210dp+0", "0x1.8e1cda162cfecp-1"),
+    11: ("0x1.f415685628793p-1", "0x1.53efebefa1965p+2", "0x1.325b8a1086610p+2",
+         "0x1.3cc0a2caa4ca3p+0", "0x1.f6e03f6f22325p-1"),
 }
-HSTAR_15 = "0x1.f656db39693e7p-1"
+HSTAR_15 = "0x1.f656db3969979p-1"
 
 
 def test_xyz_pipeline_is_pinned(capsys):
@@ -431,6 +389,42 @@ def test_xyz_pipeline_is_pinned(capsys):
     columns = ("hstar", "m2_below", "m2_above", "s2_below", "s2_above")
     assert {row["L"]: tuple(row[c].hex() for c in columns) for row in rows} == JUMP_PINS
     assert sm.find_hstar(0.33, 0.0, 15).hstar.hex() == HSTAR_15
+
+
+@functools.cache
+def ground_pair(L):
+    """The ground pair |+p>, |-p> of the chain (0.33, 0) at h* - 1e-3, from
+    the blocks of its search as jump-scaling takes it, and M2 of the state
+    that pick_ground_state picks of it."""
+    sectors = xyz.SectorBlocks(L, 0.33, 0.0)
+    man = sectors.lowest(sm.find_hstar(0.33, 0.0, L, sectors=sectors).hstar - 1e-3)
+    p, plus = pick_ground_state(man)
+    assert sorted(man.momenta) == [-p, p]
+    return p, plus.amps, man.states[man.momenta.index(-p)].amps, pauli.sre_brute(plus).value
+
+
+@settings(max_examples=30, deadline=None)
+@given(L=st.sampled_from([7, 9, 11]), t=st.floats(0, np.pi / 2),
+       phi=st.floats(0, 2 * np.pi, exclude_max=True))
+@example(L=7, t=0.0, phi=1.0)
+@example(L=9, t=0.0, phi=4.0)
+@example(L=11, t=0.0, phi=2.0)
+def test_ground_pair_magic_does_not_depend_on_the_phase(L, t, phi):
+    # M2 of cos t |+p> + e^{i phi} sin t |-p> is a degree-4 trigonometric
+    # polynomial in phi; T is a Clifford and shifts phi by 2p, and p is
+    # coprime to L > 4, so the polynomial is constant.  At t = 0 the state is
+    # the one pick_ground_state picks, bit for bit
+    p, plus, minus, m2 = ground_pair(L)
+    assert p == (L - 1) // 2 and math.gcd(p, L) == 1
+
+    def m2_at(phi):
+        amps = np.cos(t) * plus + np.exp(1j * phi) * np.sin(t) * minus
+        return pauli.sre_brute(StateVector(L, amps)).value
+
+    value = m2_at(phi)
+    assert abs(value - m2_at(0.0)) <= 1e-12
+    if t == 0:
+        assert value == m2
 
 
 def counting_solve(monkeypatch, limit=None):
@@ -497,12 +491,11 @@ def test_find_hstar_brackets_the_public_predicate(L, jy, above):
     assert not finite_momentum(r.hstar + tol)
 
 
-@pytest.mark.parametrize("L, ell, parity, mirror", [(7, 0, 1, 1), (7, 0, -1, -1), (7, 1, -1, 0),
-                                                    (13, 2, 1, 0)])
-def test_hellmann_feynman_slope_matches_finite_difference(L, ell, parity, mirror):
+@pytest.mark.parametrize("L, ell, parity", [(7, 0, 1), (7, 0, -1), (7, 1, -1), (13, 2, 1)])
+def test_hellmann_feynman_slope_matches_finite_difference(L, ell, parity):
     # sector (ell, parity) at h is its block at parity h, so its slope is
     # parity <mag>; the L = 13 block is above DENSE_BLOCK_MAX and goes through eigsh
-    block = xyz.SectorBlocks(L, 0.33, 0.1).blocks[ell, mirror]
+    block = xyz.SectorBlocks(L, 0.33, 0.1).blocks[ell]
     h, dh = 0.6, 1e-4
     _, vecs, _ = xyz._solve_sector(block, parity * h, 1)
     v = vecs[:, 0]
@@ -516,15 +509,15 @@ def test_hellmann_feynman_slope_matches_finite_difference(L, ell, parity, mirror
 # the search ends there with the note at every L.  At h = 0 the two Z-parities
 # of each block are one solve
 SEARCH_SOLVES = {
-    (0.0, 0.0): [(5, 5, 4), (6, 11, 9), (7, 14, 11), (8, 17, 13)],
-    (0.1, 0.0): [(13, 13, 12), (14, 41, 39), (12, 42, 40), (16, 63, 59)],
-    (0.33, 0.0): [(9, 9, 8), (10, 19, 17), (10, 22, 20), (12, 25, 21)],
-    (0.5, 0.3): [(4, 5, 5), (6, 11, 9), (6, 14, 12), (6, 17, 15)],
-    (-0.3, 0.5): [(11, 11, 10), (12, 27, 25), (12, 44, 42), (14, 50, 46)],
-    (0.2, -0.1): [(13, 13, 12), (14, 39, 37), (15, 54, 51), (15, 65, 62)],
-    (0.0, 0.2): [(11, 11, 10), (14, 33, 31), (14, 54, 52), (18, 77, 73)],
+    (0.0, 0.0): [(5, 5, 4), (6, 8, 6), (7, 11, 8), (8, 14, 10)],
+    (0.1, 0.0): [(13, 13, 12), (14, 30, 28), (12, 33, 31), (16, 52, 48)],
+    (0.33, 0.0): [(9, 9, 8), (10, 12, 10), (10, 15, 13), (12, 18, 14)],
+    (0.5, 0.3): [(4, 5, 5), (6, 8, 6), (6, 11, 9), (6, 14, 12)],
+    (-0.3, 0.5): [(11, 11, 10), (12, 18, 16), (12, 35, 33), (14, 41, 37)],
+    (0.2, -0.1): [(13, 13, 12), (14, 28, 26), (15, 43, 40), (15, 54, 51)],
+    (0.0, 0.2): [(11, 11, 10), (14, 22, 20), (14, 43, 41), (18, 64, 60)],
 }
-JUMP_SOLVES = (38, 90, 82)  # jump-scaling --L 7,9,11
+JUMP_SOLVES = (38, 57, 49)  # jump-scaling --L 7,9,11
 
 
 def test_sector_solve_counts_are_pinned(monkeypatch, capsys):
@@ -552,9 +545,9 @@ def test_sector_solve_counts_are_pinned(monkeypatch, capsys):
 # per gap evaluation of find_hstar(0.33, 0, L), in order: (sector solves,
 # certificates tried, certificates that held)
 GAP_EVALUATIONS = {
-    7: [(3, 3, 2), (3, 8, 7), (2, 4, 4), (2, 4, 4)],
-    9: [(3, 4, 3), (3, 10, 9), (2, 4, 4), (2, 4, 4)],
-    11: [(4, 5, 3), (4, 12, 10), (2, 4, 4), (2, 4, 4)],
+    7: [(3, 2, 1), (3, 6, 5), (2, 2, 2), (2, 2, 2)],
+    9: [(3, 3, 2), (3, 8, 7), (2, 2, 2), (2, 2, 2)],
+    11: [(4, 4, 2), (4, 10, 8), (2, 2, 2), (2, 2, 2)],
 }
 
 
@@ -585,8 +578,8 @@ def stand_in_sectors(monkeypatch, gap):
     field as parity -1.  Returns the set of fields h solved at."""
     fields = set()
 
-    def stand_in_blocks(L, ells, pairing):
-        return {ell: {0: (ell, np.ones(1), None)} for ell in ells}  # h0 no array: no certificate
+    def stand_in_blocks(L, ell, pairing):
+        return ell, np.ones(1), None  # h0 no array: no certificate
 
     def stand_in_solve(block, x, count):
         fields.add(abs(x))
@@ -705,16 +698,16 @@ def assert_pruning_changes_nothing(monkeypatch, L, jy, jz, size):
     r, grounds = jump_point(L, jy, jz)
     for sectors, h, bounds in visits:  # every sector solved at every field visited
         levels = {}  # (level, <mag>) of every sector visited, in sector order
-        for (key, parity), bound in bounds.items():
+        for (ell, parity), bound in bounds.items():
             # parity -1 at h is the block at -h
-            vals, vecs, _ = xyz._solve_sector(sectors.blocks[key], parity * h, 1)
+            vals, vecs, _ = xyz._solve_sector(sectors.blocks[ell], parity * h, 1)
             assert vals[0] >= bound
-            levels[key, parity] = (vals[0], parity * sectors._slope(key, vecs[:, 0]))
+            levels[ell, parity] = (vals[0], parity * sectors._slope(ell, vecs[:, 0]))
         # the first in sector order within the cluster reach of the lowest
         reach = xyz._cluster_reach(min(e for e, _ in levels.values()))
         lowest = next((sector, *levels[sector]) for sector in levels
                       if levels[sector][0] < reach)
-        classes = {key[0] != 0 for key, _ in bounds}
+        classes = {ell != 0 for ell, _ in bounds}
         if len(classes) == 1:  # a gap evaluation, one momentum class at a time
             assert picks[sectors, h][classes.pop()] == lowest
     rule_nothing_out(monkeypatch)
@@ -796,10 +789,10 @@ def test_lowest_rechecks_skipped_sectors_after_a_resolve(monkeypatch, L, size):
                         lambda self, sector, h: (estimate(self, sector, h)[0], 0.0))
     man = sectors.lowest(h)
     assert len(man.states) > 0
-    assert solves[0] == (((0, 1), 1), 2)
+    assert solves[0] == ((0, 1), 2)
     again = next(i for i, (sector, _) in enumerate(solves)
                  if sector in {sector for sector, _ in solves[:i]})
-    assert solves[again][0][0][0] != 0 and solves[again][1] == 2
+    assert solves[again][0][0] != 0 and solves[again][1] == 2
     if size == 0.5:
         before = {sector for sector, _ in solves[:again]}
         assert any(sector not in before for sector, _ in solves[again:])
