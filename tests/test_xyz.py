@@ -323,6 +323,25 @@ def test_certificate_holds_only_above_the_lowest_level(L, jy, jz, x, offset):
         assert xyz._certify(block, x, lowest - 1e-6 * scale) is not None
 
 
+@pytest.mark.parametrize("L", [9, 11, 13])
+def test_block_groups_match_one_ell_at_a_time(L):
+    # SectorBlocks builds the blocks of the ells of one gcd(ell, L) from one
+    # pairing, of the orbits that ell = gcd admits; each block is the one
+    # _blocks builds for its ell from a pairing of the orbits that ell alone
+    # admits, bit for bit (at L = 13 every block is CSR)
+    orbit_rows = xyz._orbit_rows(sm.ChainParams(L, 0.33, 0.1, 0.0))
+    sectors = xyz.SectorBlocks(L, 0.33, 0.1)
+    for ell, (h0, mag, back) in sectors.blocks.items():
+        inside = np.flatnonzero(xyz._admits(L, ell, 1, *orbit_rows[:2]))
+        pairing = xyz._pairing(L, orbit_rows, inside)
+        one_h0, one_mag, one_back = xyz._blocks(L, ell, pairing)
+        dense = (h0, one_h0) if isinstance(h0, np.ndarray) else (h0.toarray(), one_h0.toarray())
+        assert np.array_equal(*dense) and np.array_equal(dense[0], dense[0].T)
+        assert np.array_equal(mag, one_mag) and len(back) == len(one_back) == 3
+        for part, one_part in zip(back, one_back):
+            assert np.array_equal(part, one_part)
+
+
 @settings(max_examples=30, deadline=None)
 @given(L=st.sampled_from([5, 7, 9]), jy=couplings, jz=couplings, h=st.floats(-1.5, 1.5))
 # the field spreads the 2L classical levels over 4e-9; 7 lie within the 3e-9 tolerance
