@@ -539,13 +539,19 @@ def build_parser():
     return p
 
 
+@functools.cache  # one per process, like build_parser
+def _config_parser():
+    """The pre-parser that finds --config before the subcommand's parser runs."""
+    pre = Parser(prog="spinmagic", add_help=False)
+    pre.add_argument("--config")
+    return pre
+
+
 def config_flags(argv):
     """The flags that argv's --config file stands for, one per line that is
     not blank or a '#' comment: `key = value` is the flag `--key=value`, and
     a line without '=' the flag `--line`, which argparse rejects."""
-    pre = Parser(prog="spinmagic", add_help=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
+    path = _config_parser().parse_known_args(argv)[0].config
     if path is None:
         return []
     flags = []

@@ -54,6 +54,13 @@ def validate_ell(ell, L):
     return ell
 
 
+def validate_length(L):
+    """L must be odd (ring convention of this package)."""
+    if L % 2 == 0:
+        raise ValueError(f"chain length must be odd, got L={L}")
+    return L
+
+
 def _rotate_bits(idx, k, L):
     """Cyclically shift L-bit integers up by k bits (site j -> site j+k)."""
     k %= L
@@ -86,8 +93,7 @@ def make_x_product(L, signs):
 
     L must be odd (ring convention of this package).
     """
-    if L % 2 == 0:
-        raise ValueError(f"chain length must be odd, got L={L}")
+    validate_length(L)
     signs = list(signs)
     if len(signs) != L:
         raise ValueError(f"need {L} signs, got {len(signs)}")
@@ -112,12 +118,30 @@ def translate(state, steps=1):
     return StateVector(L, state.amps[src])
 
 
+@functools.cache
+def _reflection_tables(c, L):
+    """One 256-entry table per byte of an L-bit integer: entry v of table b is
+    the image of the byte value v at bits 8b..8b+7 under bit j -> bit
+    2c - j (mod L), with the bits from L up dropped.  Cached per (c mod L, L),
+    2 KB a byte, so read-only."""
+    byte, tables = np.arange(256), []
+    for low in range(0, L, 8):
+        table = np.zeros(256, dtype=np.int64)
+        for i in range(min(8, L - low)):
+            table[(byte >> i) & 1 == 1] |= 1 << ((2 * c - low - i) % L)
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
+
+
 def _reflect_bits(idx, c, L):
-    """L-bit integers with bit j moved to bit 2c - j (mod L)."""
-    dest = np.zeros_like(idx)
-    for j in range(L):
-        dest |= ((idx >> j) & 1) << ((2 * c - j) % L)
-    return dest
+    """L-bit integers with bit j moved to bit 2c - j (mod L), as the OR of
+    one byte-table gather per byte of L."""
+    tables = _reflection_tables(c % L, L)
+    dest = tables[0][idx & 255]
+    for b, table in enumerate(tables[1:], 1):
+        dest |= table[(idx >> (8 * b)) & 255]
+    return dest.astype(idx.dtype, copy=False)
 
 
 def fidelity(a, b):

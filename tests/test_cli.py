@@ -226,6 +226,28 @@ def test_config_flags_parsing(tmp_path):
     assert config_flags(["sre", "--config", str(cfg)]) == ["--L=7", "--jump_eps=0.1",
                                                            "--banana"]
     assert config_flags(["sre", "--L", "3"]) == []
+    # one pre-parser serves every call: alternate with and without a file,
+    # in both spellings of the flag
+    other = tmp_path / "d.cfg"
+    other.write_text("kind = omega\n")
+    for _ in range(2):
+        assert config_flags(["sre", f"--config={cfg}"]) == ["--L=7", "--jump_eps=0.1",
+                                                           "--banana"]
+        assert config_flags(["sre", "--L", "3"]) == []
+        assert config_flags(["sre", "--config", str(other), "--L", "5"]) == ["--kind=omega"]
+        assert config_flags(["sre"]) == []
+    assert cli._config_parser() is cli._config_parser()
+
+
+def test_missing_config_after_reuse_exits_solver(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("L = 3\n")
+    assert main(["sre", f"--config={cfg}"]) == EXIT_OK
+    for argv in (["--config", str(tmp_path / "missing.cfg")],
+                 [f"--config={tmp_path / 'missing.cfg'}"]):
+        assert main(["sre", "--L", "3"] + argv) == EXIT_SOLVER
+        assert "error:" in capsys.readouterr().err
+    assert main(["sre", "--L", "3"]) == EXIT_OK
 
 
 def test_ent_profile_amplitude_row(capsys):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinmagic as sm
-from spinmagic.states import (StateVector, _reflect_bits, _rotate_bits, _translation_orbits,
-                              random_state)
+from spinmagic.states import (StateVector, _reflect_bits, _reflection_tables, _rotate_bits,
+                              _translation_orbits, random_state)
 
 RNG = np.random.default_rng(11)
 
@@ -115,6 +115,56 @@ def test_reflect_involution():
         shifted[_rotate_bits(idx, 1, L)] = s.amps
         assert np.array_equal(sm.translate(s).amps, shifted)
         assert np.array_equal(shifted, s.amps[_rotate_bits(idx, -1, L)])
+
+
+def reflect_per_bit(idx, c, L):
+    """The mirror image bit by bit: bit j of each index moves to bit 2c - j (mod L)."""
+    dest = np.zeros_like(idx)
+    for j in range(L):
+        dest |= ((idx >> j) & 1) << ((2 * c - j) % L)
+    return dest
+
+
+@pytest.mark.parametrize("L", range(1, 21))
+def test_reflect_bits_matches_per_bit_reference(L):
+    # every index up to L = 16; above, every single bit, the all-ones index
+    # and a fixed random sample, since the image of an index is the OR of
+    # the images of its bits
+    if L <= 16:
+        idx = np.arange(2**L, dtype=np.int64)
+    else:
+        sample = np.random.default_rng(L).integers(0, 2**L, 4096)
+        idx = np.concatenate([1 << np.arange(L), [0, 2**L - 1], sample]).astype(np.int64)
+    for c in range(-1, L + 1):  # and c outside [0, L), which acts as c mod L
+        image = _reflect_bits(idx, c, L)
+        assert image.dtype == idx.dtype
+        assert np.array_equal(image, reflect_per_bit(idx, c, L))
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(1, 20), c=st.integers(-40, 40), data=st.data())
+def test_reflect_bits_on_index_subsets(L, c, data):
+    if L <= 13 and data.draw(st.booleans()):
+        # sparse and sorted, like the orbit representatives that xyz mirrors
+        idx = np.unique(_translation_orbits(L)[0])
+    else:
+        idx = np.array(data.draw(st.lists(st.integers(0, 2**L - 1), max_size=64)),
+                       dtype=np.int64)
+    image = _reflect_bits(idx, c, L)
+    assert np.array_equal(image, reflect_per_bit(idx, c, L))
+    assert np.array_equal(_reflect_bits(image, c, L), idx)
+
+
+def test_reflection_tables_are_small_and_read_only():
+    # cached per (c, L) with one 256-entry table per byte of L, not per index
+    for L in (1, 8, 9, 19, 24, 25):
+        tables = _reflection_tables(L // 2, L)
+        assert _reflection_tables(L // 2, L) is tables
+        assert len(tables) == -(-L // 8)
+        assert sum(t.nbytes for t in tables) <= 256 * 8 * len(tables)
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = 1
 
 
 def test_reflect_fixes_w0():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,3 +113,80 @@ def test_phi_theta_periodicity():
     a = sm.build_phi(5, 1, 0.4)
     b = sm.build_phi(5, 1, 0.4 + np.pi)
     assert sm.fidelity(a, b) == pytest.approx(1.0, abs=1e-12)
+
+
+# The constructions the kink-mask builders replaced, kept as their oracle: W on
+# the make_x_product base with sigma^z_j as a sign array, and omega as the sum
+# of the 2L kink StateVectors.
+def reference_w(L, ell):
+    p = 2.0 * np.pi * ell / L
+    base = sm.make_x_product(L, [-1] * L).amps
+    idx = np.arange(base.size, dtype=np.int64)
+    coeff = np.zeros(base.size, dtype=np.complex128)
+    for j in range(1, L + 1):
+        coeff += np.exp(1j * p * j) * (1.0 - 2.0 * ((idx >> (j - 1)) & 1))
+    return base * coeff / np.sqrt(L)
+
+
+def reference_omega(L, ell):
+    p = 2.0 * np.pi * ell / L
+    acc = np.zeros(2**L, dtype=np.complex128)
+    for k in range(1, L + 1):
+        pair = sm.build_kink(L, k, -1).amps + sm.build_kink(L, k, +1).amps
+        acc += np.exp(1j * p * k) * pair
+    return acc / np.sqrt(2 * L)
+
+
+def reference_phi(L, ell, theta):
+    plus, minus = reference_omega(L, ell), reference_omega(L, -ell)
+    return (np.exp(-1j * theta) * plus + np.exp(1j * theta) * minus) / np.sqrt(2)
+
+
+@pytest.mark.parametrize("L", [3, 5, 7, 9, 11, 13])
+def test_constructors_match_the_kink_sums_bit_for_bit(L):
+    M = (L - 1) // 2
+    for ell in range(-M, M + 1):
+        assert np.array_equal(sm.build_w(L, ell).amps, reference_w(L, ell))
+        assert np.array_equal(sm.build_omega(L, ell).amps, reference_omega(L, ell))
+        if ell:
+            for theta in (0.0, 0.3, -1.1):
+                assert np.array_equal(sm.build_phi(L, ell, theta).amps,
+                                      reference_phi(L, ell, theta))
+
+
+def test_kink_pair_identity():
+    # |k^+> = (-1)^{|s|} |k^->, so the pair sums to zero on odd-weight s
+    L = 7
+    weight = np.bitwise_count(np.arange(2**L))
+    for k in range(1, L + 1):
+        minus, plus = sm.build_kink(L, k, -1).amps, sm.build_kink(L, k, +1).amps
+        assert np.array_equal(plus, (1.0 - 2.0 * (weight & 1)) * minus)
+
+
+# test_w_rejects_bad_ell and test_phi_rejects_zero_momentum cover W and phi at
+# theta = 0; the kink-mask builders check L and ell on their own
+@pytest.mark.parametrize("build", [
+    lambda: sm.build_omega(4, 0),  # even L
+    lambda: sm.build_phi(4, 1, 0.3),
+    lambda: sm.build_omega(7, -4),  # ell out of range
+    lambda: sm.build_phi(7, 4, 0.3),
+    lambda: sm.build_phi(7, 0, 0.3),  # phi at ell = 0
+])
+def test_constructors_reject_bad_input(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+# 8 complex arrays of 2^15 amplitudes: room for the result and a few
+# temporaries, and far below the 16 * 15 arrays an (L, 2^L) table would take
+@pytest.mark.parametrize("build", [lambda: sm.build_omega(15, 2),
+                                   lambda: sm.build_phi(15, 1, 0.3)])
+def test_constructors_stay_within_a_few_state_vectors(build):
+    build()  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 16 * 2**15, peak
