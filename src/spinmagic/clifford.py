@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import StateVector
+from .states import StateVector, validate_ring
 
 # 4x4 unitary of C(j, l) in the (bit_j, bit_l) product basis, row = 2*bj + bl:
 # 1 - 2P flips bit_j where bit_l = 1, swapping rows 01 and 11
@@ -92,8 +92,7 @@ def build_circuit_s(L):
     C(1, 2) first: that ordering realizes the W -> omega mapping with
     ell' = ell, and the descending one does not.
     """
-    if L < 3 or L % 2 == 0:
-        raise ValueError(f"L must be odd and >= 3, got {L}")
+    validate_ring(L)
     M = (L - 1) // 2
     gates = [Gate("Z", (j,)) for j in range(1, L + 1)]
     gates += [Gate("CXZ", (j, j + 1)) for j in range(1, L)]

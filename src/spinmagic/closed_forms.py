@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .states import momentum_of
+from .states import momentum_of, validate_ring
 
 LOG2_7_6 = math.log2(7.0 / 6.0)  # thermodynamic limit of the magic jump
 
@@ -50,8 +50,7 @@ def s2_w_half(L):
     partial-trace-backed value; see s2_w_half_alt for the discrepant
     alternative closed form kept for cross-checking.
     """
-    if L < 3 or L % 2 == 0:
-        raise ValueError(f"L must be odd and >= 3, got {L}")
+    validate_ring(L)
     return -math.log2((L**2 + 1.0) / (2.0 * L**2))
 
 
@@ -61,8 +60,7 @@ def s2_w_half_alt(L):
     Flagged: it disagrees with the two-eigenvalue reduced density matrix
     (a rank-2 state bounds S2 by 1 bit; this expression tends to 2 bits).
     Kept only for the side-by-side mismatch report."""
-    if L < 3 or L % 2 == 0:
-        raise ValueError(f"L must be odd and >= 3, got {L}")
+    validate_ring(L)
     return -math.log2((4.0 * L**2 + (L - 1.0) ** 2 - 4.0 * (L - 1.0) * L) / (4.0 * L**2))
 
 

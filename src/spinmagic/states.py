@@ -58,6 +58,12 @@ def validate_length(L):
     """L must be odd (ring convention of this package)."""
     if L % 2 == 0:
         raise ValueError(f"chain length must be odd, got L={L}")
+
+
+def validate_ring(L):
+    """L must be odd and >= 3: a frustrated ring, whose bonds join distinct sites."""
+    if L < 3 or L % 2 == 0:
+        raise ValueError(f"L must be odd and >= 3, got {L}")
     return L
 
 

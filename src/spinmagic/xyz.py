@@ -41,7 +41,8 @@ import numpy as np
 
 # not used here: the perfbench tracer patches states.translate in every
 # namespace, and only the tests of that tracer read xyz.translate
-from .states import StateVector, _reflect_bits, _translation_orbits, translate  # noqa: F401
+from .states import (StateVector, _reflect_bits, _translation_orbits, translate,  # noqa: F401
+                     validate_ring)
 
 DEGENERACY_RTOL = 1e-9
 EIGSH_SEED = 20240917
@@ -50,7 +51,6 @@ EIGSH_SEED = 20240917
 # levels of the real blocks on one core, eigh and eigsh both took 2-4 ms at
 # n = 315 (L = 13); at n = 1091 (L = 15) eigh took 105-115 ms, eigsh 4-12 ms
 DENSE_BLOCK_MAX = 256
-_SYEVR_WORK = {}  # n -> (lwork, liwork), the workspace syevr asks for at dimension n
 _EPS = 2.0**-52  # the machine epsilon of float64 (np.finfo at import costs RSS)
 H_MAX = 1.0  # the upper end of the sign bracket that the h* search starts from
 
@@ -64,8 +64,7 @@ class ChainParams:
     jx: float = 1.0
 
     def __post_init__(self):
-        if self.L < 3 or self.L % 2 == 0:
-            raise ValueError(f"L must be odd and >= 3, got {self.L}")
+        validate_ring(self.L)
         if not (abs(self.jy) < 1.0 and abs(self.jz) < 1.0):  # also rejects NaN
             raise ValueError("|Jy| and |Jz| must be < 1 (Jx sets the scale)")
         if not abs(self.h) < np.inf:  # NaN too
@@ -308,10 +307,7 @@ def _solve_sector(block, h, count):
         a = h0.copy() if isinstance(h0, np.ndarray) else h0.toarray()
         a.reshape(-1)[:: n + 1] += h * mag  # the diagonal, as a view of the C-ordered copy
         syevr, syevr_lwork = get_lapack_funcs(("syevr", "syevr_lwork"), (a,))
-        if n not in _SYEVR_WORK:
-            lwork, liwork, _ = syevr_lwork(n, lower=1)
-            _SYEVR_WORK[n] = int(lwork), int(liwork)
-        lwork, liwork = _SYEVR_WORK[n]
+        lwork, liwork, _ = syevr_lwork(n, lower=1)
         # a is symmetric, so a.T is a Fortran-ordered view of the same matrix,
         # which syevr overwrites in place instead of copying
         vals, vecs, _, _, info = syevr(a.T, compute_v=1, range="I", lower=1, il=1, iu=k,
@@ -392,9 +388,10 @@ class SectorBlocks:
     """The Z-parity +1 sector blocks of the chain (L, jy, jz, jx), built once,
     one per momentum ell >= 0 and keyed by ell (R maps the sector of ell to
     that of -ell), and what has been learned of each block's lowest level at
-    each field so far.  Sector (ell, -1) at field h is block ell solved at -h
-    (the spin flip of the module docstring), so a sector is (ell, Z-parity)
-    and every one has its levels from the blocks.
+    each field so far.  A sector (ell, parity) at field h is its block at the
+    signed field x = parity h (the spin flip of the module docstring), so
+    every sector has its levels from the blocks, and at h = 0 the two
+    parities of a block are one field, solved once.
 
     E(x), the lowest level of a block of H0 + x diag(mag), is concave in the
     signed field x: it is the minimum over unit vectors v of the affine
@@ -406,8 +403,8 @@ class SectorBlocks:
     for the ends, once for a solve at x) bounds what a solve at x would
     return.  Above it, each solve gives the tangent E + <mag> (x - x0).
 
-    The sectors of one evaluation are visited in order of their tangents,
-    so the one that holds the lowest level tends to come first.  A sector
+    The fields of one evaluation are visited in order of their tangents,
+    so the one that holds the lowest level tends to come first.  A field
     is skipped where its chord lies above the cluster reach of the lowest
     level solved so far at h, in the h* search and the ground cluster alike.
     A dense one is also skipped where ``_certify`` shows every level of it
@@ -419,7 +416,7 @@ class SectorBlocks:
     What it shows, a bound above the floor by its rounding margin, is
     recorded as a level with residual r, so the chords use it and its bound
     at that field lies above the reach.  A fresh instance solves the first
-    sector it visits at a field and certifies or solves each of the others.
+    field it visits at h and certifies or solves each of the others.
 
     The blocks are built once per set of admitted orbits: which orbits a
     sector (ell, +1) admits depends on gcd(ell, L) alone, so ``_pairing``
@@ -444,19 +441,14 @@ class SectorBlocks:
         # (x, level or bound, residual, <mag> or None for a certificate) per block
         self.solved = {ell: [] for ell in self.blocks}
         self._residual = 0.0  # the largest residual of a solved level
-        # the solves at the fields +-_field, by (ell, x, count): at h = 0 the
-        # two parities of a block are one solve
-        self._field, self._fresh = None, {}
 
-    def _estimate(self, sector, h):
-        """(bound, tangent) for the lowest level of ``sector`` at its field x.
-        The bound lies below it: the chord of the nearest records of its
+    def _estimate(self, ell, x):
+        """(bound, tangent) for the lowest level of block ell at the field x.
+        The bound lies below it: the chord of the nearest records of the
         block on either side of x (or at x), less twice the larger residual
         of the two; -inf where x is not between two records.  The tangent lies
         above it up to the solves' residuals: the least tangent at x of the
         block's solves; +inf before the block is solved."""
-        ell, parity = sector
-        x = parity * h
         below = above = None  # the first record at the nearest field on each side
         tangent = np.inf
         for point in self.solved[ell]:
@@ -477,25 +469,17 @@ class SectorBlocks:
         """<v|mag|v>, dE/dx, of a vector v in the basis of block ell."""
         return v @ (self.blocks[ell][1] * v)
 
-    def _solve(self, sector, h, count):
-        """The lowest ``count`` levels of ``sector`` at h and their vectors,
-        in the basis of its block."""
-        ell, parity = sector
-        x = parity * h
-        if abs(h) != self._field:
-            self._field, self._fresh = abs(h), {}
-        if (ell, x, count) not in self._fresh:
-            vals, vecs, residuals = _solve_sector(self.blocks[ell], x, count)
-            self.solved[ell].append((x, vals[0], residuals[0], self._slope(ell, vecs[:, 0])))
-            self._residual = max(self._residual, residuals[0])
-            self._fresh[ell, x, count] = vals, vecs
-        return self._fresh[ell, x, count]
+    def _solve(self, ell, x, count):
+        """The lowest ``count`` levels of block ell at the field x and their
+        vectors, in the basis of the block; the lowest is recorded."""
+        vals, vecs, residuals = _solve_sector(self.blocks[ell], x, count)
+        self.solved[ell].append((x, vals[0], residuals[0], self._slope(ell, vecs[:, 0])))
+        self._residual = max(self._residual, residuals[0])
+        return vals, vecs
 
-    def _certified(self, sector, h, floor):
-        """Whether ``_certify`` shows every level of ``sector`` at h above
-        ``floor``; its bound is recorded."""
-        ell, parity = sector
-        x = parity * h
+    def _certified(self, ell, x, floor):
+        """Whether ``_certify`` shows every level of block ell at the field x
+        above ``floor``; its bound is recorded."""
         bound = _certify(self.blocks[ell], x, floor)
         if bound is not None:
             self.solved[ell].append((x, bound, self._residual, None))
@@ -505,28 +489,28 @@ class SectorBlocks:
         """{sector: (eigenvalues, eigenvectors)} of the lowest level at h of
         each of ``sectors`` (in their order) whose lowest level may lie below
         the cluster reach of the lowest level solved so far, the first one
-        solved for ``count`` levels.  They are visited in order of their
+        solved for ``count`` levels.  Each sector is its block at its field
+        (ell, parity h), and at h = 0 the two parities of a block are one
+        field, visited once.  The fields are visited in order of their
         tangents; the rest are those whose chord lies above the reach or
         whose certificate shows them above it."""
-        estimates = {sector: self._estimate(sector, h) for sector in sectors}
-        solved, touched, best = {}, set(), np.inf  # touched: the blocks recorded at h
-        for sector in sorted(sectors, key=lambda sector: estimates[sector][1]):
-            ell = sector[0]
-            # at h = 0 the two parities of a block are one field, which a
-            # record made for the first may settle for the second
-            bound, tangent = self._estimate(sector, h) if ell in touched else estimates[sector]
+        fields = dict.fromkeys((ell, parity * h) for ell, parity in sectors)
+        estimates = {field: self._estimate(*field) for field in fields}
+        solved, best = {}, np.inf
+        for field in sorted(fields, key=lambda field: estimates[field][1]):
+            bound, tangent = estimates[field]
             reach = _cluster_reach(best)
             if bound > reach:
                 continue
-            touched.add(ell)
             # where a tangent lies below the floor, so does the level, and the
             # certificate would fail
             floor = reach + 2 * self._residual
-            if solved and tangent > floor and self._certified(sector, h, floor):
+            if solved and tangent > floor and self._certified(*field, floor):
                 continue
-            solved[sector] = self._solve(sector, h, 1 if solved else count)
-            best = min(best, solved[sector][0][0])
-        return {sector: solved[sector] for sector in sectors if sector in solved}
+            solved[field] = self._solve(*field, 1 if solved else count)
+            best = min(best, solved[field][0][0])
+        return {(ell, parity): solved[ell, parity * h] for ell, parity in sectors
+                if (ell, parity * h) in solved}
 
     def minimizers(self, h):
         """For zero (False) and finite (True) momentum, the sector with the
@@ -556,32 +540,34 @@ class SectorBlocks:
         each (ell, parity) sector for ell >= 0; the ell < 0 levels are the
         complex conjugates, since H is real.  The levels come in sector order
         (ell ascending, +ell before -ell, parity +1 first), so a degenerate
-        manifold does not depend on the last bits of its energies.  The first sector visited
+        manifold does not depend on the last bits of its energies.  Each
+        sector reads its levels from its field, and the first field visited
         is solved for two levels, as the ground sector needs its second to
-        show that its first is the cluster's only one.  A sector whose levels
+        show that its first is the cluster's only one.  A field whose levels
         all lie below the reach may hold more of the cluster, so it is solved
         again for twice as many, until one lies above or the block is
-        exhausted.  That may raise E0 and the reach; then a skipped sector
+        exhausted.  That may raise E0 and the reach; then a skipped field
         whose bound the new reach admits is solved too.
         """
-        solved = self._solve_lowest(h, self.sectors, count=2)
+        fields = {(ell, parity): (ell, parity * h) for ell, parity in self.sectors}
+        solved = {fields[sector]: levels  # by field: at h = 0 a block serves both parities
+                  for sector, levels in self._solve_lowest(h, self.sectors, count=2).items()}
         reach = checked = _cluster_reach(min(vals[0] for vals, _ in solved.values()))
         while True:
-            pending = {sector: 2 * vals.size for sector, (vals, _) in solved.items()
-                       if vals[-1] < reach and vals.size < self.blocks[sector[0]][1].size}
-            if reach > checked:  # a sector ruled out against a lower reach may now hold a level
+            pending = {field: 2 * vals.size for field, (vals, _) in solved.items()
+                       if vals[-1] < reach and vals.size < self.blocks[field[0]][1].size}
+            if reach > checked:  # a field ruled out against a lower reach may now hold a level
                 checked = reach
-                pending.update((sector, 1) for sector in self.sectors if sector not in solved
-                               and not self._estimate(sector, h)[0] > reach)
+                pending.update((field, 1) for field in fields.values() if field not in solved
+                               and not self._estimate(*field)[0] > reach)
             if not pending:
                 break
-            for sector, k in pending.items():
-                solved[sector] = self._solve(sector, h, k)
+            for field, k in pending.items():
+                solved[field] = self._solve(*field, k)
             reach = _cluster_reach(min(vals[0] for vals, _ in solved.values()))
         energies, states, momenta = [], [], []
-        for sector in (sector for sector in self.sectors if sector in solved):
-            ell, parity = sector
-            vals, vecs = solved[sector]
+        for (ell, parity), field in fields.items():
+            vals, vecs = solved.get(field, (np.zeros(0), None))  # no levels where unsolved
             inside = vals < reach
             if not inside.any():
                 continue
@@ -638,12 +624,11 @@ def find_hstar(jy, jz, L, tol=1e-4, sectors=None):
     if not tol > 0:  # NaN too; at tol <= 0 the search never stops
         raise ValueError(f"find_hstar needs tol > 0, got {tol}")
     params = ChainParams(L=L, jy=jy, jz=jz, h=0.0)
+    if sectors is not None and sectors.params != params:
+        raise ValueError(f"the sector blocks of {sectors.params} are not those of {params}")
     if jz < -jy:
         return HstarResult(jy, jz, L, 0.0, 0.0, note="no finite-momentum phase")
-    if sectors is None:
-        sectors = SectorBlocks(L, jy, jz)
-    elif sectors.params != params:
-        raise ValueError(f"the sector blocks of {sectors.params} are not those of {params}")
+    sectors = SectorBlocks(L, jy, jz) if sectors is None else sectors
 
     def evaluate(h, end=False):
         """(h, Delta(h), dDelta/dh).  At an end of the bracket, two levels that

@@ -254,3 +254,14 @@ def test_renyi2_covariant_under_translation_and_reflection(L, seed, k, center, s
     mirrored = sm.entropy(image, (2 * center - start - a) % L + 1, a)
     assert moved == pytest.approx(s2, rel=1e-12)
     assert mirrored == pytest.approx(s2, rel=1e-12)
+
+
+@pytest.mark.parametrize("check", [lambda L: sm.ChainParams(L, 0.0, 0.0, 0.0), sm.build_circuit_s,
+                                   sm.s2_w_half, sm.s2_w_half_alt])
+def test_odd_ring_check_is_shared(check):
+    # the XYZ chain, the circuit S and the half-chain W entropies share one
+    # domain: an odd ring of at least 3 sites
+    for L in (-1, 0, 1, 2, 4, 10):
+        with pytest.raises(ValueError, match=f"^L must be odd and >= 3, got {L}$"):
+            check(L)
+    check(3)

@@ -161,6 +161,29 @@ def test_lowest_cluster_is_kept_whole(L):
         assert np.allclose(turned, np.exp(-1j * momentum_of(ell, L)) * s.amps, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("L", [5, 7, 9, 11, 13])
+def test_lowest_solves_each_field_once(monkeypatch, L):
+    # at h = 0 the two Z-parities of a block are one field, (ell, 0.0) and
+    # (ell, -0.0) alike, solved once: at the classical point every field holds
+    # one level of the cluster, so the first is solved for two levels, each
+    # other block for one, and no certificate holds
+    calls = []
+    solve = xyz._solve_sector
+
+    def counted(block, x, count):
+        calls.append((id(block[0]), x, count))
+        return solve(block, x, count)
+
+    monkeypatch.setattr(xyz, "_solve_sector", counted)
+    sectors = xyz.SectorBlocks(L, 0.0, 0.0)
+    tried = counting_certificates(monkeypatch)
+    man = sectors.lowest(0.0)
+    assert len(set(calls)) == len(calls) == L  # -0.0 == 0.0 in the set
+    assert len(man.states) == 2 * L
+    assert sum(map(len, sectors.solved.values())) == len(calls) + sum(held for _, held in tried)
+    assert_same_manifold(xyz.SectorBlocks(L, 0.0, 0.0).lowest(-0.0), man)
+
+
 def test_degenerate_manifold_is_the_same_in_fresh_processes():
     # at the classical point every L = 13 sector block goes through eigsh and
     # the 2L-fold ground cluster is exactly degenerate, so its order comes from
@@ -205,8 +228,7 @@ def test_dense_and_iterative_solvers_agree(monkeypatch):
 def test_dense_solve_matches_eigh_subset(n, count, csr):
     # the direct syevr call gives what eigh(subset_by_index) gives for the
     # same matrix, also for a CSR block whose spectrum is near complete, and
-    # again for a second block of the same size, which reuses the workspace
-    # cached for n; the block's h0 is left as it was
+    # again for a second block of the same size; the block's h0 is left as it was
     rng = np.random.default_rng(n + count)
     for _ in range(2):
         a = rng.standard_normal((n, n))
@@ -221,7 +243,6 @@ def test_dense_solve_matches_eigh_subset(n, count, csr):
         assert np.allclose(np.abs(np.sum(vecs * expected_vecs, axis=0)), 1, rtol=0, atol=1e-10)
         assert np.all(residuals <= 1e-12 * scale)
         assert np.array_equal(h0.toarray() if csr else h0, dense)
-        assert n in xyz._SYEVR_WORK
 
 
 couplings = st.floats(-0.95, 0.95, allow_nan=False)
@@ -655,6 +676,8 @@ def test_find_hstar_refuses_the_blocks_of_another_chain():
     sectors = xyz.SectorBlocks(5, 0.33, 0.0)
     with pytest.raises(ValueError, match="sector blocks"):
         sm.find_hstar(0.33, 0.1, 5, sectors=sectors)
+    with pytest.raises(ValueError, match="sector blocks"):  # before the jz < -jy answer
+        sm.find_hstar(0.1, -0.3, 5, sectors=sectors)
     assert sm.find_hstar(0.33, 0.0, 5, sectors=sectors) == sm.find_hstar(0.33, 0.0, 5)
 
 
@@ -693,7 +716,7 @@ def rule_nothing_out(monkeypatch):
     certificate: every sector visited is solved."""
     estimate = xyz.SectorBlocks._estimate
     monkeypatch.setattr(xyz.SectorBlocks, "_estimate",
-                        lambda self, sector, h: (-np.inf, estimate(self, sector, h)[1]))
+                        lambda self, ell, x: (-np.inf, estimate(self, ell, x)[1]))
     monkeypatch.setattr(xyz, "_certify", lambda block, x, floor: None)
 
 
@@ -705,7 +728,9 @@ def assert_pruning_changes_nothing(monkeypatch, L, jy, jz, size):
     solve_lowest, minimizers = xyz.SectorBlocks._solve_lowest, xyz.SectorBlocks.minimizers
 
     def visited(self, h, sectors, count=1):
-        visits.append((self, h, {sector: self._estimate(sector, h)[0] for sector in sectors}))
+        # a sector is its block at the field (ell, parity h)
+        visits.append((self, h, {(ell, parity): self._estimate(ell, parity * h)[0]
+                                 for ell, parity in sectors}))
         return solve_lowest(self, h, sectors, count)
 
     def picked(self, h):
@@ -795,26 +820,26 @@ def test_lowest_rechecks_skipped_sectors_after_a_resolve(monkeypatch, L, size):
     monkeypatch.setattr(xyz, "_solve_sector", raised_on_resolve(size))
     sectors = xyz.SectorBlocks(L, 0.33, 0.0)
     h = sm.find_hstar(0.33, 0.0, L, sectors=sectors).hstar - 1e-3
-    solves = []  # (sector, level count) of every solve of the ground search
+    solves = []  # ((ell, x), level count) of every solve of the ground search
     solve = xyz.SectorBlocks._solve
 
-    def logged(self, sector, h, count):
-        solves.append((sector, count))
-        return solve(self, sector, h, count)
+    def logged(self, ell, x, count):
+        solves.append(((ell, x), count))
+        return solve(self, ell, x, count)
 
     monkeypatch.setattr(xyz.SectorBlocks, "_solve", logged)
     estimate = xyz.SectorBlocks._estimate
     monkeypatch.setattr(xyz.SectorBlocks, "_estimate",
-                        lambda self, sector, h: (estimate(self, sector, h)[0], 0.0))
+                        lambda self, ell, x: (estimate(self, ell, x)[0], 0.0))
     man = sectors.lowest(h)
     assert len(man.states) > 0
-    assert solves[0] == ((0, 1), 2)
-    again = next(i for i, (sector, _) in enumerate(solves)
-                 if sector in {sector for sector, _ in solves[:i]})
+    assert solves[0] == ((0, h), 2)  # sector (0, +1) is block 0 at x = h
+    again = next(i for i, (field, _) in enumerate(solves)
+                 if field in {field for field, _ in solves[:i]})
     assert solves[again][0][0] != 0 and solves[again][1] == 2
     if size == 0.5:
-        before = {sector for sector, _ in solves[:again]}
-        assert any(sector not in before for sector, _ in solves[again:])
+        before = {field for field, _ in solves[:again]}
+        assert any(field not in before for field, _ in solves[again:])
     rule_nothing_out(monkeypatch)
     assert_same_manifold(man, xyz.SectorBlocks(L, 0.33, 0.0).lowest(h))
 
